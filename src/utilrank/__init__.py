@@ -7,6 +7,10 @@ ranks the alternatives. Includes a deterministic scenario simulator and
 a self-verifying reproduction of the bundled reference use case.
 """
 
+# The one version literal; pyproject.toml reads it from here. Set before
+# the imports below so that modules can import it during package init.
+__version__ = "0.1.0"
+
 from .errors import (
     AllZeroDivergence,
     AllZeroEntropy,
@@ -27,7 +31,6 @@ from .errors import (
     ReproductionMismatch,
     UtilityRangeWarning,
     UtilrankError,
-    ZeroIgdSum,
     ZeroPriorSupport,
 )
 from .model import (
@@ -38,6 +41,7 @@ from .model import (
     PriorProfile,
     RelativeVarianceProfile,
     SampleSet,
+    ScoreVector,
     UtilitySample,
     WeightMethod,
     WeightVector,
@@ -46,10 +50,6 @@ from .model import (
 )
 from .moments import compute_moments, mean_and_variance
 from .weighting import (
-    DivergenceVector,
-    EntropyVector,
-    IgdResolution,
-    IgdVector,
     entropy,
     icw,
     igd,
@@ -79,5 +79,3 @@ from .io_files import (
 from .pipeline import run_pipeline
 from .report import Provenance, Report, emit_report
 from .reproduce import REFERENCE_CONFIG, USE_CASE_SPEC, reproduce_paper, verify_report
-
-__version__ = "0.1.0"

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ReproductionMismatch, UtilrankError
+from .errors import InvalidSpec, ReproductionMismatch, UtilrankError
 from .io_files import parse_log_base, read_config, read_prior, read_samples, read_scenario_spec, write_samples
 from .model import EngineConfig
 from .pipeline import run_pipeline
@@ -77,7 +77,10 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         overrides["kld_log_base"] = parse_log_base(args.kld_base)
     if args.round_weights is not None:
         overrides["report_weight_rounding"] = args.round_weights
-    return EngineConfig(**overrides)
+    try:
+        return EngineConfig(**overrides)
+    except ValueError as exc:
+        raise InvalidSpec(f"invalid config: {exc}") from None
 
 
 def _parse_methods(raw: Optional[str]):

@@ -95,7 +95,7 @@ class ParseError(UtilrankError):
 
 
 class InvalidSpec(UtilrankError):
-    """A scenario specification violates its invariants."""
+    """A scenario spec, engine config or option violates its invariants."""
 
 
 class PriorRequired(UtilrankError):
@@ -139,7 +139,7 @@ class AllZeroDivergence(UtilrankError):
 
 
 class NegativeIgd(UtilrankError):
-    """The information-gain-difference vector has a negative entry (strict mode)."""
+    """The information-gain-difference vector is not positive (strict mode)."""
 
     def __init__(self, values: tuple[float, ...]):
         self.values = values
@@ -147,10 +147,6 @@ class NegativeIgd(UtilrankError):
             f"negative information-gain difference {values!r}; use the "
             "min_shift policy to resolve signs"
         )
-
-
-class ZeroIgdSum(UtilrankError):
-    """The resolved information-gain-difference vector sums to zero."""
 
 
 # ---------------------------------------------------------------------------

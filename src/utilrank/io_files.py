@@ -263,13 +263,13 @@ def read_config(path: PathLike) -> dict:
             )
         if "igd_negative_policy" in doc:
             overrides["igd_negative_policy"] = IgdNegativePolicy(doc["igd_negative_policy"])
-    except ValueError as exc:
+        if "prior_smoothing_epsilon" in doc:
+            overrides["prior_smoothing_epsilon"] = float(doc["prior_smoothing_epsilon"])
+        if "report_weight_rounding" in doc:
+            rounding = doc["report_weight_rounding"]
+            overrides["report_weight_rounding"] = None if rounding is None else int(rounding)
+    except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed config: {exc}") from None
-    if "prior_smoothing_epsilon" in doc:
-        overrides["prior_smoothing_epsilon"] = float(doc["prior_smoothing_epsilon"])
-    if "report_weight_rounding" in doc:
-        rounding = doc["report_weight_rounding"]
-        overrides["report_weight_rounding"] = None if rounding is None else int(rounding)
     return overrides
 
 

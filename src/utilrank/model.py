@@ -191,6 +191,19 @@ class PriorProfile:
 
 
 @dataclass(frozen=True)
+class ScoreVector:
+    """Per-attribute scores: entropies, divergences or gain differences.
+
+    ``log_base`` is the logarithm base the scores are expressed in, or
+    None for scores that carry no base of their own.
+    """
+
+    values: tuple[float, ...]
+    attributes: tuple[str, ...]
+    log_base: Optional[float] = None
+
+
+@dataclass(frozen=True)
 class WeightVector:
     """Normalized per-attribute weights produced by one method."""
 
@@ -198,7 +211,6 @@ class WeightVector:
     weights: tuple[float, ...]
     raw_scores: tuple[float, ...]
     attributes: tuple[str, ...]
-    config: EngineConfig
 
     def __post_init__(self) -> None:
         total = math.fsum(self.weights)

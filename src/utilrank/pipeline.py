@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import PriorRequired, UtilrankError
+from .errors import InvalidSpec, PriorRequired, UtilrankError
 from .io_files import digest_prior, digest_sample_set
 from .model import EngineConfig, PriorProfile, SampleSet, WeightMethod
 from .moments import compute_moments
@@ -29,7 +29,10 @@ def resolve_methods(
         return ALL_METHODS if have_prior else (WeightMethod.ICW, WeightMethod.IGDW)
     resolved = []
     for m in methods:
-        method = m if isinstance(m, WeightMethod) else WeightMethod(str(m).upper())
+        try:
+            method = m if isinstance(m, WeightMethod) else WeightMethod(str(m).upper())
+        except ValueError:
+            raise InvalidSpec(f"unknown method {m!r}; use icw, ighw or igdw") from None
         if method not in resolved:
             resolved.append(method)
     return tuple(resolved)
@@ -65,7 +68,7 @@ def run_pipeline(
     weights: dict[WeightMethod, object] = {}
     rankings: dict[WeightMethod, object] = {}
     failures: dict[WeightMethod, str] = {}
-    profile = entropies = divergences = igd_vector = None
+    profile = entropies = divergences = igd_vector = igd_resolution = None
 
     if selected:
         try:
@@ -82,13 +85,13 @@ def run_pipeline(
         for method in selected:
             try:
                 if method is WeightMethod.ICW:
-                    wv = icw(entropies, config)
+                    wv = icw(entropies)
                 elif method is WeightMethod.IGHW:
                     divergences = kld(profile, prior, config)
-                    wv = ighw(divergences, config)
+                    wv = ighw(divergences)
                 else:
-                    igd_vector = igd(entropies, config)
-                    wv = igdw(igd_vector, config)
+                    igd_vector, igd_resolution = igd(entropies, config)
+                    wv = igdw(igd_vector)
             except UtilrankError as exc:
                 failures[method] = _describe(exc)
                 continue
@@ -102,6 +105,7 @@ def run_pipeline(
         entropies=entropies,
         divergences=divergences,
         igd=igd_vector,
+        igd_resolution=igd_resolution,
         weights=weights,
         rankings=rankings,
         failures=failures,

@@ -34,13 +34,11 @@ class RankingReport:
     Ties are reported, never silently broken.
     """
 
-    method_name: str
     expectations: tuple[float, ...]
     ranks: tuple[int, ...]
     weights_used: tuple[float, ...]
     rounding_applied: Optional[int]
     ties: tuple[tuple[str, ...], ...]
-    alternatives: tuple[str, ...]
 
 
 def round_half_away_from_zero(value: float, decimals: int) -> float:
@@ -55,21 +53,14 @@ def round_half_away_from_zero(value: float, decimals: int) -> float:
 
 def expected_utility(
     moments: MomentMatrices,
-    weights: WeightVector | Sequence[float],
-    rounding: Optional[int] = None,
+    weights: Sequence[float],
 ) -> tuple[float, ...]:
-    """Weighted expected utility of each alternative.
-
-    If ``rounding`` is given, each weight is rounded half-away-from-zero
-    to that many decimals before the dot product.
-    """
-    w = tuple(weights.weights) if isinstance(weights, WeightVector) else tuple(weights)
+    """Weighted expected utility of each alternative."""
+    w = tuple(weights)
     if len(w) != moments.num_attributes:
         raise DimensionMismatch(
             f"{len(w)} weights for {moments.num_attributes} attributes"
         )
-    if rounding is not None:
-        w = tuple(round_half_away_from_zero(x, rounding) for x in w)
     return tuple(
         math.fsum(w[r] * float(moments.means[i, r]) for r in range(len(w)))
         for i in range(moments.num_alternatives)
@@ -78,7 +69,7 @@ def expected_utility(
 
 def rank(
     expectations: Sequence[float],
-    alternatives: Sequence[str] | None = None,
+    alternatives: Sequence[str],
 ) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]:
     """Rank alternatives by descending expected utility.
 
@@ -87,8 +78,6 @@ def rank(
     alternative identifier ascending.
     """
     n = len(expectations)
-    if alternatives is None:
-        alternatives = tuple(f"#{i + 1}" for i in range(n))
     order = sorted(range(n), key=lambda i: (-expectations[i], alternatives[i]))
 
     groups: list[list[int]] = []
@@ -122,11 +111,9 @@ def rank_alternatives(
     expectations = expected_utility(moments, effective)
     ranks, ties = rank(expectations, moments.alternatives)
     return RankingReport(
-        method_name=weights.method.value,
         expectations=expectations,
         ranks=ranks,
         weights_used=effective,
         rounding_applied=rounding,
         ties=ties,
-        alternatives=moments.alternatives,
     )

@@ -15,21 +15,26 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .model import EngineConfig, MomentMatrices, RelativeVarianceProfile, WeightMethod, WeightVector
+from . import __version__
+from .model import (
+    EngineConfig,
+    MomentMatrices,
+    RelativeVarianceProfile,
+    ScoreVector,
+    WeightMethod,
+    WeightVector,
+)
 from .ranking import RankingReport
-from .weighting import DivergenceVector, EntropyVector, IgdVector
 from .io_files import SCHEMA_VERSION, config_to_dict
 
 PathLike = Union[str, Path]
-
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
 class Provenance:
     samples_sha256: str
     prior_sha256: Optional[str]
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,10 @@ class Report:
 
     moments: MomentMatrices
     relative_variance: Optional[RelativeVarianceProfile]
-    entropies: Optional[EntropyVector]
-    divergences: Optional[DivergenceVector]
-    igd: Optional[IgdVector]
+    entropies: Optional[ScoreVector]
+    divergences: Optional[ScoreVector]
+    igd: Optional[ScoreVector]
+    igd_resolution: Optional[str]
     weights: dict[WeightMethod, WeightVector]
     rankings: dict[WeightMethod, RankingReport]
     failures: dict[WeightMethod, str]
@@ -89,20 +95,13 @@ def report_to_dict(report: Report) -> dict:
             "matrix": report.relative_variance.matrix.tolist(),
             "degenerate_attributes": list(report.relative_variance.degenerate_attributes),
         }
-    if report.entropies is not None:
-        doc["entropies"] = {
-            "values": list(report.entropies.values),
-            "log_base": report.entropies.log_base,
-        }
-    if report.divergences is not None:
-        doc["divergences"] = {
-            "values": list(report.divergences.values),
-            "log_base": report.divergences.log_base,
-        }
+    for key, scores in (("entropies", report.entropies), ("divergences", report.divergences)):
+        if scores is not None:
+            doc[key] = {"values": list(scores.values), "log_base": scores.log_base}
     if report.igd is not None:
         doc["igd"] = {
             "values": list(report.igd.values),
-            "resolution": report.igd.resolution.value,
+            "resolution": report.igd_resolution,
         }
     for method, wv in report.weights.items():
         doc["weights"][method.value] = {
@@ -128,12 +127,13 @@ def _display_views(report: Report) -> dict:
         views["relative_variance"] = [
             [round(v, 4) for v in row] for row in report.relative_variance.matrix.tolist()
         ]
-    if report.entropies is not None:
-        views["entropies"] = [round(v, 4) for v in report.entropies.values]
-    if report.divergences is not None:
-        views["divergences"] = [round(v, 4) for v in report.divergences.values]
-    if report.igd is not None:
-        views["igd"] = [round(v, 4) for v in report.igd.values]
+    for key, scores in (
+        ("entropies", report.entropies),
+        ("divergences", report.divergences),
+        ("igd", report.igd),
+    ):
+        if scores is not None:
+            views[key] = [round(v, 4) for v in scores.values]
     views["weights"] = {
         m.value: [round(w, 4) for w in wv.weights] for m, wv in report.weights.items()
     }
@@ -211,32 +211,21 @@ def report_to_text(report: Report) -> str:
             )
         )
 
-    if report.entropies is not None and WeightMethod.ICW in report.weights:
-        wv = report.weights[WeightMethod.ICW]
-        rows = [
-            [attr, fmt(report.entropies.values[r]), fmt(wv.weights[r])]
-            for r, attr in enumerate(attrs)
-        ]
-        out.append(_table("Table A3. Entropy and information-contents weight (ICW)",
-                          ["Attribute", "Entropy", "ICW"], rows))
-
-    if report.divergences is not None and WeightMethod.IGHW in report.weights:
-        wv = report.weights[WeightMethod.IGHW]
-        rows = [
-            [attr, fmt(report.divergences.values[r]), fmt(wv.weights[r])]
-            for r, attr in enumerate(attrs)
-        ]
-        out.append(_table("Table A4. Information gain vs. prior (IGH) and normalized weight (IGHW)",
-                          ["Attribute", "IGH", "IGHW"], rows))
-
-    if report.igd is not None and WeightMethod.IGDW in report.weights:
-        wv = report.weights[WeightMethod.IGDW]
-        rows = [
-            [attr, fmt(report.igd.values[r]), fmt(wv.weights[r])]
-            for r, attr in enumerate(attrs)
-        ]
-        out.append(_table("Table A5. Information-gain difference (IGD) and normalized weight (IGDW)",
-                          ["Attribute", "IGD", "IGDW"], rows))
+    # Each method's raw scores are the entropies, divergences or gain
+    # differences it normalized.
+    for method, title, score in (
+        (WeightMethod.ICW, "Table A3. Entropy and information-contents weight (ICW)", "Entropy"),
+        (WeightMethod.IGHW,
+         "Table A4. Information gain vs. prior (IGH) and normalized weight (IGHW)", "IGH"),
+        (WeightMethod.IGDW,
+         "Table A5. Information-gain difference (IGD) and normalized weight (IGDW)", "IGD"),
+    ):
+        wv = report.weights.get(method)
+        if wv is not None:
+            rows = [
+                [attr, fmt(s), fmt(w)] for attr, s, w in zip(attrs, wv.raw_scores, wv.weights)
+            ]
+            out.append(_table(title, ["Attribute", score, method.value], rows))
 
     if report.rankings:
         header = ["Method"] + [f"{alt} expectation" for alt in alts] + [f"{alt} rank" for alt in alts]

@@ -10,7 +10,8 @@ IGHW  Kullback-Leibler divergence of the data-driven column from a
       normalized the same way
 IGDW  information-gain difference of each attribute against the summed
       complement-entropies of the others:
-      IGD(r) = E(r) - sum_{j != r} (1 - E(j)), normalized the same way
+      IGD(r) = E(r) - sum_{j != r} (1 - E(j)); this equals
+      sum_j E(j) - (R - 1) for every r, so IGDW is exactly 1/R
 
 All reductions use exactly-rounded ``math.fsum``, which makes entropy and
 divergence invariant to the ordering of alternatives.
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .errors import (
     DegenerateAttributeWarning,
     DimensionMismatch,
     NegativeIgd,
-    ZeroIgdSum,
     ZeroPriorSupport,
 )
 from .model import (
@@ -42,44 +40,13 @@ from .model import (
     MomentMatrices,
     PriorProfile,
     RelativeVarianceProfile,
+    ScoreVector,
     WeightMethod,
     WeightVector,
 )
 
 #: Weights this close to zero from below are floating-point noise; clamp.
 _NEGATIVE_NOISE_TOL = 1e-12
-
-
-class IgdResolution(Enum):
-    RAW = "raw"
-    MIN_SHIFTED = "min_shifted"
-
-
-@dataclass(frozen=True)
-class EntropyVector:
-    """Per-attribute entropy of the relative-variance columns."""
-
-    values: tuple[float, ...]
-    log_base: float
-    attributes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DivergenceVector:
-    """Per-attribute KL divergence of the data-driven column from the prior."""
-
-    values: tuple[float, ...]
-    log_base: float
-    attributes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class IgdVector:
-    """Per-attribute information-gain differences, after sign resolution."""
-
-    values: tuple[float, ...]
-    resolution: IgdResolution
-    attributes: tuple[str, ...]
 
 
 def relative_variance(
@@ -119,7 +86,7 @@ def relative_variance(
     )
 
 
-def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> EntropyVector:
+def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> ScoreVector:
     """Per-attribute Shannon entropy of the relative-variance columns.
 
     E(r) = sum_i -p(i, r) * log p(i, r), using the convention 0*log 0 = 0.
@@ -137,7 +104,7 @@ def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> Entro
                 f"entropy {e!r} for attribute {profile.attributes[r]!r} escapes [0, log M]"
             )
         values.append(e)
-    return EntropyVector(tuple(values), log_base, profile.attributes)
+    return ScoreVector(tuple(values), profile.attributes, log_base)
 
 
 def fsum_entropy(column: np.ndarray) -> float:
@@ -145,7 +112,7 @@ def fsum_entropy(column: np.ndarray) -> float:
     return math.fsum(-p * math.log(p) for p in (float(v) for v in column) if p > 0.0)
 
 
-def icw(entropies: EntropyVector, config: EngineConfig | None = None) -> WeightVector:
+def icw(entropies: ScoreVector) -> WeightVector:
     """Information-contents weights: each entropy over the entropy total.
 
     Raises :class:`AllZeroEntropy` when every attribute is fully
@@ -155,15 +122,14 @@ def icw(entropies: EntropyVector, config: EngineConfig | None = None) -> WeightV
     if total <= 0.0:
         raise AllZeroEntropy("every attribute entropy is zero")
     weights = tuple(e / total for e in entropies.values)
-    config = config or EngineConfig(entropy_log_base=entropies.log_base)
-    return WeightVector(WeightMethod.ICW, weights, entropies.values, entropies.attributes, config)
+    return WeightVector(WeightMethod.ICW, weights, entropies.values, entropies.attributes)
 
 
 def kld(
     profile: RelativeVarianceProfile,
     prior: PriorProfile,
     config: EngineConfig | None = None,
-) -> DivergenceVector:
+) -> ScoreVector:
     """Per-attribute KL divergence of the data-driven columns from the prior.
 
     IGH(r) = sum_i p(i, r) * log(p(i, r) / q(i, r)) in config.kld_log_base.
@@ -194,10 +160,10 @@ def kld(
                 raise ZeroPriorSupport(profile.alternatives[i], profile.attributes[r])
             terms.append(p_ir * math.log(p_ir / q_ir))
         values.append(math.fsum(terms) / ln_base)
-    return DivergenceVector(tuple(values), config.kld_log_base, profile.attributes)
+    return ScoreVector(tuple(values), profile.attributes, config.kld_log_base)
 
 
-def ighw(divergences: DivergenceVector, config: EngineConfig | None = None) -> WeightVector:
+def ighw(divergences: ScoreVector) -> WeightVector:
     """Information-gain weights: each divergence over the divergence total.
 
     Raises :class:`AllZeroDivergence` when the data matches the prior for
@@ -207,24 +173,23 @@ def ighw(divergences: DivergenceVector, config: EngineConfig | None = None) -> W
     if total <= 0.0:
         raise AllZeroDivergence("data-driven probabilities equal the prior everywhere")
     weights = tuple(_clamp_noise(d / total) for d in divergences.values)
-    config = config or EngineConfig(kld_log_base=divergences.log_base)
-    return WeightVector(
-        WeightMethod.IGHW, weights, divergences.values, divergences.attributes, config
-    )
+    return WeightVector(WeightMethod.IGHW, weights, divergences.values, divergences.attributes)
 
 
-def igd(entropies: EntropyVector, config: EngineConfig | None = None) -> IgdVector:
+def igd(entropies: ScoreVector, config: EngineConfig | None = None) -> tuple[ScoreVector, str]:
     """Information-gain difference of each attribute against the others.
 
     IGD(r) = E(r) - sum_{j != r} (1 - E(j))
 
-    Algebraically this equals sum_j E(j) - (R - 1) for every r, so the raw
-    vector is constant across attributes; it goes negative whenever the
-    entropy total falls below R - 1. The ``error`` policy raises
-    :class:`NegativeIgd` in that case; ``min_shift`` subtracts the minimum
-    entry, and resolves an all-equal vector directly to uniform 1/R.
+    Algebraically this equals sum_j E(j) - (R - 1) for every r, so the
+    vector is constant across attributes and is positive only when the
+    entropy total exceeds R - 1. Otherwise (an entry is negative, or every
+    entry is zero) the ``error`` policy raises :class:`NegativeIgd` and
+    ``min_shift`` resolves the vector to 1/R per attribute.
+
+    Returns the differences and how their sign was resolved: ``"raw"`` or
+    ``"min_shifted"``.
     """
-    config = config or EngineConfig(entropy_log_base=entropies.log_base)
     n = len(entropies.values)
     if n < 2:
         raise DimensionMismatch("information-gain difference needs at least 2 attributes")
@@ -232,36 +197,22 @@ def igd(entropies: EntropyVector, config: EngineConfig | None = None) -> IgdVect
         e_r - math.fsum(1.0 - e_j for j, e_j in enumerate(entropies.values) if j != r)
         for r, e_r in enumerate(entropies.values)
     )
-    if min(raw) >= 0.0:
-        return IgdVector(raw, IgdResolution.RAW, entropies.attributes)
-    if config.igd_negative_policy is IgdNegativePolicy.ERROR:
+    if min(raw) >= 0.0 and max(raw) > 0.0:
+        return ScoreVector(raw, entropies.attributes), "raw"
+    if (config or EngineConfig()).igd_negative_policy is IgdNegativePolicy.ERROR:
         raise NegativeIgd(raw)
-    if max(raw) - min(raw) <= _NEGATIVE_NOISE_TOL:
-        resolved = tuple([1.0 / n] * n)
-    else:
-        low = min(raw)
-        resolved = tuple(g - low for g in raw)
-    return IgdVector(resolved, IgdResolution.MIN_SHIFTED, entropies.attributes)
+    return ScoreVector((1.0 / n,) * n, entropies.attributes), "min_shifted"
 
 
-def igdw(igd_vector: IgdVector, config: EngineConfig | None = None) -> WeightVector:
-    """Information-gain-difference weights: resolved differences, normalized.
+def igdw(gains: ScoreVector) -> WeightVector:
+    """Information-gain-difference weights: exactly 1/R per attribute.
 
-    Raises :class:`ZeroIgdSum` when the resolved vector sums to zero.
+    Every resolved difference is the same positive number up to rounding,
+    so normalizing them yields the uniform vector; it is written down, not
+    divided out.
     """
-    values = igd_vector.values
-    total = math.fsum(values)
-    if total <= 0.0:
-        raise ZeroIgdSum("resolved information-gain differences sum to zero")
-    n = len(values)
-    if max(values) - min(values) <= _NEGATIVE_NOISE_TOL * max(1.0, abs(max(values))):
-        # constant vector (the formula's algebraic identity): exactly uniform
-        weights = tuple([1.0 / n] * n)
-    else:
-        weights = tuple(_clamp_noise(g / total) for g in values)
-    return WeightVector(
-        WeightMethod.IGDW, weights, values, igd_vector.attributes, config or EngineConfig()
-    )
+    n = len(gains.values)
+    return WeightVector(WeightMethod.IGDW, (1.0 / n,) * n, gains.values, gains.attributes)
 
 
 def _clamp_noise(w: float) -> float:

@@ -18,10 +18,11 @@ from utilrank.model import (
     MomentMatrices,
     PriorProfile,
     RelativeVarianceProfile,
+    ScoreVector,
     WeightMethod,
 )
 from utilrank.moments import mean_and_variance
-from utilrank.ranking import expected_utility, rank
+from utilrank.ranking import expected_utility, rank, rank_alternatives
 from utilrank.reproduce import reproduce_paper
 from utilrank.weighting import entropy, icw, igd, igdw, ighw, kld, relative_variance
 
@@ -88,7 +89,7 @@ def test_criterion_4_igh_and_ighw(reference_stages):
 def test_criterion_5_igd_and_igdw(reference_stages):
     with criterion(5, "IGD within 5e-4, IGDW exactly (0.5, 0.5)"):
         _, _, entropies, _ = reference_stages
-        gv = igd(entropies)
+        gv, _ = igd(entropies)
         np.testing.assert_allclose(gv.values, [0.0767, 0.0767], atol=5e-4)
         assert igdw(gv).weights == (0.5, 0.5)
 
@@ -99,7 +100,7 @@ def test_criterion_6_expectations_and_rankings(reference_stages):
         weight_vectors = {
             "ICW": icw(entropies),
             "IGHW": ighw(kld(profile, prior, EngineConfig(kld_log_base=10.0))),
-            "IGDW": igdw(igd(entropies)),
+            "IGDW": igdw(igd(entropies)[0]),
         }
         expected = {
             "ICW": ((9.94, 8.92), (1, 2)),
@@ -107,10 +108,9 @@ def test_criterion_6_expectations_and_rankings(reference_stages):
             "IGDW": ((9.5, 9.0), (1, 2)),
         }
         for name, (want_exps, want_ranks) in expected.items():
-            exps = expected_utility(moments, weight_vectors[name], rounding=2)
-            np.testing.assert_allclose(exps, want_exps, atol=5e-3)
-            ranks, _ = rank(exps, moments.alternatives)
-            assert ranks == want_ranks
+            ranking = rank_alternatives(moments, weight_vectors[name], rounding=2)
+            np.testing.assert_allclose(ranking.expectations, want_exps, atol=5e-3)
+            assert ranking.ranks == want_ranks
 
 
 def test_criterion_7_end_to_end_from_raw_samples(tmp_path):
@@ -165,7 +165,7 @@ def test_criterion_8_property_suites():
                 mm.alternatives, mm.attributes,
             )
             for wv in (icw(ev), ighw(kld(profile, prior, EngineConfig())),
-                       igdw(igd(ev, min_shift))):
+                       igdw(igd(ev, min_shift)[0])):
                 assert abs(math.fsum(wv.weights) - 1.0) <= 1e-9
 
         # (b) KLD >= -1e-12 with equality iff p = q
@@ -247,8 +247,6 @@ def test_criterion_9_negative_controls(use_case_moments):
         with pytest.raises(ZeroPriorSupport):
             kld(profile, zero_support, EngineConfig())
 
-        from utilrank.weighting import EntropyVector
-
-        near_degenerate = EntropyVector((0.05, 0.6, 0.5), math.e, ("a", "b", "c"))
+        near_degenerate = ScoreVector((0.05, 0.6, 0.5), ("a", "b", "c"), math.e)
         with pytest.raises(NegativeIgd):
             igd(near_degenerate)

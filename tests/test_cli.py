@@ -92,6 +92,27 @@ class TestRank:
         assert main(["rank", "--samples", str(tmp_path / "missing.csv")]) == 4
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "flags,config",
+        [
+            (["--entropy-base", "0.5"], None),
+            (["--round-weights", "-1"], None),
+            (["--methods", "foo"], None),
+            ([], {"schema_version": 1, "prior_smoothing_epsilon": "abc"}),
+        ],
+        ids=["entropy-base", "round-weights", "methods", "config-epsilon"],
+    )
+    def test_exits_two_with_one_line(self, workdir, tmp_path, capsys, flags, config):
+        argv = ["rank", "--samples", str(workdir / "samples.csv"), *flags]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestWeights:
     def test_weights_omits_rankings(self, workdir, tmp_path):
         out = tmp_path / "weights.json"

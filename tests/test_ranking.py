@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from utilrank.errors import DimensionMismatch
-from utilrank.model import EngineConfig, WeightMethod, WeightVector
+from utilrank.model import WeightMethod, WeightVector
 from utilrank.ranking import (
     expected_utility,
     rank,
@@ -20,7 +20,7 @@ ICW_FULL = (0.535260112665091, 0.46473988733490906)  # unrounded use-case weight
 
 
 def _weight_vector(weights, method=WeightMethod.ICW):
-    return WeightVector(method, tuple(weights), tuple(weights), ATTRIBUTES, EngineConfig())
+    return WeightVector(method, tuple(weights), tuple(weights), ATTRIBUTES)
 
 
 class TestRounding:
@@ -41,7 +41,8 @@ class TestRounding:
 
 class TestExpectedUtility:
     def test_use_case_rounded_weights(self, use_case_moments):
-        exps = expected_utility(use_case_moments, _weight_vector(ICW_FULL), rounding=2)
+        ranking = rank_alternatives(use_case_moments, _weight_vector(ICW_FULL), rounding=2)
+        exps = ranking.expectations
         assert exps[0] == pytest.approx(9.94, abs=1e-12)  # 0.54*15 + 0.46*4
         assert exps[1] == pytest.approx(8.92, abs=1e-12)  # 0.54*8 + 0.46*10
 
@@ -49,7 +50,7 @@ class TestExpectedUtility:
         assert expected_utility(use_case_moments, (1.0, 0.0)) == (15.0, 8.0)
 
     def test_full_precision_dot_oracle(self, use_case_moments):
-        exps = expected_utility(use_case_moments, _weight_vector(ICW_FULL))
+        exps = expected_utility(use_case_moments, ICW_FULL)
         for i in range(2):
             oracle = sum(
                 ICW_FULL[r] * use_case_moments.means[i, r] for r in range(2)

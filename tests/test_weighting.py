@@ -12,7 +12,6 @@ from utilrank.errors import (
     DegenerateAttributeWarning,
     DimensionMismatch,
     NegativeIgd,
-    ZeroIgdSum,
     ZeroPriorSupport,
 )
 from utilrank.model import (
@@ -22,13 +21,10 @@ from utilrank.model import (
     MomentMatrices,
     PriorProfile,
     RelativeVarianceProfile,
+    ScoreVector,
     WeightMethod,
 )
 from utilrank.weighting import (
-    DivergenceVector,
-    EntropyVector,
-    IgdResolution,
-    IgdVector,
     entropy,
     icw,
     igd,
@@ -124,12 +120,12 @@ class TestIcw:
         assert weights.weights[1] == pytest.approx(0.4647, abs=5e-4)
 
     def test_equal_entropies_uniform(self):
-        ev = EntropyVector((0.42, 0.42, 0.42), math.e, ("a", "b", "c"))
+        ev = ScoreVector((0.42, 0.42, 0.42), ("a", "b", "c"), math.e)
         np.testing.assert_allclose(icw(ev).weights, [1 / 3] * 3, atol=1e-15)
 
     def test_three_attribute_normalization_oracle(self):
         values = (0.6931, 0.0, 0.6931)
-        ev = EntropyVector(values, math.e, ("a", "b", "c"))
+        ev = ScoreVector(values, ("a", "b", "c"), math.e)
         weights = icw(ev).weights
         total = values[0] + values[1] + values[2]
         assert weights == tuple(v / total for v in values)
@@ -137,7 +133,7 @@ class TestIcw:
 
     def test_all_zero_entropy(self):
         with pytest.raises(AllZeroEntropy):
-            icw(EntropyVector((0.0, 0.0), math.e, ("a", "b")))
+            icw(ScoreVector((0.0, 0.0), ("a", "b"), math.e))
 
     def test_raw_scores_are_entropies(self, use_case_profile):
         ev = entropy(use_case_profile, math.e)
@@ -202,22 +198,25 @@ class TestIghw:
         assert weights.weights[1] == pytest.approx(0.9306, abs=5e-4)
 
     def test_symmetric(self):
-        dv = DivergenceVector((0.37, 0.37), 10.0, ("a", "b"))
+        dv = ScoreVector((0.37, 0.37), ("a", "b"), 10.0)
         assert ighw(dv).weights == (0.5, 0.5)
 
     def test_three_attribute_normalization_oracle(self):
-        dv = DivergenceVector((0.01, 0.02, 0.07), 10.0, ("a", "b", "c"))
+        dv = ScoreVector((0.01, 0.02, 0.07), ("a", "b", "c"), 10.0)
         np.testing.assert_allclose(ighw(dv).weights, [0.1, 0.2, 0.7], rtol=1e-12)
 
     def test_all_zero_divergence(self):
         with pytest.raises(AllZeroDivergence):
-            ighw(DivergenceVector((0.0, 0.0), 10.0, ("a", "b")))
+            ighw(ScoreVector((0.0, 0.0), ("a", "b"), 10.0))
+
+
+MIN_SHIFT = EngineConfig(igd_negative_policy=IgdNegativePolicy.MIN_SHIFT)
 
 
 class TestIgd:
     def test_use_case(self, use_case_profile):
-        gv = igd(entropy(use_case_profile, math.e))
-        assert gv.resolution is IgdResolution.RAW
+        gv, resolution = igd(entropy(use_case_profile, math.e))
+        assert resolution == "raw"
         assert gv.values[0] == pytest.approx(0.0767, abs=5e-4)
         assert gv.values[1] == pytest.approx(0.0767, abs=5e-4)
 
@@ -226,50 +225,66 @@ class TestIgd:
         rng = np.random.default_rng(17)
         for _ in range(100):
             a, b = (float(x) for x in rng.uniform(0.55, 1.0, 2))
-            gv = igd(EntropyVector((a, b), math.e, ("x", "y")))
+            gv, _ = igd(ScoreVector((a, b), ("x", "y"), math.e))
             for value in gv.values:
                 assert value == pytest.approx(a + b - 1.0, abs=5e-16)
 
     def test_three_attribute_strict_negative(self):
         # sum of entropies 1.4986 < R - 1 = 2, so the vector is negative
-        ev = EntropyVector((1.0986, 0.2, 0.2), math.e, ("a", "b", "c"))
+        ev = ScoreVector((1.0986, 0.2, 0.2), ("a", "b", "c"), math.e)
         with pytest.raises(NegativeIgd):
             igd(ev, EngineConfig(igd_negative_policy=IgdNegativePolicy.ERROR))
 
     def test_three_attribute_min_shift(self):
         # term-by-term oracle: every entry is 1.4986 - 2 = -0.5014, so the
-        # shifted vector is all-equal and resolves to uniform
-        ev = EntropyVector((1.0986, 0.2, 0.2), math.e, ("a", "b", "c"))
+        # resolved vector is uniform
+        ev = ScoreVector((1.0986, 0.2, 0.2), ("a", "b", "c"), math.e)
         oracle = tuple(
             ev.values[r] - sum(1.0 - ev.values[j] for j in range(3) if j != r)
             for r in range(3)
         )
         assert all(g == pytest.approx(-0.5014, abs=1e-12) for g in oracle)
-        gv = igd(ev, EngineConfig(igd_negative_policy=IgdNegativePolicy.MIN_SHIFT))
-        assert gv.resolution is IgdResolution.MIN_SHIFTED
+        gv, resolution = igd(ev, MIN_SHIFT)
+        assert resolution == "min_shifted"
         assert gv.values == (1 / 3, 1 / 3, 1 / 3)
 
     def test_single_attribute_rejected(self):
         with pytest.raises(DimensionMismatch):
-            igd(EntropyVector((0.9,), math.e, ("only",)))
+            igd(ScoreVector((0.9,), ("only",), math.e))
 
 
 class TestIgdw:
     def test_use_case_exact_half(self, use_case_profile):
-        weights = igdw(igd(entropy(use_case_profile, math.e)))
-        assert weights.weights == (0.5, 0.5)
+        gv, _ = igd(entropy(use_case_profile, math.e))
+        assert igdw(gv).weights == (0.5, 0.5)
 
     def test_any_two_attribute_input_is_half(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             a, b = (float(x) for x in rng.uniform(0.51, 1.0, 2))
-            weights = igdw(igd(EntropyVector((a, b), math.e, ("x", "y"))))
-            assert weights.weights == (0.5, 0.5)
+            gv, _ = igd(ScoreVector((a, b), ("x", "y"), math.e))
+            assert igdw(gv).weights == (0.5, 0.5)
 
     def test_normalization_oracle(self):
-        gv = IgdVector((0.1, 0.3), IgdResolution.MIN_SHIFTED, ("a", "b"))
-        np.testing.assert_allclose(igdw(gv).weights, [0.25, 0.75], rtol=1e-15)
+        # each difference over their total (the paper's normalization) is
+        # 1/R to rounding; the weights are exactly 1/R
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            r = int(rng.integers(2, 9))
+            values = tuple(float(x) for x in rng.uniform((r - 1) / r + 0.01, 2.0, r))
+            gv, _ = igd(ScoreVector(values, tuple(f"x{j}" for j in range(r)), math.e))
+            oracle = [g / math.fsum(gv.values) for g in gv.values]
+            weights = igdw(gv).weights
+            np.testing.assert_allclose(weights, oracle, rtol=1e-12)
+            assert weights == (1 / r,) * r
+            assert igdw(gv).raw_scores == gv.values
 
     def test_zero_sum(self):
-        with pytest.raises(ZeroIgdSum):
-            igdw(IgdVector((0.0, 0.0), IgdResolution.RAW, ("a", "b")))
+        # entropies summing to exactly R - 1 give an all-zero difference
+        # vector: nothing to normalize, so it is treated like a negative one
+        ev = ScoreVector((0.5, 0.5), ("a", "b"), math.e)
+        with pytest.raises(NegativeIgd):
+            igd(ev)
+        gv, resolution = igd(ev, MIN_SHIFT)
+        assert resolution == "min_shifted"
+        assert igdw(gv).weights == (0.5, 0.5)
