@@ -13,7 +13,8 @@ import pytest
 
 from utilrank.cli import main
 from utilrank.errors import DegenerateAttributeWarning
-from utilrank.io_files import write_samples
+from utilrank.io_files import write_samples, write_scenario_spec
+from utilrank.reproduce import USE_CASE_SPEC
 from utilrank.scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
 
 REPRODUCE_PAPER_SHA256 = {
@@ -76,6 +77,26 @@ REPORT_SHA256 = {
         "52c2cd030d43b84bcea14caf77b1bc8343bec5e3f50e9a5bba8b35fac66a090a",
 }
 
+# 20 alternatives x 10 attributes, 900-1099 samples per pair (200,000 in
+# all), and one zero-variance pair: the generator and CSV paths at scale.
+LARGE_SPEC = ScenarioSpec(
+    pairs=tuple(
+        PairSpec(
+            f"A{i:02d}", f"k{j}", 0.3 + 0.02 * i + 0.01 * j,
+            0.0 if (i, j) == (3, 4) else 0.001 * (1 + (i + j) % 5),
+            900 + (37 * i + 11 * j) % 200,
+        )
+        for i in range(20)
+        for j in range(10)
+    ),
+    seed=2025,
+)
+LARGE_SAMPLES_SHA256 = "a7cb7bdeb448b33c701ac5b0d352ccdb7783d2d40f2c8e9ac629d8b12460340a"
+LARGE_REPORT_SHA256 = "7ad40cf6495e2b57f16ded547b0b478472667ac05d22ffd7578a641c61229b17"
+
+STOCHASTIC_SPEC = ScenarioSpec(USE_CASE_SPEC.pairs, seed=7, moment_mode=MomentMode.STOCHASTIC)
+STOCHASTIC_SAMPLES_SHA256 = "591333d068cbf1628af8a193234ebc4484e9ae22a9325bbb3ea583e2d1403290"
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -99,3 +120,34 @@ def test_rank_report_bytes(case, fmt, tmp_path):
                      "--format", fmt, "--out", str(out)])
     assert code == 0
     assert _sha256(out) == REPORT_SHA256[(case, fmt)]
+
+
+def _simulate(spec, directory):
+    write_scenario_spec(spec, directory / "scenario.json")
+    out = directory / "samples.csv"
+    assert main(["simulate", "--spec", str(directory / "scenario.json"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def large_samples(tmp_path_factory):
+    return _simulate(LARGE_SPEC, tmp_path_factory.mktemp("large"))
+
+
+def test_large_simulate_bytes(large_samples):
+    assert sum(p.sample_count for p in LARGE_SPEC.pairs) == 200_000
+    assert _sha256(large_samples) == LARGE_SAMPLES_SHA256
+
+
+def test_large_rank_report_bytes(large_samples, tmp_path):
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAttributeWarning)
+        code = main(["rank", "--samples", str(large_samples),
+                     "--format", "json", "--out", str(out)])
+    assert code == 0
+    assert _sha256(out) == LARGE_REPORT_SHA256
+
+
+def test_stochastic_simulate_bytes(tmp_path):
+    assert _sha256(_simulate(STOCHASTIC_SPEC, tmp_path)) == STOCHASTIC_SAMPLES_SHA256
