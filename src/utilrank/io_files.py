@@ -146,7 +146,7 @@ def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
                 raise ParseError(len(rows), f"missing cell ({attr}, {alt})")
             row_values.append(cells[(i, j)])
         matrix.append(row_values)
-    return validate_prior(matrix, sample_set, source_label=str(Path(path).name))
+    return validate_prior(matrix, sample_set)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,11 @@ def read_config(path: PathLike) -> dict:
             overrides["prior_smoothing_epsilon"] = float(doc["prior_smoothing_epsilon"])
         if "report_weight_rounding" in doc:
             rounding = doc["report_weight_rounding"]
-            overrides["report_weight_rounding"] = None if rounding is None else int(rounding)
+            if rounding is not None and type(rounding) is not int:
+                raise InvalidSpec(
+                    f"report_weight_rounding must be an integer or null, got {rounding!r}"
+                )
+            overrides["report_weight_rounding"] = rounding
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed config: {exc}") from None
     return overrides

@@ -184,7 +184,6 @@ class PriorProfile:
     matrix: np.ndarray
     alternatives: tuple[str, ...]
     attributes: tuple[str, ...]
-    source_label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _frozen_array(self.matrix))
@@ -277,7 +276,6 @@ def validate_sample_set(raw_samples: Iterable[UtilitySample]) -> SampleSet:
 def validate_prior(
     raw_matrix: Sequence[Sequence[float]] | np.ndarray,
     sample_set: SampleSet,
-    source_label: str = "",
 ) -> PriorProfile:
     """Validate a subjective prior against a sample set's dimensions.
 
@@ -301,4 +299,4 @@ def validate_prior(
         total = math.fsum(float(v) for v in matrix[:, r])
         if not abs(total - 1.0) <= COLUMN_SUM_TOL:
             raise ColumnNotNormalized(attr, total)
-    return PriorProfile(matrix, sample_set.alternatives, sample_set.attributes, source_label)
+    return PriorProfile(matrix, sample_set.alternatives, sample_set.attributes)

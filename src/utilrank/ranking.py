@@ -47,8 +47,13 @@ def round_half_away_from_zero(value: float, decimals: int) -> float:
     Built-in round() uses banker's rounding, which would turn 0.465 into
     0.46; summary-table arithmetic needs 0.47.
     """
+    exact = Decimal(repr(value))
+    if exact.as_tuple().exponent >= -decimals:
+        return value  # already a multiple of the quantum
+    # Fewer places than repr's: the result has at most repr's 17 digits
+    # plus a carry, well inside the default 28-digit context.
     quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(exact.quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 def expected_utility(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Union
 
 from .errors import ReproductionMismatch
 from .io_files import (
@@ -26,7 +26,7 @@ from .io_files import (
 )
 from .model import EngineConfig, WeightMethod, validate_prior
 from .pipeline import run_pipeline
-from .report import Provenance, Report, emit_report
+from .report import Provenance, Report, emit_report, report_to_dict
 from .scenario import Family, MomentMode, PairSpec, ScenarioSpec, generate_samples
 
 PathLike = Union[str, Path]
@@ -58,132 +58,74 @@ REFERENCE_CONFIG = EngineConfig(
     report_weight_rounding=2,
 )
 
-# Published reference figures with their verification tolerances.
-# Matrix cells are keyed "alternative/attribute"; vectors by attribute or
-# alternative; rank tolerances of 0 mean exact.
-REFERENCE_VALUES: dict = {
-    "A1": {
-        "tolerance": 1e-9,
-        "means": {"AI1/force_protection": 15.0, "AI1/proportionality": 4.0,
-                  "AI2/force_protection": 8.0, "AI2/proportionality": 10.0},
-        "variances": {"AI1/force_protection": 7.0, "AI1/proportionality": 1.0,
-                      "AI2/force_protection": 2.5, "AI2/proportionality": 4.0},
-    },
-    "A2": {
-        "tolerance": 5e-5,
-        "relative_variance": {"AI1/force_protection": 0.7368, "AI2/force_protection": 0.2632,
-                              "AI1/proportionality": 0.2, "AI2/proportionality": 0.8},
-    },
-    "A3": {
-        "tolerance": 5e-4,
-        "entropies": {"force_protection": 0.5763, "proportionality": 0.5004},
-        "icw": {"force_protection": 0.5353, "proportionality": 0.4647},
-    },
-    "A4": {
-        "tolerance_igh": 2e-4,
-        "tolerance_ighw": 5e-4,
-        "igh": {"force_protection": 0.0014, "proportionality": 0.0193},
-        "ighw": {"force_protection": 0.0694, "proportionality": 0.9306},
-    },
-    "A5": {
-        "tolerance": 5e-4,
-        "igd": {"force_protection": 0.0767, "proportionality": 0.0767},
-        "igdw": {"force_protection": 0.5, "proportionality": 0.5},
-        "igdw_exact": True,
-    },
-    "A6": {
-        "tolerance": 5e-3,
-        "expectations": {
-            "ICW": {"AI1": 9.94, "AI2": 8.92},
-            "IGHW": {"AI1": 4.77, "AI2": 9.86},
-            "IGDW": {"AI1": 9.5, "AI2": 9.0},
-        },
-        "ranks": {
-            "ICW": {"AI1": 1, "AI2": 2},
-            "IGHW": {"AI1": 2, "AI2": 1},
-            "IGDW": {"AI1": 1, "AI2": 2},
-        },
-    },
-}
+# Published reference figures, one row each: (table, report.json field,
+# cell, figure, tolerance). A cell is "alternative/attribute" in a matrix
+# and one alternative or attribute name in a vector. Exact moment matching
+# bounds a variance's error relative to its size; ranks and the
+# closed-form IGDW weights are exact.
+REFERENCE_VALUES: tuple[tuple[str, str, str, float, float], ...] = (
+    ("A1", "moments.means", "AI1/force_protection", 15.0, 1e-9),
+    ("A1", "moments.means", "AI1/proportionality", 4.0, 1e-9),
+    ("A1", "moments.means", "AI2/force_protection", 8.0, 1e-9),
+    ("A1", "moments.means", "AI2/proportionality", 10.0, 1e-9),
+    ("A1", "moments.variances", "AI1/force_protection", 7.0, 7e-9),
+    ("A1", "moments.variances", "AI1/proportionality", 1.0, 1e-9),
+    ("A1", "moments.variances", "AI2/force_protection", 2.5, 2.5e-9),
+    ("A1", "moments.variances", "AI2/proportionality", 4.0, 4e-9),
+    ("A2", "relative_variance.matrix", "AI1/force_protection", 0.7368, 5e-5),
+    ("A2", "relative_variance.matrix", "AI2/force_protection", 0.2632, 5e-5),
+    ("A2", "relative_variance.matrix", "AI1/proportionality", 0.2, 5e-5),
+    ("A2", "relative_variance.matrix", "AI2/proportionality", 0.8, 5e-5),
+    ("A3", "entropies.values", "force_protection", 0.5763, 5e-4),
+    ("A3", "entropies.values", "proportionality", 0.5004, 5e-4),
+    ("A3", "weights.ICW.weights", "force_protection", 0.5353, 5e-4),
+    ("A3", "weights.ICW.weights", "proportionality", 0.4647, 5e-4),
+    ("A4", "divergences.values", "force_protection", 0.0014, 2e-4),
+    ("A4", "divergences.values", "proportionality", 0.0193, 2e-4),
+    ("A4", "weights.IGHW.weights", "force_protection", 0.0694, 5e-4),
+    ("A4", "weights.IGHW.weights", "proportionality", 0.9306, 5e-4),
+    ("A5", "igd.values", "force_protection", 0.0767, 5e-4),
+    ("A5", "igd.values", "proportionality", 0.0767, 5e-4),
+    ("A5", "weights.IGDW.weights", "force_protection", 0.5, 0),
+    ("A5", "weights.IGDW.weights", "proportionality", 0.5, 0),
+    ("A6", "rankings.ICW.expectations", "AI1", 9.94, 5e-3),
+    ("A6", "rankings.ICW.expectations", "AI2", 8.92, 5e-3),
+    ("A6", "rankings.IGHW.expectations", "AI1", 4.77, 5e-3),
+    ("A6", "rankings.IGHW.expectations", "AI2", 9.86, 5e-3),
+    ("A6", "rankings.IGDW.expectations", "AI1", 9.5, 5e-3),
+    ("A6", "rankings.IGDW.expectations", "AI2", 9.0, 5e-3),
+    ("A6", "rankings.ICW.ranks", "AI1", 1, 0),
+    ("A6", "rankings.ICW.ranks", "AI2", 2, 0),
+    ("A6", "rankings.IGHW.ranks", "AI1", 2, 0),
+    ("A6", "rankings.IGHW.ranks", "AI2", 1, 0),
+    ("A6", "rankings.IGDW.ranks", "AI1", 1, 0),
+    ("A6", "rankings.IGDW.ranks", "AI2", 2, 0),
+)
 
 
-def _check(table: str, cell: str, expected: float, actual: float, tolerance: float) -> None:
-    if not abs(actual - expected) <= tolerance:
-        raise ReproductionMismatch(table, cell, expected, actual)
-
-
-def verify_report(report: Report, expected: Optional[Mapping] = None) -> None:
+def verify_report(report: Report) -> None:
     """Verify a reference-profile report against the published figures.
 
-    Raises :class:`ReproductionMismatch` on the first departing value.
+    Each figure is checked against the value users read in the report's
+    JSON document. Raises :class:`ReproductionMismatch` on the first
+    departing value.
     """
-    ref = expected if expected is not None else REFERENCE_VALUES
-    alt_index = {a: i for i, a in enumerate(report.alternatives)}
-    attr_index = {a: j for j, a in enumerate(report.attributes)}
-
-    a1 = ref["A1"]
-    for cell, value in a1["means"].items():
-        alt, attr = cell.split("/")
-        _check("A1", f"mean {cell}", value,
-               float(report.moments.means[alt_index[alt], attr_index[attr]]), a1["tolerance"])
-    for cell, value in a1["variances"].items():
-        alt, attr = cell.split("/")
-        # exact moment mode guarantees only relative variance error
-        _check("A1", f"variance {cell}", value,
-               float(report.moments.variances[alt_index[alt], attr_index[attr]]),
-               a1["tolerance"] * max(1.0, abs(value)))
-
-    a2 = ref["A2"]
-    for cell, value in a2["relative_variance"].items():
-        alt, attr = cell.split("/")
-        _check("A2", cell, value,
-               float(report.relative_variance.matrix[alt_index[alt], attr_index[attr]]),
-               a2["tolerance"])
-
-    a3 = ref["A3"]
-    icw_weights = report.weights[WeightMethod.ICW]
-    for attr, value in a3["entropies"].items():
-        _check("A3", f"entropy {attr}", value,
-               report.entropies.values[attr_index[attr]], a3["tolerance"])
-    for attr, value in a3["icw"].items():
-        _check("A3", f"ICW {attr}", value,
-               icw_weights.weights[attr_index[attr]], a3["tolerance"])
-
-    a4 = ref["A4"]
-    ighw_weights = report.weights[WeightMethod.IGHW]
-    for attr, value in a4["igh"].items():
-        _check("A4", f"IGH {attr}", value,
-               report.divergences.values[attr_index[attr]], a4["tolerance_igh"])
-    for attr, value in a4["ighw"].items():
-        _check("A4", f"IGHW {attr}", value,
-               ighw_weights.weights[attr_index[attr]], a4["tolerance_ighw"])
-
-    a5 = ref["A5"]
-    igdw_weights = report.weights[WeightMethod.IGDW]
-    for attr, value in a5["igd"].items():
-        _check("A5", f"IGD {attr}", value,
-               report.igd.values[attr_index[attr]], a5["tolerance"])
-    igdw_tol = 0.0 if a5.get("igdw_exact") else a5["tolerance"]
-    for attr, value in a5["igdw"].items():
-        _check("A5", f"IGDW {attr}", value,
-               igdw_weights.weights[attr_index[attr]], igdw_tol)
-
-    a6 = ref["A6"]
-    for method_name, cells in a6["expectations"].items():
-        ranking = report.rankings[WeightMethod(method_name)]
-        for alt, value in cells.items():
-            _check("A6", f"{method_name} expectation {alt}", value,
-                   ranking.expectations[alt_index[alt]], a6["tolerance"])
-    for method_name, cells in a6["ranks"].items():
-        ranking = report.rankings[WeightMethod(method_name)]
-        for alt, value in cells.items():
-            _check("A6", f"{method_name} rank {alt}", value,
-                   ranking.ranks[alt_index[alt]], 0)
+    doc = report_to_dict(report)
+    index = {
+        name: k for names in (doc["alternatives"], doc["attributes"])
+        for k, name in enumerate(names)
+    }
+    for table, field, cell, figure, tolerance in REFERENCE_VALUES:
+        actual = doc
+        for key in field.split("."):
+            actual = actual[key]
+        for name in cell.split("/"):
+            actual = actual[index[name]]
+        if not abs(actual - figure) <= tolerance:
+            raise ReproductionMismatch(table, f"{field} {cell}", figure, actual)
 
 
-def reproduce_paper(
-    output_directory: PathLike, expected: Optional[Mapping] = None
-) -> Report:
+def reproduce_paper(output_directory: PathLike) -> Report:
     """Regenerate the reference use case end-to-end and verify it.
 
     Writes samples.csv, prior.csv, scenario.json, config.json,
@@ -196,7 +138,7 @@ def reproduce_paper(
     out.mkdir(parents=True, exist_ok=True)
 
     sample_set = generate_samples(USE_CASE_SPEC)
-    prior = validate_prior(USE_CASE_PRIOR, sample_set, source_label="subject-matter expert")
+    prior = validate_prior(USE_CASE_PRIOR, sample_set)
 
     write_scenario_spec(USE_CASE_SPEC, out / "scenario.json")
     write_samples(sample_set, out / "samples.csv")
@@ -215,7 +157,7 @@ def reproduce_paper(
         provenance=provenance,
     )
 
-    verify_report(report, expected)
+    verify_report(report)
 
     emit_report(report, "json", out / "report.json")
     emit_report(report, "text", out / "tables.txt")

@@ -11,7 +11,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from utilrank.errors import DegenerateAttribute, NegativeIgd, ZeroPriorSupport
+import utilrank.reproduce as reproduce_module
+from utilrank.errors import (
+    DegenerateAttribute,
+    NegativeIgd,
+    ReproductionMismatch,
+    ZeroPriorSupport,
+)
 from utilrank.model import (
     EngineConfig,
     IgdNegativePolicy,
@@ -23,7 +29,7 @@ from utilrank.model import (
 )
 from utilrank.moments import mean_and_variance
 from utilrank.ranking import expected_utility, rank, rank_alternatives
-from utilrank.reproduce import reproduce_paper
+from utilrank.reproduce import reproduce_paper, verify_report
 from utilrank.weighting import entropy, icw, igd, igdw, ighw, kld, relative_variance
 
 from conftest import (
@@ -250,3 +256,20 @@ def test_criterion_9_negative_controls(use_case_moments):
         near_degenerate = ScoreVector((0.05, 0.6, 0.5), ("a", "b", "c"), math.e)
         with pytest.raises(NegativeIgd):
             igd(near_degenerate)
+
+
+@pytest.fixture(scope="module")
+def reference_report(tmp_path_factory):
+    return reproduce_paper(tmp_path_factory.mktemp("reference"))
+
+
+@pytest.mark.parametrize("table", ["A1", "A2", "A3", "A4", "A5", "A6"])
+def test_tampered_figure_fails_its_table(reference_report, monkeypatch, table):
+    rows = reproduce_module.REFERENCE_VALUES
+    k = next(k for k, row in enumerate(rows) if row[0] == table)
+    _, field, cell, figure, tolerance = rows[k]
+    tampered = rows[:k] + ((table, field, cell, figure + 1, tolerance),) + rows[k + 1:]
+    monkeypatch.setattr(reproduce_module, "REFERENCE_VALUES", tampered)
+    with pytest.raises(ReproductionMismatch) as exc_info:
+        verify_report(reference_report)
+    assert (exc_info.value.table, exc_info.value.cell) == (table, f"{field} {cell}")

@@ -91,6 +91,12 @@ class TestRank:
     def test_missing_samples_file_is_io_error(self, tmp_path):
         assert main(["rank", "--samples", str(tmp_path / "missing.csv")]) == 4
 
+    def test_rounding_past_decimal_context_precision(self, workdir, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["rank", "--samples", str(workdir / "samples.csv"),
+                     "--round-weights", "400", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["report_weight_rounding"] == 400
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -100,8 +106,12 @@ class TestBadInput:
             (["--round-weights", "-1"], None),
             (["--methods", "foo"], None),
             ([], {"schema_version": 1, "prior_smoothing_epsilon": "abc"}),
+            ([], {"schema_version": 1, "report_weight_rounding": 2.7}),
+            ([], {"schema_version": 1, "report_weight_rounding": True}),
+            ([], {"schema_version": 1, "report_weight_rounding": "3"}),
         ],
-        ids=["entropy-base", "round-weights", "methods", "config-epsilon"],
+        ids=["entropy-base", "round-weights", "methods", "config-epsilon",
+             "config-rounding-float", "config-rounding-bool", "config-rounding-string"],
     )
     def test_exits_two_with_one_line(self, workdir, tmp_path, capsys, flags, config):
         argv = ["rank", "--samples", str(workdir / "samples.csv"), *flags]
@@ -174,11 +184,16 @@ class TestReproducePaper:
             assert figure in text, f"missing {figure} in tables.txt"
 
     def test_tampered_expectation_exits_three(self, tmp_path, monkeypatch, capsys):
-        import copy
-
-        tampered = copy.deepcopy(reproduce_module.REFERENCE_VALUES)
-        tampered["A6"]["expectations"]["ICW"]["AI1"] = 9.99  # negative control
+        target = ("A6", "rankings.ICW.expectations", "AI1")
+        tampered = tuple(  # negative control: 9.94 -> 9.99
+            (*row[:3], 9.99, row[4]) if row[:3] == target else row
+            for row in reproduce_module.REFERENCE_VALUES
+        )
+        assert tampered != reproduce_module.REFERENCE_VALUES
         monkeypatch.setattr(reproduce_module, "REFERENCE_VALUES", tampered)
         code = main(["reproduce-paper", "--out", str(tmp_path / "bad")])
         assert code == 3
-        assert "mismatch" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert err.startswith("reproduction mismatch: table A6, "
+                              "cell rankings.ICW.expectations AI1: expected 9.99, got ")
+        assert err.count("\n") == 1

@@ -115,9 +115,10 @@ class TestValidatePrior:
         )
 
     def test_use_case_prior(self, sample_set):
-        prior = validate_prior(USE_CASE_PRIOR, sample_set, source_label="expert")
+        prior = validate_prior(USE_CASE_PRIOR, sample_set)
         np.testing.assert_array_equal(prior.matrix, USE_CASE_PRIOR)
-        assert prior.source_label == "expert"
+        assert prior.alternatives == sample_set.alternatives
+        assert prior.attributes == sample_set.attributes
 
     def test_column_not_normalized(self, sample_set):
         with pytest.raises(ColumnNotNormalized) as exc_info:

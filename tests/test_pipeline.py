@@ -123,9 +123,7 @@ class TestPartialFailures:
     def test_ighw_failure_recorded_others_run(self, use_case_samples):
         # prior equal to the data-driven probabilities: divergence is zero
         base = run_pipeline(use_case_samples, methods=("icw",))
-        prior = validate_prior(
-            base.relative_variance.matrix, use_case_samples, source_label="copy of p"
-        )
+        prior = validate_prior(base.relative_variance.matrix, use_case_samples)
         report = run_pipeline(use_case_samples, prior=prior)
         assert WeightMethod.IGHW in report.failures
         assert "AllZeroDivergence" in report.failures[WeightMethod.IGHW]

@@ -33,6 +33,9 @@ class TestRounding:
             (0.4647, 2, 0.46),
             (2.5, 0, 3.0),
             (9.94, 2, 9.94),
+            (1.0, 28, 1.0),     # past the default 28-digit decimal context
+            (0.465, 400, 0.465),
+            (1e300, 2, 1e300),
         ],
     )
     def test_half_away_from_zero(self, value, decimals, expected):
