@@ -12,8 +12,8 @@ import warnings
 import pytest
 
 from utilrank.cli import main
-from utilrank.errors import DegenerateAttributeWarning
-from utilrank.io_files import write_samples, write_scenario_spec
+from utilrank.errors import DegenerateAttributeWarning, NonFiniteUtility, ParseError
+from utilrank.io_files import read_samples, samples_to_csv, write_samples, write_scenario_spec
 from utilrank.reproduce import USE_CASE_SPEC
 from utilrank.scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
 
@@ -97,6 +97,42 @@ LARGE_REPORT_SHA256 = "7ad40cf6495e2b57f16ded547b0b478472667ac05d22ffd7578a641c6
 STOCHASTIC_SPEC = ScenarioSpec(USE_CASE_SPEC.pairs, seed=7, moment_mode=MomentMode.STOCHASTIC)
 STOCHASTIC_SAMPLES_SHA256 = "591333d068cbf1628af8a193234ebc4484e9ae22a9325bbb3ea583e2d1403290"
 
+# Identifiers that csv.writer must quote (a comma, a quote, a line break)
+# or that are not ASCII, rows out of order, and utilities whose canonical
+# text differs from the input text (1e3 -> 1000.0, 1e16 -> 1e+16).
+QUOTED_LOG = (
+    "alternative,attribute,situation,utility\n"
+    '"q""x",naïve,s10,1e3\n'
+    '"a,b",naïve,s9,0.1\n'
+    '"a,b",x y,"line\nbreak",-0.0\n'
+    '"q""x",x y,s9,2.5e-20\n'
+    '"a,b",naïve,s10,0.30000000000000004\n'
+    "Ωmega,naïve,s9,7\n"
+    '"q""x",naïve,"s""9",-1.5\n'
+    '"a,b",x y,s9,1e16\n'
+    "Ωmega,x y,s9,0.5\n"
+    '"q""x",x y,s10,0.75\n'
+    "Ωmega,naïve,s10,8\n"
+    "Ωmega,x y,s10,0.25\n"
+)
+QUOTED_CSV_SHA256 = "d75bca258c2fdc0a02b07979c1cb6dff45504c80d3c33c97fe352d9070aaed39"
+
+# One pair of 100001 samples: situation s100000 sorts before s10001, so
+# the canonical row order is not the draw order.
+WIDE_COUNT_SPEC = ScenarioSpec((PairSpec("A", "x", 0.5, 0.01, 100001),), seed=3)
+WIDE_COUNT_SAMPLES_SHA256 = "68e1610102bf0a42a1ea090a7b1765188be80a83cb8163cdebe14705af43105c"
+
+HEADER = "alternative,attribute,situation,utility\n"
+# Each bad row is on line 5, after blank lines; the message is pinned whole.
+BAD_LOGS = {
+    "bad-number": (HEADER + "A,x,s1,0.5\n\n\nA,x,s2,high\n",
+                   ParseError, "line 5: utility 'high' is not a number"),
+    "field-count": (HEADER + "\nA,x,s1,0.5\n\nA,x\n",
+                    ParseError, "line 5: expected 4 fields, got 2"),
+    "non-finite": (HEADER + "\n\nA,x,s1,0.5\nA,x,s2,nan\n",
+                   NonFiniteUtility, "non-finite utility for (A, x, s2) (line 5)"),
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -151,3 +187,37 @@ def test_large_rank_report_bytes(large_samples, tmp_path):
 
 def test_stochastic_simulate_bytes(tmp_path):
     assert _sha256(_simulate(STOCHASTIC_SPEC, tmp_path)) == STOCHASTIC_SAMPLES_SHA256
+
+
+@pytest.fixture
+def quoted_samples(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text(QUOTED_LOG, encoding="utf-8")
+    return read_samples(path)
+
+
+def test_quoted_identifiers_csv_bytes(quoted_samples):
+    text = samples_to_csv(quoted_samples)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == QUOTED_CSV_SHA256
+
+
+def test_quoted_identifiers_round_trip(quoted_samples, tmp_path):
+    path = tmp_path / "written.csv"
+    write_samples(quoted_samples, path)
+    assert path.read_text(encoding="utf-8") == samples_to_csv(quoted_samples)
+    assert read_samples(path) == quoted_samples
+
+
+def test_wide_count_simulate_bytes(tmp_path):
+    assert _sha256(_simulate(WIDE_COUNT_SPEC, tmp_path)) == WIDE_COUNT_SAMPLES_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LOGS))
+def test_bad_row_line_number(case, tmp_path):
+    text, error, message = BAD_LOGS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as exc_info:
+        read_samples(path)
+    assert exc_info.value.line == 5
+    assert str(exc_info.value) == message
