@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     PriorRequired,
     ReproductionMismatch,
+    ScoreOutOfRange,
     UtilityRangeWarning,
     UtilrankError,
     ZeroPriorSupport,
@@ -42,7 +43,6 @@ from .model import (
     RelativeVarianceProfile,
     SampleSet,
     ScoreVector,
-    UtilitySample,
     WeightMethod,
     WeightVector,
     validate_prior,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -45,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--spec", required=True, help="scenario spec (JSON)")
     sim.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     sim.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    sim.set_defaults(run=_cmd_simulate)
 
     for name, about in (("weights", "derive attribute weights"),
                         ("rank", "derive weights and rank alternatives")):
@@ -61,10 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="round weights to N decimals before aggregation")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
+        cmd.set_defaults(run=_cmd_pipeline, include_rankings=name == "rank")
 
     rep = sub.add_parser("reproduce-paper",
                          help="regenerate the bundled reference use case and verify it")
     rep.add_argument("--out", default="reproduction", help="output directory")
+    rep.set_defaults(run=_cmd_reproduce)
 
     return parser
 
@@ -110,7 +114,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_pipeline(args: argparse.Namespace, include_rankings: bool) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> int:
     sample_set = read_samples(args.samples)
     prior = read_prior(args.prior, sample_set) if args.prior else None
     config = _build_config(args)
@@ -119,7 +123,7 @@ def _cmd_pipeline(args: argparse.Namespace, include_rankings: bool) -> int:
         prior=prior,
         config=config,
         methods=_parse_methods(args.methods),
-        include_rankings=include_rankings,
+        include_rankings=args.include_rankings,
     )
     _write_out(emit_report(report, args.format), args.out)
     return EXIT_OK
@@ -131,18 +135,16 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "weights":
-            return _cmd_pipeline(args, include_rankings=False)
-        if args.command == "rank":
-            return _cmd_pipeline(args, include_rankings=True)
-        if args.command == "reproduce-paper":
-            return _cmd_reproduce(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning  # one line each, no source location
+            return args.run(args)
     except ReproductionMismatch as exc:
         print(f"reproduction mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

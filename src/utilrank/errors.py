@@ -138,6 +138,10 @@ class AllZeroDivergence(UtilrankError):
     """Every attribute divergence is zero (data matches the prior exactly)."""
 
 
+class ScoreOutOfRange(UtilrankError):
+    """A derived score or weight escapes its mathematical range."""
+
+
 class NegativeIgd(UtilrankError):
     """The information-gain-difference vector is not positive (strict mode)."""
 

@@ -15,16 +15,19 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Union
+from types import SimpleNamespace
+from typing import Iterator, Union
+
+import numpy as np
 
 from .errors import InvalidSpec, NonFiniteUtility, ParseError
 from .model import (
     DegenerateVariancePolicy,
     EngineConfig,
+    IdColumn,
     IgdNegativePolicy,
     PriorProfile,
     SampleSet,
-    UtilitySample,
     validate_prior,
     validate_sample_set,
 )
@@ -41,18 +44,57 @@ PathLike = Union[str, Path]
 # Sample logs
 # ---------------------------------------------------------------------------
 
+def _csv_fields(names: tuple[str, ...]) -> list[str]:
+    """Each name as csv.writer renders it inside a row."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerows([name, ""] for name in names)  # a lone empty field would be quoted
+    return [line[:-2] for line in lines]
+
+
+def _csv_chunks(sample_set: SampleSet, rows_per_chunk: int = 1 << 16) -> Iterator[str]:
+    """Canonical CSV text in chunks: a ``csv.writer`` row per sample, utility as ``repr``."""
+    yield ",".join(SAMPLES_HEADER) + "\n"
+    attributes = _csv_fields(sample_set.attributes)
+    prefixes = [f"{alt},{attr}," for alt in _csv_fields(sample_set.alternatives)
+                for attr in attributes]
+    situations = _csv_fields(sample_set.situations)
+    pairs = sample_set.alternative_codes.astype(np.intp) * len(attributes)
+    pairs += sample_set.attribute_codes
+    for start in range(0, len(sample_set), rows_per_chunk):
+        rows = slice(start, start + rows_per_chunk)
+        yield "".join([
+            f"{prefixes[p]}{situations[s]},{u!r}\n" for p, s, u in zip(
+                pairs[rows].tolist(),
+                sample_set.situation_codes[rows].tolist(),
+                sample_set.utilities[rows].tolist(),
+            )
+        ])
+
+
 def samples_to_csv(sample_set: SampleSet) -> str:
     """Canonical CSV serialization of a sample set (sorted rows, LF)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SAMPLES_HEADER)
-    for s in sample_set.samples:
-        writer.writerow([s.alternative_id, s.attribute_id, s.situation_id, repr(s.utility)])
-    return buf.getvalue()
+    return "".join(_csv_chunks(sample_set))
 
 
 def write_samples(sample_set: SampleSet, path: PathLike) -> None:
-    Path(path).write_text(samples_to_csv(sample_set), encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        out.writelines(_csv_chunks(sample_set))
+
+
+def _csv_rows(path: PathLike, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each non-blank row below the exact ``header``."""
+    reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
+    first = next(reader, None)
+    if first is None:
+        raise ParseError(1, "file is empty; expected a header row")
+    if first != header:
+        raise ParseError(1, f"expected header {','.join(header)!r}, got {','.join(first)!r}")
+    for line_no, row in enumerate(reader, start=2):
+        if row and len(row) != len(header):
+            raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
+        if row:
+            yield line_no, row
 
 
 def read_samples(path: PathLike) -> SampleSet:
@@ -61,28 +103,28 @@ def read_samples(path: PathLike) -> SampleSet:
     Expects the exact header ``alternative,attribute,situation,utility``;
     reports the offending line number on malformed rows.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        raise ParseError(1, "file is empty; expected a header row")
-    if rows[0] != SAMPLES_HEADER:
-        raise ParseError(1, f"expected header {','.join(SAMPLES_HEADER)!r}, got {','.join(rows[0])!r}")
-    samples = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(line_no, f"expected 4 fields, got {len(row)}")
-        alternative, attribute, situation, raw_utility = row
+    names: tuple[list, list, list] = ([], [], [])
+    utilities = []
+    for line_no, (alternative, attribute, situation, raw_utility) in _csv_rows(
+        path, SAMPLES_HEADER
+    ):
         try:
             utility = float(raw_utility)
         except ValueError:
             raise ParseError(line_no, f"utility {raw_utility!r} is not a number") from None
         if not math.isfinite(utility):
             raise NonFiniteUtility(alternative, attribute, situation, line=line_no)
-        samples.append(UtilitySample(alternative, attribute, situation, utility))
-    return validate_sample_set(samples)
+        names[0].append(alternative)
+        names[1].append(attribute)
+        names[2].append(situation)
+        utilities.append(utility)
+    return validate_sample_set(*map(_coded, names), utilities)
+
+
+def _coded(column: list[str]) -> IdColumn:
+    """A column of names as a table, in order of first appearance, and codes."""
+    index = {name: code for code, name in enumerate(dict.fromkeys(column))}
+    return list(index), np.fromiter(map(index.__getitem__, column), np.int32, len(column))
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +132,12 @@ def read_samples(path: PathLike) -> SampleSet:
 # ---------------------------------------------------------------------------
 
 def prior_to_csv(prior: PriorProfile) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PRIOR_HEADER)
-    for r, attr in enumerate(prior.attributes):
-        for i, alt in enumerate(prior.alternatives):
-            writer.writerow([attr, alt, repr(float(prior.matrix[i, r]))])
-    return buf.getvalue()
+    alternatives = _csv_fields(prior.alternatives)
+    return ",".join(PRIOR_HEADER) + "\n" + "".join([
+        f"{attr},{alt},{p!r}\n"
+        for attr, column in zip(_csv_fields(prior.attributes), prior.matrix.T.tolist())
+        for alt, p in zip(alternatives, column)
+    ])
 
 
 def write_prior(prior: PriorProfile, path: PathLike) -> None:
@@ -108,23 +149,12 @@ def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
 
     Every (attribute, alternative) cell must appear exactly once.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        raise ParseError(1, "file is empty; expected a header row")
-    if rows[0] != PRIOR_HEADER:
-        raise ParseError(1, f"expected header {','.join(PRIOR_HEADER)!r}, got {','.join(rows[0])!r}")
-
     alt_index = {a: i for i, a in enumerate(sample_set.alternatives)}
     attr_index = {a: j for j, a in enumerate(sample_set.attributes)}
-    cells: dict[tuple[int, int], float] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
-        attribute, alternative, raw_probability = row
+    matrix = np.zeros((len(alt_index), len(attr_index)))
+    seen = np.zeros(matrix.shape, dtype=bool)
+    line_no = 1  # after the loop: the last row's line
+    for line_no, (attribute, alternative, raw_probability) in _csv_rows(path, PRIOR_HEADER):
         if attribute not in attr_index:
             raise ParseError(line_no, f"unknown attribute {attribute!r}")
         if alternative not in alt_index:
@@ -134,18 +164,15 @@ def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
         except ValueError:
             raise ParseError(line_no, f"probability {raw_probability!r} is not a number") from None
         key = (alt_index[alternative], attr_index[attribute])
-        if key in cells:
+        if seen[key]:
             raise ParseError(line_no, f"duplicate cell ({attribute}, {alternative})")
-        cells[key] = probability
-
-    matrix = []
-    for i, alt in enumerate(sample_set.alternatives):
-        row_values = []
-        for j, attr in enumerate(sample_set.attributes):
-            if (i, j) not in cells:
-                raise ParseError(len(rows), f"missing cell ({attr}, {alt})")
-            row_values.append(cells[(i, j)])
-        matrix.append(row_values)
+        seen[key] = True
+        matrix[key] = probability
+    missing = np.argwhere(~seen)
+    if missing.size:
+        i, j = missing[0]
+        alt, attr = sample_set.alternatives[i], sample_set.attributes[j]
+        raise ParseError(line_no, f"missing cell ({attr}, {alt})")
     return validate_prior(matrix, sample_set)
 
 
@@ -177,15 +204,7 @@ def write_scenario_spec(spec: ScenarioSpec, path: PathLike) -> None:
 
 
 def read_scenario_spec(path: PathLike) -> ScenarioSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"scenario spec is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidSpec("scenario spec must be a JSON object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise InvalidSpec(f"unsupported schema_version {version!r}")
+    doc = _read_json_doc(path, "scenario spec")
     try:
         pairs = tuple(
             PairSpec(
@@ -242,15 +261,7 @@ def read_config(path: PathLike) -> dict:
     Returns a plain dict so the CLI can layer flag overrides on top
     before constructing the final EngineConfig.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidSpec("config must be a JSON object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise InvalidSpec(f"unsupported schema_version {version!r}")
+    doc = _read_json_doc(path, "config")
     overrides = {}
     if "entropy_log_base" in doc:
         overrides["entropy_log_base"] = parse_log_base(doc["entropy_log_base"])
@@ -281,22 +292,38 @@ def read_config(path: PathLike) -> dict:
 # Digests
 # ---------------------------------------------------------------------------
 
-def sha256_of_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def digest_sample_set(sample_set: SampleSet) -> str:
     """Content digest of a sample set's canonical serialization.
 
     Computed over canonical bytes rather than raw input files so that
     logically-equal inputs (reordered rows, different formatting) carry
-    the same provenance digest.
+    the same provenance digest. Computed once per set and cached on it.
     """
-    return sha256_of_text(samples_to_csv(sample_set))
+    digest = sample_set.__dict__.get("_sha256")
+    if digest is None:
+        hasher = hashlib.sha256()
+        for chunk in _csv_chunks(sample_set):
+            hasher.update(chunk.encode("utf-8"))
+        digest = sample_set.__dict__["_sha256"] = hasher.hexdigest()
+    return digest
 
 
 def digest_prior(prior: PriorProfile) -> str:
-    return sha256_of_text(prior_to_csv(prior))
+    return hashlib.sha256(prior_to_csv(prior).encode("utf-8")).hexdigest()
+
+
+def _read_json_doc(path: PathLike, what: str) -> dict:
+    """A JSON object document of the supported schema version."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{what} must be a JSON object")
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise InvalidSpec(f"unsupported schema_version {version!r}")
+    return doc
 
 
 def _dump_json(doc: dict) -> str:

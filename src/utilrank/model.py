@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
     InvalidIdentifier,
     NegativeEntry,
     NonFiniteUtility,
+    ScoreOutOfRange,
     UtilityRangeWarning,
 )
 
@@ -83,28 +84,28 @@ class EngineConfig:
             raise ValueError("report_weight_rounding must be None or a non-negative integer")
 
 
-@dataclass(frozen=True)
-class UtilitySample:
-    """One utility observation for an (alternative, attribute, situation) triple."""
-
-    alternative_id: str
-    attribute_id: str
-    situation_id: str
-    utility: float
+#: An identifier column: a name table and one code per sample indexing it.
+IdColumn = tuple[Sequence[str], Sequence[int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """A validated collection of utility samples.
+    """A validated collection of utility samples, stored as columns.
 
-    ``samples`` is sorted by (alternative, attribute, situation) so that
-    per-pair groups are contiguous and situation-ordered; ``alternatives``
-    and ``attributes`` are sorted lexicographically.
+    The ``*_codes`` columns index the sorted name tables, one entry per
+    sample beside ``utilities``. Samples are sorted by (alternative,
+    attribute, situation), so pair (i, j) owns one contiguous slice of
+    ``counts[i, j]`` samples, the slices in row-major pair order.
     """
 
-    samples: tuple[UtilitySample, ...]
     alternatives: tuple[str, ...]
     attributes: tuple[str, ...]
+    situations: tuple[str, ...]
+    alternative_codes: np.ndarray
+    attribute_codes: np.ndarray
+    situation_codes: np.ndarray
+    utilities: np.ndarray
+    counts: np.ndarray
 
     @property
     def num_alternatives(self) -> int:
@@ -113,6 +114,17 @@ class SampleSet:
     @property
     def num_attributes(self) -> int:
         return len(self.attributes)
+
+    def __len__(self) -> int:
+        return len(self.utilities)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        columns = ("alternative_codes", "attribute_codes", "situation_codes", "utilities")
+        return (self.alternatives, self.attributes, self.situations) == (
+            other.alternatives, other.attributes, other.situations
+        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -214,63 +226,80 @@ class WeightVector:
     def __post_init__(self) -> None:
         total = math.fsum(self.weights)
         if abs(total - 1.0) > COLUMN_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
+            raise ScoreOutOfRange(f"weights sum to {total!r}, not 1")
         if any(w < 0 for w in self.weights):
-            raise ValueError(f"negative weight in {self.weights!r}")
+            raise ScoreOutOfRange(f"negative weight in {self.weights!r}")
 
 
-def validate_sample_set(raw_samples: Iterable[UtilitySample]) -> SampleSet:
-    """Validate raw samples and fix the canonical ordering.
+def validate_sample_set(
+    alternatives: IdColumn,
+    attributes: IdColumn,
+    situations: IdColumn,
+    utilities: Sequence[float],
+) -> SampleSet:
+    """Validate sample columns and fix the canonical ordering.
 
-    Checks identifiers, finiteness, triple uniqueness, and that every
+    A name table may be in any order and repeat names. Checks
+    identifiers, finiteness, triple uniqueness, and that every
     (alternative, attribute) cross pair carries at least two samples.
     Emits a :class:`UtilityRangeWarning` (not an error) when utilities
     leave [0, 1]; worked datasets routinely use wider utility scales.
-
-    Idempotent: validating the samples of an already-valid set returns an
-    identical SampleSet regardless of input order.
+    Idempotent: re-validating a set's columns, in any sample order,
+    returns an equal SampleSet.
     """
-    samples = list(raw_samples)
-    if not samples:
+    utilities = np.asarray(utilities, dtype=np.float64)
+    if not utilities.size:
         raise EmptyInput("no samples provided")
 
-    for s in samples:
-        if not s.alternative_id or not s.attribute_id or not s.situation_id:
-            raise InvalidIdentifier(f"empty identifier in {s!r}")
-        if not math.isfinite(s.utility):
-            raise NonFiniteUtility(s.alternative_id, s.attribute_id, s.situation_id)
+    tables, codes = [], []
+    for kind, (names, column) in zip(
+        ("alternative", "attribute", "situation"), (alternatives, attributes, situations)
+    ):
+        # Sorted in Python: NumPy string arrays drop trailing NULs.
+        table = tuple(sorted(set(names)))
+        if table[:1] == ("",):
+            raise InvalidIdentifier(f"empty {kind} identifier")
+        column = np.asarray(column)
+        if column.shape != utilities.shape or column.min() < 0 or column.max() >= len(names):
+            raise DimensionMismatch(f"{kind} codes do not index {len(names)} names per sample")
+        index = {name: k for k, name in enumerate(table)}
+        tables.append(table)
+        codes.append(np.array([index[name] for name in names], dtype=np.int32)[column])
 
-    ordered = sorted(
-        samples, key=lambda s: (s.alternative_id, s.attribute_id, s.situation_id)
-    )
-    for prev, cur in zip(ordered, ordered[1:]):
-        if (prev.alternative_id, prev.attribute_id, prev.situation_id) == (
-            cur.alternative_id, cur.attribute_id, cur.situation_id
-        ):
-            raise DuplicateTriple(cur.alternative_id, cur.attribute_id, cur.situation_id)
+    def names_at(k: int) -> tuple[str, str, str]:
+        return tuple(table[column[k]] for table, column in zip(tables, codes))
 
-    alternatives = tuple(sorted({s.alternative_id for s in ordered}))
-    attributes = tuple(sorted({s.attribute_id for s in ordered}))
+    non_finite = np.flatnonzero(~np.isfinite(utilities))
+    if non_finite.size:
+        raise NonFiniteUtility(*names_at(non_finite[0]))
 
-    counts: dict[tuple[str, str], int] = {}
-    for s in ordered:
-        key = (s.alternative_id, s.attribute_id)
-        counts[key] = counts.get(key, 0) + 1
-    for alt in alternatives:
-        for attr in attributes:
-            n = counts.get((alt, attr), 0)
-            if n < 2:
-                raise InsufficientSamples(alt, attr, n)
+    order = np.lexsort(codes[::-1])
+    codes = [column[order] for column in codes]
+    utilities = utilities[order]
+    same = np.logical_and.reduce([column[1:] == column[:-1] for column in codes])
+    if same.any():
+        raise DuplicateTriple(*names_at(int(np.argmax(same)) + 1))
 
-    out_of_range = sum(1 for s in ordered if not 0.0 <= s.utility <= 1.0)
+    alternatives, attributes, _ = tables
+    pair = codes[0].astype(np.intp) * len(attributes) + codes[1]
+    counts = np.bincount(pair, minlength=len(alternatives) * len(attributes))
+    counts = counts.reshape(len(alternatives), len(attributes))
+    short = np.argwhere(counts < 2)
+    if short.size:
+        i, j = short[0]
+        raise InsufficientSamples(alternatives[i], attributes[j], int(counts[i, j]))
+
+    out_of_range = int(np.count_nonzero((utilities < 0.0) | (utilities > 1.0)))
     if out_of_range:
         warnings.warn(
-            f"{out_of_range} of {len(ordered)} utilities fall outside [0, 1]",
+            f"{out_of_range} of {utilities.size} utilities fall outside [0, 1]",
             UtilityRangeWarning,
             stacklevel=2,
         )
 
-    return SampleSet(tuple(ordered), alternatives, attributes)
+    for column in (*codes, utilities, counts):
+        column.setflags(write=False)
+    return SampleSet(*tables, *codes, utilities, counts)
 
 
 def validate_prior(

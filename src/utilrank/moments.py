@@ -34,23 +34,12 @@ def compute_moments(sample_set: SampleSet) -> MomentMatrices:
     ``sample_set.attributes``; ``counts`` records each pair's sample count
     (counts may be ragged across pairs, but each is at least 2).
     """
-    m, r = sample_set.num_alternatives, sample_set.num_attributes
-    alt_index = {a: i for i, a in enumerate(sample_set.alternatives)}
-    attr_index = {a: j for j, a in enumerate(sample_set.attributes)}
-
-    values: dict[tuple[int, int], list[float]] = {}
-    for s in sample_set.samples:  # already sorted by (alt, attr, situation)
-        values.setdefault((alt_index[s.alternative_id], attr_index[s.attribute_id]), []).append(
-            s.utility
-        )
-
-    means = np.zeros((m, r))
-    variances = np.zeros((m, r))
-    counts = np.zeros((m, r), dtype=int)
-    for (i, j), pair_values in values.items():
-        mean, variance = mean_and_variance(pair_values)
-        means[i, j] = mean
-        variances[i, j] = variance
-        counts[i, j] = len(pair_values)
-
-    return MomentMatrices(means, variances, counts, sample_set.alternatives, sample_set.attributes)
+    values = sample_set.utilities.tolist()
+    ends = np.cumsum(sample_set.counts.ravel()).tolist()
+    moments = [
+        mean_and_variance(values[start:end]) for start, end in zip([0, *ends], ends)
+    ]
+    means, variances = (np.reshape(m, sample_set.counts.shape) for m in zip(*moments))
+    return MomentMatrices(
+        means, variances, sample_set.counts, sample_set.alternatives, sample_set.attributes
+    )

@@ -78,20 +78,19 @@ def run_pipeline(
                 failures[method] = _describe(exc)
 
     if profile is not None:
-        needs_entropy = {WeightMethod.ICW, WeightMethod.IGDW} & set(selected)
-        if needs_entropy:
-            entropies = entropy(profile, config.entropy_log_base)
-
         for method in selected:
             try:
-                if method is WeightMethod.ICW:
-                    wv = icw(entropies)
-                elif method is WeightMethod.IGHW:
+                if method is WeightMethod.IGHW:
                     divergences = kld(profile, prior, config)
                     wv = ighw(divergences)
                 else:
-                    igd_vector, igd_resolution = igd(entropies, config)
-                    wv = igdw(igd_vector)
+                    if entropies is None:  # shared by ICW and IGDW
+                        entropies = entropy(profile, config.entropy_log_base)
+                    if method is WeightMethod.ICW:
+                        wv = icw(entropies)
+                    else:
+                        igd_vector, igd_resolution = igd(entropies, config)
+                        wv = igdw(igd_vector)
             except UtilrankError as exc:
                 failures[method] = _describe(exc)
                 continue

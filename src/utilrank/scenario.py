@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import InvalidSpec
-from .model import SampleSet, UtilitySample, validate_sample_set
+from .model import SampleSet, validate_sample_set
 from .moments import mean_and_variance
 from .prng import substream
 
@@ -100,13 +102,19 @@ def generate_samples(spec: ScenarioSpec) -> SampleSet:
 
     Identical specs (including the seed) produce byte-identical sample
     sets on every platform. Situation identifiers are zero-padded
-    (s00001, s00002, ...) so lexicographic order equals draw order.
+    (s00001, s00002, ...), numbered in draw order within each pair.
     """
     ordered = sorted(spec.pairs, key=lambda p: (p.alternative_id, p.attribute_id))
-    samples = []
-    for index, pair in enumerate(ordered):
-        for i, value in enumerate(_pair_values(spec, index, pair)):
-            samples.append(
-                UtilitySample(pair.alternative_id, pair.attribute_id, f"s{i + 1:05d}", value)
-            )
-    return validate_sample_set(samples)
+    counts = [pair.sample_count for pair in ordered]
+    utilities = np.concatenate(
+        [_pair_values(spec, index, pair) for index, pair in enumerate(ordered)]
+    )
+    # Code k of both pair columns names pair k; situation code i is draw i.
+    pair_codes = np.repeat(np.arange(len(ordered)), counts)
+    situation_codes = np.arange(len(utilities)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return validate_sample_set(
+        ([pair.alternative_id for pair in ordered], pair_codes),
+        ([pair.attribute_id for pair in ordered], pair_codes),
+        ([f"s{i + 1:05d}" for i in range(max(counts))], situation_codes),
+        utilities,
+    )

@@ -31,6 +31,7 @@ from .errors import (
     DegenerateAttributeWarning,
     DimensionMismatch,
     NegativeIgd,
+    ScoreOutOfRange,
     ZeroPriorSupport,
 )
 from .model import (
@@ -100,7 +101,7 @@ def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> Score
         nats = fsum_entropy(profile.matrix[:, r])
         e = nats / ln_base
         if not 0.0 <= e <= bound:
-            raise ValueError(
+            raise ScoreOutOfRange(
                 f"entropy {e!r} for attribute {profile.attributes[r]!r} escapes [0, log M]"
             )
         values.append(e)
@@ -218,6 +219,6 @@ def igdw(gains: ScoreVector) -> WeightVector:
 def _clamp_noise(w: float) -> float:
     if w < 0.0:
         if w < -_NEGATIVE_NOISE_TOL:
-            raise ValueError(f"weight {w!r} is negative beyond rounding noise")
+            raise ScoreOutOfRange(f"weight {w!r} is negative beyond rounding noise")
         return 0.0
     return w

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from utilrank.model import MomentMatrices, UtilitySample, validate_sample_set
+from utilrank.model import MomentMatrices, validate_sample_set
 
 ALTERNATIVES = ("AI1", "AI2")
 ATTRIBUTES = ("force_protection", "proportionality")
@@ -40,14 +40,37 @@ def naive_mean_variance(values):
     return mean, acc / (n - 1)
 
 
+def sample_set_from_rows(rows):
+    """Validate (alternative, attribute, situation, utility) rows as columns.
+
+    Name tables list each identifier once, in order of first appearance.
+    """
+    rows = list(rows)
+    columns = []
+    for k in range(3):
+        table = list(dict.fromkeys(row[k] for row in rows))
+        index = {name: code for code, name in enumerate(table)}
+        columns.append((table, [index[row[k]] for row in rows]))
+    return validate_sample_set(*columns, [row[3] for row in rows])
+
+
+def sample_rows(sample_set):
+    """The (alternative, attribute, situation, utility) rows of a set, in order."""
+    return list(zip(
+        [sample_set.alternatives[c] for c in sample_set.alternative_codes],
+        [sample_set.attributes[c] for c in sample_set.attribute_codes],
+        [sample_set.situations[c] for c in sample_set.situation_codes],
+        sample_set.utilities.tolist(),
+    ))
+
+
 def build_sample_set(pair_values: dict[tuple[str, str], list[float]]):
     """Assemble and validate a sample set from per-pair value lists."""
-    samples = [
-        UtilitySample(alt, attr, f"s{i + 1:04d}", float(v))
+    return sample_set_from_rows(
+        (alt, attr, f"s{i + 1:04d}", float(v))
         for (alt, attr), values in pair_values.items()
         for i, v in enumerate(values)
-    ]
-    return validate_sample_set(samples)
+    )
 
 
 def grid_sample_set(alternatives, attributes, per_pair_values):

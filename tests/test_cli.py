@@ -1,9 +1,14 @@
 """Command-line surface: verbs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import utilrank
 import utilrank.reproduce as reproduce_module
 from utilrank.cli import main
 from utilrank.io_files import write_prior, write_samples, write_scenario_spec
@@ -163,6 +168,16 @@ class TestReproducePaper:
         for name in ("samples.csv", "prior.csv", "scenario.json", "config.json",
                      "report.json", "tables.txt"):
             assert (out / name).exists()
+
+    def test_warning_is_one_stderr_line(self, tmp_path):
+        # A fresh interpreter, so that the test run's warning filters do not apply.
+        src = str(Path(utilrank.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys; from utilrank.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run([sys.executable, "-c", code, "reproduce-paper", "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == "warning: 1200 of 1200 utilities fall outside [0, 1]\n"
 
     def test_two_runs_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -17,6 +17,7 @@ from utilrank.io_files import (
     config_to_dict,
     digest_sample_set,
     parse_log_base,
+    prior_to_csv,
     read_config,
     read_prior,
     read_samples,
@@ -31,7 +32,7 @@ from utilrank.model import EngineConfig, IgdNegativePolicy, validate_prior
 from utilrank.reproduce import USE_CASE_SPEC
 from utilrank.scenario import generate_samples
 
-from conftest import USE_CASE_PRIOR, grid_sample_set
+from conftest import USE_CASE_PRIOR, grid_sample_set, sample_rows, sample_set_from_rows
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +50,7 @@ class TestSamplesFile:
         path = tmp_path / "samples.csv"
         write_samples(use_case_samples, path)
         ss = read_samples(path)
-        assert len(ss.samples) == 1200
+        assert len(ss) == 1200
         assert ss.num_alternatives == 2 and ss.num_attributes == 2
 
     def test_header_only_is_empty_input(self, tmp_path):
@@ -95,12 +96,10 @@ class TestSamplesFile:
         assert text.startswith("alternative,attribute,situation,utility\n")
 
     def test_digest_ignores_input_ordering(self, use_case_samples):
-        from utilrank.model import validate_sample_set
-
         rng = np.random.default_rng(2)
-        shuffled = list(use_case_samples.samples)
+        shuffled = sample_rows(use_case_samples)
         rng.shuffle(shuffled)
-        assert digest_sample_set(validate_sample_set(shuffled)) == digest_sample_set(
+        assert digest_sample_set(sample_set_from_rows(shuffled)) == digest_sample_set(
             use_case_samples
         )
 
@@ -111,6 +110,21 @@ class TestPriorFile:
         return grid_sample_set(
             ("AI1", "AI2"), ("force_protection", "proportionality"), lambda i, j: [0.1, 0.2]
         )
+
+    def test_quoted_names_match_csv_writer(self):
+        import csv
+        import io
+
+        from utilrank.model import PriorProfile
+
+        prior = PriorProfile(np.array([[0.25, 1.0], [0.75, 0.0]]), ('a,b', 'q"x'), ("é", "x\ny"))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["attribute", "alternative", "probability"])
+        for r, attr in enumerate(prior.attributes):
+            for i, alt in enumerate(prior.alternatives):
+                writer.writerow([attr, alt, repr(float(prior.matrix[i, r]))])
+        assert prior_to_csv(prior) == buf.getvalue()
 
     def test_use_case_round_trip(self, sample_set, tmp_path):
         prior = validate_prior(USE_CASE_PRIOR, sample_set)

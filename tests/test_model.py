@@ -14,14 +14,20 @@ from utilrank.errors import (
     NonFiniteUtility,
     UtilityRangeWarning,
 )
-from utilrank.model import EngineConfig, UtilitySample, validate_prior, validate_sample_set
+from utilrank.model import EngineConfig, validate_prior, validate_sample_set
 
-from conftest import USE_CASE_PRIOR, build_sample_set, grid_sample_set
+from conftest import (
+    USE_CASE_PRIOR,
+    build_sample_set,
+    grid_sample_set,
+    sample_rows,
+    sample_set_from_rows,
+)
 
 
 def _grid_samples(alts, attrs, situations):
     return [
-        UtilitySample(alt, attr, f"s{k:04d}", 0.1 + 0.001 * k)
+        (alt, attr, f"s{k:04d}", 0.1 + 0.001 * k)
         for alt in alts
         for attr in attrs
         for k in range(1, situations + 1)
@@ -32,23 +38,23 @@ class TestValidateSampleSet:
     def test_use_case_shape(self):
         # 1200 samples: 2 alternatives x 2 attributes x 300 situations
         samples = _grid_samples(["AI1", "AI2"], ["fp", "prop"], 300)
-        ss = validate_sample_set(samples)
-        assert len(ss.samples) == 1200
+        ss = sample_set_from_rows(samples)
+        assert len(ss) == 1200
         assert ss.alternatives == ("AI1", "AI2")
         assert ss.attributes == ("fp", "prop")
         assert ss.num_alternatives == 2 and ss.num_attributes == 2
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            validate_sample_set([])
+            sample_set_from_rows([])
 
     def test_duplicate_triple(self):
         samples = [
-            UtilitySample("A", "X", "1", 0.5),
-            UtilitySample("A", "X", "1", 0.6),
+            ("A", "X", "1", 0.5),
+            ("A", "X", "1", 0.6),
         ]
         with pytest.raises(DuplicateTriple):
-            validate_sample_set(samples)
+            sample_set_from_rows(samples)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples) as exc_info:
@@ -58,19 +64,19 @@ class TestValidateSampleSet:
     def test_missing_cross_pair(self):
         # B has attribute X samples only; (A, Y) exists so (B, Y) must too
         samples = (
-            [UtilitySample("A", "X", f"s{k}", 0.1) for k in range(3)]
-            + [UtilitySample("A", "Y", f"s{k}", 0.2) for k in range(3)]
-            + [UtilitySample("B", "X", f"s{k}", 0.3) for k in range(3)]
+            [("A", "X", f"s{k}", 0.1) for k in range(3)]
+            + [("A", "Y", f"s{k}", 0.2) for k in range(3)]
+            + [("B", "X", f"s{k}", 0.3) for k in range(3)]
         )
         with pytest.raises(InsufficientSamples) as exc_info:
-            validate_sample_set(samples)
+            sample_set_from_rows(samples)
         assert exc_info.value.count == 0
 
     def test_ragged_counts_accepted(self):
         ss = build_sample_set(
             {("A", "X"): [0.1, 0.2, 0.3], ("A", "Y"): [0.4, 0.5]}
         )
-        assert len(ss.samples) == 5
+        assert len(ss) == 5
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_utility(self, bad):
@@ -79,21 +85,63 @@ class TestValidateSampleSet:
 
     def test_empty_identifier(self):
         with pytest.raises(InvalidIdentifier):
-            validate_sample_set(
-                [UtilitySample("", "X", "1", 0.1), UtilitySample("", "X", "2", 0.2)]
-            )
+            sample_set_from_rows([("", "X", "1", 0.1), ("", "X", "2", 0.2)])
 
     def test_insertion_order_irrelevant(self):
         samples = _grid_samples(["A", "B"], ["X", "Y"], 5)
         rng = np.random.default_rng(11)
         shuffled = list(samples)
         rng.shuffle(shuffled)
-        assert validate_sample_set(samples) == validate_sample_set(shuffled)
+        assert sample_set_from_rows(samples) == sample_set_from_rows(shuffled)
 
     def test_idempotent(self):
-        first = validate_sample_set(_grid_samples(["A", "B"], ["X"], 4))
-        second = validate_sample_set(first.samples)
+        first = sample_set_from_rows(_grid_samples(["A", "B"], ["X"], 4))
+        assert sample_rows(first) == sorted(_grid_samples(["A", "B"], ["X"], 4))
+        second = validate_sample_set(
+            (first.alternatives, first.alternative_codes),
+            (first.attributes, first.attribute_codes),
+            (first.situations, first.situation_codes),
+            first.utilities,
+        )
         assert first == second
+
+    def test_trailing_nul_names_stay_distinct(self):
+        ss = build_sample_set({("a", "X"): [0.1, 0.2], ("a\x00", "X"): [0.3, 0.4]})
+        assert ss.alternatives == ("a", "a\x00")
+        assert ss.counts.tolist() == [[2], [2]]
+
+    def test_situations_sort_as_text(self):
+        # s100000 sorts before s10001, whatever order the codes arrive in
+        situations = [f"s{k}" for k in (99999, 100000, 10001)]
+        ss = sample_set_from_rows(("A", "X", name, 0.5) for name in situations)
+        assert ss.situations == ("s100000", "s10001", "s99999")
+        assert ss.situation_codes.tolist() == [0, 1, 2]
+
+    def test_repeated_table_names_merge(self):
+        ss = validate_sample_set(
+            (["A", "A"], [0, 1]), (["X"], [0, 0]), (["s2", "s1"], [0, 1]), [0.2, 0.1]
+        )
+        assert ss.alternatives == ("A",) and ss.situations == ("s1", "s2")
+        assert ss.utilities.tolist() == [0.1, 0.2]
+
+    @pytest.mark.parametrize("codes", [[0, 2], [-1, 0], [0]])
+    def test_codes_must_index_their_table(self, codes):
+        with pytest.raises(DimensionMismatch):
+            validate_sample_set((["A", "B"], codes), (["X"], [0, 0]), (["1", "2"], [0, 1]),
+                                [0.1, 0.2])
+
+    def test_columns_are_read_only(self):
+        ss = build_sample_set({("A", "X"): [0.1, 0.2]})
+        with pytest.raises(ValueError):
+            ss.utilities[0] = 9.0
+
+    def test_equality_compares_every_column(self):
+        base = {("A", "X"): [0.1, 0.2]}
+        ss = build_sample_set(base)
+        assert ss == build_sample_set(base) and len(ss) == 2
+        assert ss != build_sample_set({("A", "X"): [0.1, 0.3]})
+        assert ss != build_sample_set({("B", "X"): [0.1, 0.2]})
+        assert ss != sample_set_from_rows([("A", "X", "s1", 0.1), ("A", "X", "s3", 0.2)])
 
     def test_out_of_range_warns(self):
         with pytest.warns(UtilityRangeWarning):

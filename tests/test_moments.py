@@ -81,16 +81,14 @@ class TestNumericalStability:
             assert var >= 0.0
 
     def test_situation_permutation_bit_exact(self):
-        from utilrank.model import UtilitySample, validate_sample_set
+        from conftest import sample_set_from_rows
 
         rng = np.random.default_rng(9)
         values = list(rng.normal(5, 1, 30))
-        samples = [
-            UtilitySample("A", "X", f"s{i:03d}", v) for i, v in enumerate(values)
-        ]
+        samples = [("A", "X", f"s{i:03d}", v) for i, v in enumerate(values)]
         shuffled = list(samples)
         rng.shuffle(shuffled)
-        mm1 = compute_moments(validate_sample_set(samples))
-        mm2 = compute_moments(validate_sample_set(shuffled))
+        mm1 = compute_moments(sample_set_from_rows(samples))
+        mm2 = compute_moments(sample_set_from_rows(shuffled))
         assert mm1.means[0, 0] == mm2.means[0, 0]
         assert mm1.variances[0, 0] == mm2.variances[0, 0]

@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from utilrank.errors import PriorRequired
-from utilrank.model import (
-    WeightMethod,
-    validate_prior,
-    validate_sample_set,
-)
+from utilrank.model import WeightMethod, validate_prior
 from utilrank.pipeline import resolve_methods, run_pipeline
 from utilrank.report import emit_report, report_to_dict
 from utilrank.reproduce import REFERENCE_CONFIG, USE_CASE_SPEC
 from utilrank.scenario import generate_samples
 
-from conftest import USE_CASE_PRIOR, build_sample_set, grid_sample_set
+from conftest import (
+    USE_CASE_PRIOR,
+    build_sample_set,
+    grid_sample_set,
+    sample_rows,
+    sample_set_from_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,18 @@ class TestPartialFailures:
         assert WeightMethod.ICW in report.weights
         assert WeightMethod.IGDW in report.weights
 
+    def test_entropy_failure_recorded_ighw_runs(self, use_case_samples, monkeypatch):
+        # An entropy outside [0, log M] fails ICW and IGDW, never IGHW.
+        import utilrank.weighting as weighting_module
+
+        monkeypatch.setattr(weighting_module, "fsum_entropy", lambda column: -1.0)
+        prior = validate_prior(USE_CASE_PRIOR, use_case_samples)
+        report = run_pipeline(use_case_samples, prior=prior)
+        assert set(report.failures) == {WeightMethod.ICW, WeightMethod.IGDW}
+        for method in report.failures:
+            assert report.failures[method].startswith("ScoreOutOfRange: entropy -1.0 ")
+        assert set(report.weights) == set(report.rankings) == {WeightMethod.IGHW}
+
     def test_degenerate_data_fails_all_methods(self):
         ss = build_sample_set(
             {("A", "x"): [1.0, 1.0, 1.0], ("B", "x"): [2.0, 2.0, 2.0]}
@@ -186,9 +200,9 @@ class TestReportEmission:
 class TestInputOrderInvariance:
     def test_byte_identical_reports_across_insertion_order(self, use_case_samples):
         rng = np.random.default_rng(77)
-        shuffled = list(use_case_samples.samples)
+        shuffled = sample_rows(use_case_samples)
         rng.shuffle(shuffled)
-        ss2 = validate_sample_set(shuffled)
+        ss2 = sample_set_from_rows(shuffled)
         r1 = run_pipeline(use_case_samples, config=REFERENCE_CONFIG, methods=("icw", "igdw"))
         r2 = run_pipeline(ss2, config=REFERENCE_CONFIG, methods=("icw", "igdw"))
         assert emit_report(r1, "json") == emit_report(r2, "json")

@@ -38,7 +38,7 @@ class TestExactMode:
     def test_zero_variance_emits_copies(self):
         spec = _spec([PairSpec("A", "x", 4.2, 0.0, 5)])
         ss = generate_samples(spec)
-        assert [s.utility for s in ss.samples] == [4.2] * 5
+        assert ss.utilities.tolist() == [4.2] * 5
 
     def test_constant_raw_draw_redraws(self, monkeypatch):
         real_substream = substream
@@ -86,7 +86,7 @@ class TestDeterminism:
         modified = generate_samples(_spec(changed, seed=5, mode=MomentMode.STOCHASTIC))
 
         def pair_values(ss, alt):
-            return [s.utility for s in ss.samples if s.alternative_id == alt]
+            return ss.utilities[ss.alternative_codes == ss.alternatives.index(alt)].tolist()
 
         assert pair_values(base, "A") == pair_values(modified, "A")
         assert pair_values(base, "C") == pair_values(modified, "C")
@@ -103,7 +103,7 @@ class TestStochasticMode:
         for seed in range(100):
             spec = _spec([PairSpec("A", "x", 15.0, 7.0, n)], seed=seed,
                          mode=MomentMode.STOCHASTIC)
-            values = [s.utility for s in generate_samples(spec).samples]
+            values = generate_samples(spec).utilities.tolist()
             mean, _ = mean_and_variance(values)
             if abs(mean - 15.0) <= bound:
                 hits += 1
@@ -111,7 +111,7 @@ class TestStochasticMode:
 
     def test_variance_scales(self):
         spec = _spec([PairSpec("A", "x", 0.0, 9.0, 5000)], seed=3, mode=MomentMode.STOCHASTIC)
-        _, variance = mean_and_variance([s.utility for s in generate_samples(spec).samples])
+        _, variance = mean_and_variance(generate_samples(spec).utilities.tolist())
         assert variance == pytest.approx(9.0, rel=0.1)
 
 

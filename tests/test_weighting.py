@@ -12,6 +12,7 @@ from utilrank.errors import (
     DegenerateAttributeWarning,
     DimensionMismatch,
     NegativeIgd,
+    ScoreOutOfRange,
     ZeroPriorSupport,
 )
 from utilrank.model import (
@@ -111,6 +112,11 @@ class TestEntropy:
         ev = entropy(_profile([[0.5], [0.5]]), 2.0)
         assert ev.values[0] == 1.0
 
+    def test_out_of_bound_is_range_error(self):
+        # Columns that are not distributions can push entropy past log M.
+        with pytest.raises(ScoreOutOfRange, match="escapes"):
+            entropy(_profile([[0.3], [0.3], [0.3], [0.3]]), math.e)
+
 
 class TestIcw:
     def test_use_case(self, use_case_profile):
@@ -208,6 +214,10 @@ class TestIghw:
     def test_all_zero_divergence(self):
         with pytest.raises(AllZeroDivergence):
             ighw(ScoreVector((0.0, 0.0), ("a", "b"), 10.0))
+
+    def test_negative_weight_is_range_error(self):
+        with pytest.raises(ScoreOutOfRange, match="negative beyond rounding noise"):
+            ighw(ScoreVector((1.0, -0.5), ("a", "b"), 10.0))
 
 
 MIN_SHIFT = EngineConfig(igd_negative_policy=IgdNegativePolicy.MIN_SHIFT)
