@@ -35,6 +35,7 @@ from .scenario import Family, MomentMode, PairSpec, ScenarioSpec
 
 SAMPLES_HEADER = ["alternative", "attribute", "situation", "utility"]
 PRIOR_HEADER = ["attribute", "alternative", "probability"]
+CHUNK_ROWS = 1 << 16  # sample rows rendered at once: bounds the text held in memory
 SCHEMA_VERSION = 1
 
 PathLike = Union[str, Path]
@@ -52,7 +53,7 @@ def _csv_fields(names: tuple[str, ...]) -> list[str]:
     return [line[:-2] for line in lines]
 
 
-def _csv_chunks(sample_set: SampleSet, rows_per_chunk: int = 1 << 16) -> Iterator[str]:
+def _csv_chunks(sample_set: SampleSet) -> Iterator[str]:
     """Canonical CSV text in chunks: a ``csv.writer`` row per sample, utility as ``repr``."""
     yield ",".join(SAMPLES_HEADER) + "\n"
     attributes = _csv_fields(sample_set.attributes)
@@ -61,8 +62,8 @@ def _csv_chunks(sample_set: SampleSet, rows_per_chunk: int = 1 << 16) -> Iterato
     situations = _csv_fields(sample_set.situations)
     pairs = sample_set.alternative_codes.astype(np.intp) * len(attributes)
     pairs += sample_set.attribute_codes
-    for start in range(0, len(sample_set), rows_per_chunk):
-        rows = slice(start, start + rows_per_chunk)
+    for start in range(0, len(sample_set), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
         yield "".join([
             f"{prefixes[p]}{situations[s]},{u!r}\n" for p, s, u in zip(
                 pairs[rows].tolist(),
