@@ -32,6 +32,7 @@ from .errors import (
     ScoreOutOfRange,
     UtilityRangeWarning,
     UtilrankError,
+    UtilrankWarning,
     ZeroPriorSupport,
 )
 from .model import (

@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import InvalidSpec, ReproductionMismatch, UtilrankError
+from .errors import InvalidSpec, ReproductionMismatch, UtilrankError, UtilrankWarning
 from .io_files import parse_log_base, read_config, read_prior, read_samples, read_scenario_spec, write_samples
 from .model import EngineConfig
 from .pipeline import run_pipeline
@@ -135,15 +136,19 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"warning: {message}", file=sys.stderr)
+def _show_warning(show_other, message, category, filename, lineno, file=None, line=None) -> None:
+    """Print utilrank's own warnings as one line, without a source location."""
+    if issubclass(category, UtilrankWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show_other(message, category, filename, lineno, file, line)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
-            warnings.showwarning = _print_warning  # one line each, no source location
+            warnings.showwarning = partial(_show_warning, warnings.showwarning)
             return args.run(args)
     except ReproductionMismatch as exc:
         print(f"reproduction mismatch: {exc}", file=sys.stderr)

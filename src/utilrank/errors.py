@@ -1,6 +1,7 @@
 """Error and warning types shared across the package.
 
-Every failure raised by utilrank derives from :class:`UtilrankError`.
+Every failure raised by utilrank derives from :class:`UtilrankError`,
+every warning it emits from :class:`UtilrankWarning`.
 The CLI maps exception families to exit codes: input/validation problems
 exit 2, reference-reproduction mismatches exit 3, I/O failures exit 4.
 """
@@ -174,9 +175,13 @@ class ReproductionMismatch(UtilrankError):
 # Warnings
 # ---------------------------------------------------------------------------
 
-class UtilityRangeWarning(UserWarning):
+class UtilrankWarning(UserWarning):
+    """Base class for the warnings this package emits."""
+
+
+class UtilityRangeWarning(UtilrankWarning):
     """Utilities fall outside the nominal [0, 1] range."""
 
 
-class DegenerateAttributeWarning(UserWarning):
+class DegenerateAttributeWarning(UtilrankWarning):
     """A degenerate attribute was assigned the uniform fallback distribution."""

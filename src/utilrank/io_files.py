@@ -84,7 +84,7 @@ def write_samples(sample_set: SampleSet, path: PathLike) -> None:
 
 
 def _csv_rows(path: PathLike, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of each non-blank row below the exact ``header``."""
+    """(line number, row) of each row below the exact ``header``; blank rows are empty."""
     reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
     first = next(reader, None)
     if first is None:
@@ -94,8 +94,7 @@ def _csv_rows(path: PathLike, header: list[str]) -> Iterator[tuple[int, list[str
     for line_no, row in enumerate(reader, start=2):
         if row and len(row) != len(header):
             raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
-        if row:
-            yield line_no, row
+        yield line_no, row
 
 
 def read_samples(path: PathLike) -> SampleSet:
@@ -106,9 +105,10 @@ def read_samples(path: PathLike) -> SampleSet:
     """
     names: tuple[list, list, list] = ([], [], [])
     utilities = []
-    for line_no, (alternative, attribute, situation, raw_utility) in _csv_rows(
-        path, SAMPLES_HEADER
-    ):
+    for line_no, row in _csv_rows(path, SAMPLES_HEADER):
+        if not row:
+            continue
+        alternative, attribute, situation, raw_utility = row
         try:
             utility = float(raw_utility)
         except ValueError:
@@ -133,12 +133,13 @@ def _coded(column: list[str]) -> IdColumn:
 # ---------------------------------------------------------------------------
 
 def prior_to_csv(prior: PriorProfile) -> str:
-    alternatives = _csv_fields(prior.alternatives)
-    return ",".join(PRIOR_HEADER) + "\n" + "".join([
-        f"{attr},{alt},{p!r}\n"
-        for attr, column in zip(_csv_fields(prior.attributes), prior.matrix.T.tolist())
-        for alt, p in zip(alternatives, column)
-    ])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(PRIOR_HEADER)
+    for r, attr in enumerate(prior.attributes):
+        for i, alt in enumerate(prior.alternatives):
+            writer.writerow([attr, alt, repr(float(prior.matrix[i, r]))])
+    return buf.getvalue()
 
 
 def write_prior(prior: PriorProfile, path: PathLike) -> None:
@@ -154,8 +155,11 @@ def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
     attr_index = {a: j for j, a in enumerate(sample_set.attributes)}
     matrix = np.zeros((len(alt_index), len(attr_index)))
     seen = np.zeros(matrix.shape, dtype=bool)
-    line_no = 1  # after the loop: the last row's line
-    for line_no, (attribute, alternative, raw_probability) in _csv_rows(path, PRIOR_HEADER):
+    line_no = 1  # after the loop: the file's last line
+    for line_no, row in _csv_rows(path, PRIOR_HEADER):
+        if not row:
+            continue
+        attribute, alternative, raw_probability = row
         if attribute not in attr_index:
             raise ParseError(line_no, f"unknown attribute {attribute!r}")
         if alternative not in alt_index:
@@ -298,15 +302,12 @@ def digest_sample_set(sample_set: SampleSet) -> str:
 
     Computed over canonical bytes rather than raw input files so that
     logically-equal inputs (reordered rows, different formatting) carry
-    the same provenance digest. Computed once per set and cached on it.
+    the same provenance digest.
     """
-    digest = sample_set.__dict__.get("_sha256")
-    if digest is None:
-        hasher = hashlib.sha256()
-        for chunk in _csv_chunks(sample_set):
-            hasher.update(chunk.encode("utf-8"))
-        digest = sample_set.__dict__["_sha256"] = hasher.hexdigest()
-    return digest
+    hasher = hashlib.sha256()
+    for chunk in _csv_chunks(sample_set):
+        hasher.update(chunk.encode("utf-8"))
+    return hasher.hexdigest()
 
 
 def digest_prior(prior: PriorProfile) -> str:

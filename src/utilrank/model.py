@@ -126,6 +126,9 @@ class SampleSet:
             other.alternatives, other.attributes, other.situations
         ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
 
+    def __hash__(self) -> int:
+        return hash((self.alternatives, self.attributes, self.situations, len(self)))
+
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -239,7 +242,8 @@ def validate_sample_set(
 ) -> SampleSet:
     """Validate sample columns and fix the canonical ordering.
 
-    A name table may be in any order and repeat names. Checks
+    A name table may be in any order, repeat names and hold names no
+    sample carries; the set's tables keep only the carried names. Checks
     identifiers, finiteness, triple uniqueness, and that every
     (alternative, attribute) cross pair carries at least two samples.
     Emits a :class:`UtilityRangeWarning` (not an error) when utilities
@@ -255,16 +259,18 @@ def validate_sample_set(
     for kind, (names, column) in zip(
         ("alternative", "attribute", "situation"), (alternatives, attributes, situations)
     ):
-        # Sorted in Python: NumPy string arrays drop trailing NULs.
-        table = tuple(sorted(set(names)))
-        if table[:1] == ("",):
-            raise InvalidIdentifier(f"empty {kind} identifier")
         column = np.asarray(column)
         if column.shape != utilities.shape or column.min() < 0 or column.max() >= len(names):
             raise DimensionMismatch(f"{kind} codes do not index {len(names)} names per sample")
+        # Only names some sample carries; sorted in Python, as NumPy string
+        # arrays drop trailing NULs.
+        used = np.flatnonzero(np.bincount(column, minlength=len(names))).tolist()
+        table = tuple(sorted({names[k] for k in used}))
+        if table[:1] == ("",):
+            raise InvalidIdentifier(f"empty {kind} identifier")
         index = {name: k for k, name in enumerate(table)}
         tables.append(table)
-        codes.append(np.array([index[name] for name in names], dtype=np.int32)[column])
+        codes.append(np.array([index.get(name, -1) for name in names], dtype=np.int32)[column])
 
     def names_at(k: int) -> tuple[str, str, str]:
         return tuple(table[column[k]] for table, column in zip(tables, codes))

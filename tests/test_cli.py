@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import utilrank
+import utilrank.cli as cli
 import utilrank.reproduce as reproduce_module
 from utilrank.cli import main
+from utilrank.errors import UtilityRangeWarning
 from utilrank.io_files import write_prior, write_samples, write_scenario_spec
 from utilrank.model import validate_prior
 from utilrank.reproduce import USE_CASE_SPEC
@@ -178,6 +181,18 @@ class TestReproducePaper:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0
         assert done.stderr == "warning: 1200 of 1200 utilities fall outside [0, 1]\n"
+
+    def test_only_utilrank_warnings_are_reformatted(self, tmp_path, monkeypatch, capsys):
+        def warn_both(out):
+            warnings.warn("utilities off scale", UtilityRangeWarning)
+            warnings.warn("overflow", RuntimeWarning)
+
+        monkeypatch.setattr(cli, "reproduce_paper", warn_both)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["reproduce-paper", "--out", str(tmp_path)]) == 0
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "overflow")]
+        assert capsys.readouterr().err == "warning: utilities off scale\n"
 
     def test_two_runs_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -17,7 +17,6 @@ from utilrank.io_files import (
     config_to_dict,
     digest_sample_set,
     parse_log_base,
-    prior_to_csv,
     read_config,
     read_prior,
     read_samples,
@@ -111,21 +110,6 @@ class TestPriorFile:
             ("AI1", "AI2"), ("force_protection", "proportionality"), lambda i, j: [0.1, 0.2]
         )
 
-    def test_quoted_names_match_csv_writer(self):
-        import csv
-        import io
-
-        from utilrank.model import PriorProfile
-
-        prior = PriorProfile(np.array([[0.25, 1.0], [0.75, 0.0]]), ('a,b', 'q"x'), ("é", "x\ny"))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["attribute", "alternative", "probability"])
-        for r, attr in enumerate(prior.attributes):
-            for i, alt in enumerate(prior.alternatives):
-                writer.writerow([attr, alt, repr(float(prior.matrix[i, r]))])
-        assert prior_to_csv(prior) == buf.getvalue()
-
     def test_use_case_round_trip(self, sample_set, tmp_path):
         prior = validate_prior(USE_CASE_PRIOR, sample_set)
         path = tmp_path / "prior.csv"
@@ -147,6 +131,13 @@ class TestPriorFile:
         with pytest.raises(ParseError) as exc_info:
             read_prior(path, sample_set)
         assert "missing cell" in str(exc_info.value)
+
+    def test_missing_cell_names_the_files_last_line(self, sample_set, tmp_path):
+        path = tmp_path / "prior.csv"
+        path.write_text("attribute,alternative,probability\nforce_protection,AI1,0.7\n\n\n")
+        with pytest.raises(ParseError) as exc_info:
+            read_prior(path, sample_set)
+        assert str(exc_info.value) == "line 4: missing cell (proportionality, AI1)"
 
     def test_column_sum_violation(self, sample_set, tmp_path):
         path = tmp_path / "prior.csv"

@@ -14,6 +14,7 @@ from utilrank.errors import (
     NonFiniteUtility,
     UtilityRangeWarning,
 )
+from utilrank.io_files import digest_sample_set
 from utilrank.model import EngineConfig, validate_prior, validate_sample_set
 
 from conftest import (
@@ -124,6 +125,19 @@ class TestValidateSampleSet:
         assert ss.alternatives == ("A",) and ss.situations == ("s1", "s2")
         assert ss.utilities.tolist() == [0.1, 0.2]
 
+    def test_unused_table_names_are_dropped(self):
+        # An unused alternative would be a cross pair with 0 samples, an
+        # unused "" an empty identifier; neither is carried by any sample.
+        ss = validate_sample_set(
+            (["B", "A", ""], [1, 1]), (["Z", "X"], [1, 1]), (["s9", "s2", "s1"], [2, 1]),
+            [0.2, 0.1],
+        )
+        assert (ss.alternatives, ss.attributes, ss.situations) == (("A",), ("X",), ("s1", "s2"))
+        plain = validate_sample_set((["A"], [0, 0]), (["X"], [0, 0]), (["s1", "s2"], [0, 1]),
+                                    [0.2, 0.1])
+        assert ss == plain and hash(ss) == hash(plain)
+        assert digest_sample_set(ss) == digest_sample_set(plain)
+
     @pytest.mark.parametrize("codes", [[0, 2], [-1, 0], [0]])
     def test_codes_must_index_their_table(self, codes):
         with pytest.raises(DimensionMismatch):
@@ -139,6 +153,7 @@ class TestValidateSampleSet:
         base = {("A", "X"): [0.1, 0.2]}
         ss = build_sample_set(base)
         assert ss == build_sample_set(base) and len(ss) == 2
+        assert hash(ss) == hash(build_sample_set(base))
         assert ss != build_sample_set({("A", "X"): [0.1, 0.3]})
         assert ss != build_sample_set({("B", "X"): [0.1, 0.2]})
         assert ss != sample_set_from_rows([("A", "X", "s1", 0.1), ("A", "X", "s3", 0.2)])
