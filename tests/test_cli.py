@@ -117,9 +117,11 @@ class TestBadInput:
             ([], {"schema_version": 1, "report_weight_rounding": 2.7}),
             ([], {"schema_version": 1, "report_weight_rounding": True}),
             ([], {"schema_version": 1, "report_weight_rounding": "3"}),
+            (["--entropy-base", "2"], {"schema_version": 1, "entropy_log_base": "abc"}),
         ],
         ids=["entropy-base", "round-weights", "methods", "config-epsilon",
-             "config-rounding-float", "config-rounding-bool", "config-rounding-string"],
+             "config-rounding-float", "config-rounding-bool", "config-rounding-string",
+             "config-base-overridden"],
     )
     def test_exits_two_with_one_line(self, workdir, tmp_path, capsys, flags, config):
         argv = ["rank", "--samples", str(workdir / "samples.csv"), *flags]

@@ -13,9 +13,18 @@ import pytest
 
 from utilrank.cli import main
 from utilrank.errors import DegenerateAttributeWarning, NonFiniteUtility, ParseError
-from utilrank.io_files import read_samples, samples_to_csv, write_samples, write_scenario_spec
+from utilrank.io_files import (
+    prior_to_csv,
+    read_samples,
+    samples_to_csv,
+    write_samples,
+    write_scenario_spec,
+)
+from utilrank.model import validate_prior
 from utilrank.reproduce import USE_CASE_SPEC
 from utilrank.scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
+
+from conftest import grid_sample_set
 
 REPRODUCE_PAPER_SHA256 = {
     "samples.csv": "f6d15dedf14c310eecf5bbbd0100600b99248f8d58f9521dd393d49eb0638d66",
@@ -122,6 +131,12 @@ QUOTED_CSV_SHA256 = "d75bca258c2fdc0a02b07979c1cb6dff45504c80d3c33c97fe352d9070a
 WIDE_COUNT_SPEC = ScenarioSpec((PairSpec("A", "x", 0.5, 0.01, 100001),), seed=3)
 WIDE_COUNT_SAMPLES_SHA256 = "68e1610102bf0a42a1ea090a7b1765188be80a83cb8163cdebe14705af43105c"
 
+# A prior whose names csv.writer must quote (a comma, a quote, a line
+# break) or that are not ASCII; rows are attribute-major.
+QUOTED_PRIOR_NAMES = (("a,b", 'q"x', "é"), ("line\nbreak", "plain"))
+QUOTED_PRIOR_MATRIX = [[0.1, 1 / 3], [0.2, 1 / 3], [0.7, 1 / 3]]
+QUOTED_PRIOR_SHA256 = "ff49897aba8121db1f03b1cdf9b5403723be3ecdc3674892d17a2caf716c7ec3"
+
 HEADER = "alternative,attribute,situation,utility\n"
 # Each bad row is on line 5, after blank lines; the message is pinned whole.
 BAD_LOGS = {
@@ -206,6 +221,14 @@ def test_quoted_identifiers_round_trip(quoted_samples, tmp_path):
     write_samples(quoted_samples, path)
     assert path.read_text(encoding="utf-8") == samples_to_csv(quoted_samples)
     assert read_samples(path) == quoted_samples
+
+
+def test_quoted_prior_csv_bytes():
+    sample_set = grid_sample_set(
+        *QUOTED_PRIOR_NAMES, lambda i, j: [0.1 * (i + 1), 0.1 * (i + 1) + 0.05 * (j + 1)]
+    )
+    text = prior_to_csv(validate_prior(QUOTED_PRIOR_MATRIX, sample_set))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == QUOTED_PRIOR_SHA256
 
 
 def test_wide_count_simulate_bytes(tmp_path):
