@@ -66,8 +66,9 @@ from .ranking import (
     rank_alternatives,
     round_half_away_from_zero,
 )
-from .scenario import Family, MomentMode, PairSpec, ScenarioSpec, generate_samples
+from .scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
 from .io_files import (
+    parse_config,
     read_config,
     read_prior,
     read_samples,

@@ -15,19 +15,27 @@ identical invocations always produce identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import warnings
 from functools import partial
-from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import InvalidSpec, ReproductionMismatch, UtilrankError, UtilrankWarning
-from .io_files import parse_log_base, read_config, read_prior, read_samples, read_scenario_spec, write_samples
+from .errors import ReproductionMismatch, UtilrankError, UtilrankWarning
+from .io_files import (
+    parse_config,
+    read_config,
+    read_prior,
+    read_samples,
+    read_scenario_spec,
+    samples_to_csv,
+    write_samples,
+)
 from .model import EngineConfig
 from .pipeline import run_pipeline
 from .report import emit_report
 from .reproduce import reproduce_paper
-from .scenario import ScenarioSpec, generate_samples
+from .scenario import generate_samples
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,17 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
-    overrides = read_config(args.config) if args.config else {}
-    if args.entropy_base is not None:
-        overrides["entropy_log_base"] = parse_log_base(args.entropy_base)
-    if args.kld_base is not None:
-        overrides["kld_log_base"] = parse_log_base(args.kld_base)
-    if args.round_weights is not None:
-        overrides["report_weight_rounding"] = args.round_weights
-    try:
-        return EngineConfig(**overrides)
-    except ValueError as exc:
-        raise InvalidSpec(f"invalid config: {exc}") from None
+    flags = {"entropy_log_base": args.entropy_base, "kld_log_base": args.kld_base,
+             "report_weight_rounding": args.round_weights}
+    settings = read_config(args.config) if args.config else {}
+    return parse_config({**settings, **{k: v for k, v in flags.items() if v is not None}})
 
 
 def _parse_methods(raw: Optional[str]):
@@ -94,21 +95,12 @@ def _parse_methods(raw: Optional[str]):
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _write_out(text: str, destination: Optional[str]) -> None:
-    if destination is None:
-        sys.stdout.write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = read_scenario_spec(args.spec)
     if args.seed is not None:
-        spec = ScenarioSpec(spec.pairs, args.seed, spec.moment_mode, spec.family)
+        spec = dataclasses.replace(spec, seed=args.seed)
     sample_set = generate_samples(spec)
     if args.out is None:
-        from .io_files import samples_to_csv
-
         sys.stdout.write(samples_to_csv(sample_set))
     else:
         write_samples(sample_set, args.out)
@@ -126,7 +118,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         methods=_parse_methods(args.methods),
         include_rankings=args.include_rankings,
     )
-    _write_out(emit_report(report, args.format), args.out)
+    text = emit_report(report, args.format, destination=args.out)
+    if args.out is None:
+        sys.stdout.write(text)
     return EXIT_OK
 
 

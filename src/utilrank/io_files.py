@@ -16,7 +16,7 @@ import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .model import (
     validate_prior,
     validate_sample_set,
 )
-from .scenario import Family, MomentMode, PairSpec, ScenarioSpec
+from .scenario import MomentMode, PairSpec, ScenarioSpec
 
 SAMPLES_HEADER = ["alternative", "attribute", "situation", "utility"]
 PRIOR_HEADER = ["attribute", "alternative", "probability"]
@@ -133,13 +133,13 @@ def _coded(column: list[str]) -> IdColumn:
 # ---------------------------------------------------------------------------
 
 def prior_to_csv(prior: PriorProfile) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PRIOR_HEADER)
-    for r, attr in enumerate(prior.attributes):
-        for i, alt in enumerate(prior.alternatives):
-            writer.writerow([attr, alt, repr(float(prior.matrix[i, r]))])
-    return buf.getvalue()
+    """Canonical CSV of a prior: one row per cell, attribute-major, probability as ``repr``."""
+    alternatives = _csv_fields(prior.alternatives)
+    return ",".join(PRIOR_HEADER) + "\n" + "".join([
+        f"{attr},{alt},{p!r}\n"
+        for attr, column in zip(_csv_fields(prior.attributes), prior.matrix.T.tolist())
+        for alt, p in zip(alternatives, column)
+    ])
 
 
 def write_prior(prior: PriorProfile, path: PathLike) -> None:
@@ -190,7 +190,7 @@ def scenario_spec_to_dict(spec: ScenarioSpec) -> dict:
         "schema_version": SCHEMA_VERSION,
         "seed": spec.seed,
         "moment_mode": spec.moment_mode.value,
-        "family": spec.family.value,
+        "family": "normal",
         "pairs": [
             {
                 "alternative": p.alternative_id,
@@ -223,10 +223,11 @@ def read_scenario_spec(path: PathLike) -> ScenarioSpec:
         )
         seed = int(doc["seed"])
         moment_mode = MomentMode(doc.get("moment_mode", "exact"))
-        family = Family(doc.get("family", "normal"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed scenario spec: {exc}") from None
-    return ScenarioSpec(pairs=pairs, seed=seed, moment_mode=moment_mode, family=family)
+    if doc.get("family", "normal") != "normal":
+        raise InvalidSpec(f"unsupported family {doc['family']!r}; only 'normal' is supported")
+    return ScenarioSpec(pairs=pairs, seed=seed, moment_mode=moment_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +239,9 @@ def parse_log_base(raw) -> float:
     if isinstance(raw, str) and raw.strip().lower() == "e":
         return math.e
     try:
-        base = float(raw)
+        return float(raw)
     except (TypeError, ValueError):
         raise InvalidSpec(f"log base {raw!r} is not a number or 'e'") from None
-    return base
 
 
 def config_to_dict(config: EngineConfig) -> dict:
@@ -260,37 +260,32 @@ def write_config(config: EngineConfig, path: PathLike) -> None:
     Path(path).write_text(_dump_json(config_to_dict(config)), encoding="utf-8")
 
 
-def read_config(path: PathLike) -> dict:
-    """Read a config document into keyword overrides for EngineConfig.
+# Each EngineConfig field and the parser of its raw value, from a document or a flag.
+_CONFIG_FIELDS = {
+    "entropy_log_base": parse_log_base,
+    "kld_log_base": parse_log_base,
+    "degenerate_variance_policy": DegenerateVariancePolicy,
+    "prior_smoothing_epsilon": float,
+    "igd_negative_policy": IgdNegativePolicy,
+    "report_weight_rounding": lambda raw: raw,  # EngineConfig admits integers only
+}
 
-    Returns a plain dict so the CLI can layer flag overrides on top
-    before constructing the final EngineConfig.
-    """
-    doc = _read_json_doc(path, "config")
-    overrides = {}
-    if "entropy_log_base" in doc:
-        overrides["entropy_log_base"] = parse_log_base(doc["entropy_log_base"])
-    if "kld_log_base" in doc:
-        overrides["kld_log_base"] = parse_log_base(doc["kld_log_base"])
+
+def parse_config(settings: Mapping) -> EngineConfig:
+    """The EngineConfig that raw settings describe; omitted fields keep their defaults."""
     try:
-        if "degenerate_variance_policy" in doc:
-            overrides["degenerate_variance_policy"] = DegenerateVariancePolicy(
-                doc["degenerate_variance_policy"]
-            )
-        if "igd_negative_policy" in doc:
-            overrides["igd_negative_policy"] = IgdNegativePolicy(doc["igd_negative_policy"])
-        if "prior_smoothing_epsilon" in doc:
-            overrides["prior_smoothing_epsilon"] = float(doc["prior_smoothing_epsilon"])
-        if "report_weight_rounding" in doc:
-            rounding = doc["report_weight_rounding"]
-            if rounding is not None and type(rounding) is not int:
-                raise InvalidSpec(
-                    f"report_weight_rounding must be an integer or null, got {rounding!r}"
-                )
-            overrides["report_weight_rounding"] = rounding
+        return EngineConfig(**{
+            name: parse(settings[name]) for name, parse in _CONFIG_FIELDS.items() if name in settings
+        })
     except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"malformed config: {exc}") from None
-    return overrides
+        raise InvalidSpec(f"invalid config: {exc}") from None
+
+
+def read_config(path: PathLike) -> dict:
+    """A config document's raw settings, for :func:`parse_config`, once they parse."""
+    settings = _read_json_doc(path, "config")
+    parse_config(settings)
+    return settings
 
 
 # ---------------------------------------------------------------------------

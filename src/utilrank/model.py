@@ -80,8 +80,9 @@ class EngineConfig:
             raise ValueError(
                 f"prior_smoothing_epsilon must be in [0, 1), got {self.prior_smoothing_epsilon}"
             )
-        if self.report_weight_rounding is not None and self.report_weight_rounding < 0:
-            raise ValueError("report_weight_rounding must be None or a non-negative integer")
+        rounding = self.report_weight_rounding  # 2.7 or True is rejected, not truncated
+        if rounding is not None and (type(rounding) is not int or rounding < 0):
+            raise ValueError(f"report_weight_rounding must be None or an int >= 0, got {rounding!r}")
 
 
 #: An identifier column: a name table and one code per sample indexing it.

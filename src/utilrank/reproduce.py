@@ -27,7 +27,7 @@ from .io_files import (
 from .model import EngineConfig, WeightMethod, validate_prior
 from .pipeline import run_pipeline
 from .report import Provenance, Report, emit_report, report_to_dict
-from .scenario import Family, MomentMode, PairSpec, ScenarioSpec, generate_samples
+from .scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
 
 PathLike = Union[str, Path]
 
@@ -42,7 +42,6 @@ USE_CASE_SPEC = ScenarioSpec(
     ),
     seed=USE_CASE_SEED,
     moment_mode=MomentMode.EXACT,
-    family=Family.NORMAL,
 )
 
 # Rows follow alternatives (AI1, AI2), columns attributes

@@ -32,10 +32,6 @@ class MomentMode(Enum):
     STOCHASTIC = "stochastic"
 
 
-class Family(Enum):
-    NORMAL = "normal"
-
-
 @dataclass(frozen=True)
 class PairSpec:
     """Generation targets for one (alternative, attribute) pair."""
@@ -54,7 +50,6 @@ class ScenarioSpec:
     pairs: tuple[PairSpec, ...]
     seed: int
     moment_mode: MomentMode = MomentMode.EXACT
-    family: Family = Family.NORMAL
 
     def __post_init__(self) -> None:
         if not self.pairs:

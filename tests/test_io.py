@@ -16,6 +16,7 @@ from utilrank.errors import (
 from utilrank.io_files import (
     config_to_dict,
     digest_sample_set,
+    parse_config,
     parse_log_base,
     read_config,
     read_prior,
@@ -204,14 +205,14 @@ class TestConfigFile:
         )
         path = tmp_path / "config.json"
         write_config(config, path)
-        assert EngineConfig(**read_config(path)) == config
+        assert parse_config(read_config(path)) == config
 
     def test_e_base_serialization(self, tmp_path):
         path = tmp_path / "config.json"
         write_config(EngineConfig(), path)
         doc = json.loads(path.read_text())
         assert doc["entropy_log_base"] == "e"
-        assert EngineConfig(**read_config(path)).entropy_log_base == math.e
+        assert parse_config(read_config(path)).entropy_log_base == math.e
 
     @pytest.mark.parametrize("raw,expected", [("e", math.e), ("10", 10.0), (2, 2.0)])
     def test_parse_log_base(self, raw, expected):

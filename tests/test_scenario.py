@@ -11,11 +11,11 @@ from utilrank.io_files import samples_to_csv
 from utilrank.moments import compute_moments, mean_and_variance
 from utilrank.prng import Xoshiro256pp, normal_ppf, substream
 from utilrank.reproduce import USE_CASE_SPEC
-from utilrank.scenario import Family, MomentMode, PairSpec, ScenarioSpec, generate_samples
+from utilrank.scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
 
 
 def _spec(pairs, seed=1, mode=MomentMode.EXACT):
-    return ScenarioSpec(tuple(pairs), seed, mode, Family.NORMAL)
+    return ScenarioSpec(tuple(pairs), seed, mode)
 
 
 class TestExactMode:
