@@ -46,11 +46,15 @@ PathLike = Union[str, Path]
 # ---------------------------------------------------------------------------
 
 def _csv_fields(names: tuple[str, ...]) -> list[str]:
-    """Each name as csv.writer renders it inside a row."""
+    """Each name as csv.writer renders it inside a row.
+
+    The ``\\r\\n`` terminator makes the writer quote a name holding a ``\\r``
+    as well as one holding a ``\\n``; callers end each row with ``\\n``.
+    """
     lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerows([name, ""] for name in names)  # a lone empty field would be quoted
-    return [line[:-2] for line in lines]
+    return [line[:-3] for line in lines]
 
 
 def _csv_chunks(sample_set: SampleSet) -> Iterator[str]:
@@ -83,18 +87,34 @@ def write_samples(sample_set: SampleSet, path: PathLike) -> None:
         out.writelines(_csv_chunks(sample_set))
 
 
+def _utf8_text(path: PathLike) -> str:
+    """A file's text; a byte that is not UTF-8 is a ParseError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
+
+
 def _csv_rows(path: PathLike, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of each row below the exact ``header``; blank rows are empty."""
-    reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
-    first = next(reader, None)
-    if first is None:
-        raise ParseError(1, "file is empty; expected a header row")
-    if first != header:
-        raise ParseError(1, f"expected header {','.join(header)!r}, got {','.join(first)!r}")
-    for line_no, row in enumerate(reader, start=2):
-        if row and len(row) != len(header):
-            raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
-        yield line_no, row
+    """(line number, row) of each row below the exact ``header``; blank rows are empty.
+
+    Line breaks are not translated (``newline=""``), so a quoted ``\\r`` stays in its field.
+    """
+    reader = csv.reader(io.StringIO(_utf8_text(path), newline=""))
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(1, "file is empty; expected a header row")
+        if first != header:
+            raise ParseError(1, f"expected header {','.join(header)!r}, got {','.join(first)!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if row and len(row) != len(header):
+                raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
+            yield line_no, row
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(reader.line_num, str(exc)) from None
 
 
 def read_samples(path: PathLike) -> SampleSet:
@@ -208,6 +228,13 @@ def write_scenario_spec(spec: ScenarioSpec, path: PathLike) -> None:
     Path(path).write_text(_dump_json(scenario_spec_to_dict(spec)), encoding="utf-8")
 
 
+def _integer(raw, name: str) -> int:
+    """A JSON integer: 2.9 or true is rejected, not truncated to 2 or 1."""
+    if type(raw) is not int:
+        raise TypeError(f"{name} must be an integer, got {raw!r}")
+    return raw
+
+
 def read_scenario_spec(path: PathLike) -> ScenarioSpec:
     doc = _read_json_doc(path, "scenario spec")
     try:
@@ -217,11 +244,11 @@ def read_scenario_spec(path: PathLike) -> ScenarioSpec:
                 attribute_id=str(p["attribute"]),
                 target_mean=float(p["mean"]),
                 target_variance=float(p["variance"]),
-                sample_count=int(p["count"]),
+                sample_count=_integer(p["count"], "count"),
             )
             for p in doc["pairs"]
         )
-        seed = int(doc["seed"])
+        seed = _integer(doc["seed"], "seed")
         moment_mode = MomentMode(doc.get("moment_mode", "exact"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed scenario spec: {exc}") from None
@@ -313,7 +340,7 @@ def _read_json_doc(path: PathLike, what: str) -> dict:
     """A JSON object document of the supported schema version."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidSpec(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidSpec(f"{what} must be a JSON object")

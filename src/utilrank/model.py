@@ -72,10 +72,9 @@ class EngineConfig:
     report_weight_rounding: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.entropy_log_base > 1.0:
-            raise ValueError(f"entropy_log_base must be > 1, got {self.entropy_log_base}")
-        if not self.kld_log_base > 1.0:
-            raise ValueError(f"kld_log_base must be > 1, got {self.kld_log_base}")
+        for name in ("entropy_log_base", "kld_log_base"):
+            if not 1.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 1, got {getattr(self, name)}")
         if not 0.0 <= self.prior_smoothing_epsilon < 1.0:
             raise ValueError(
                 f"prior_smoothing_epsilon must be in [0, 1), got {self.prior_smoothing_epsilon}"

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ScoreOutOfRange
 from .model import MomentMatrices, SampleSet
 
 
@@ -36,9 +37,16 @@ def compute_moments(sample_set: SampleSet) -> MomentMatrices:
     """
     values = sample_set.utilities.tolist()
     ends = np.cumsum(sample_set.counts.ravel()).tolist()
-    moments = [
-        mean_and_variance(values[start:end]) for start, end in zip([0, *ends], ends)
-    ]
+    moments = []
+    for pair, (start, end) in enumerate(zip([0, *ends], ends)):
+        try:
+            moments.append(mean_and_variance(values[start:end]))
+        except OverflowError:  # a sum or square past the largest float
+            i, j = divmod(pair, sample_set.num_attributes)
+            raise ScoreOutOfRange(
+                f"moments of ({sample_set.alternatives[i]}, {sample_set.attributes[j]}) "
+                "overflow the float range"
+            ) from None
     means, variances = (np.reshape(m, sample_set.counts.shape) for m in zip(*moments))
     return MomentMatrices(
         means, variances, sample_set.counts, sample_set.alternatives, sample_set.attributes

@@ -68,7 +68,10 @@ def relative_variance(
     degenerate: list[str] = []
     for r, attr in enumerate(moments.attributes):
         column = [float(v) for v in moments.variances[:, r]]
-        total = math.fsum(column)
+        try:
+            total = math.fsum(column)
+        except OverflowError:
+            raise ScoreOutOfRange(f"variance total of attribute {attr!r} overflows") from None
         if total == 0.0:
             if config.degenerate_variance_policy is DegenerateVariancePolicy.ERROR:
                 raise DegenerateAttribute(attr)

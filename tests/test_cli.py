@@ -21,6 +21,11 @@ from utilrank.scenario import generate_samples
 
 from conftest import USE_CASE_PRIOR
 
+HEADER = "alternative,attribute,situation,utility\n"
+PAIR = {"alternative": "A", "attribute": "x", "mean": 0.5, "variance": 0.01, "count": 3}
+SPEC = {"schema_version": 1, "seed": 1, "pairs": [PAIR]}
+
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -48,6 +53,18 @@ class TestSimulate:
 
     def test_missing_spec_file_is_io_error(self, tmp_path):
         assert main(["simulate", "--spec", str(tmp_path / "nope.json")]) == 4
+
+    def test_carriage_return_in_identifier_round_trips(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "pairs": [
+            {**PAIR, "alternative": alt, "attribute": attr}
+            for alt in ("a\rb", "c") for attr in ("x", "y\r")
+        ]}))
+        samples, out = tmp_path / "samples.csv", tmp_path / "report.json"
+        assert main(["simulate", "--spec", str(spec), "--out", str(samples)]) == 0
+        assert main(["rank", "--samples", str(samples), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["alternatives"] == ["a\rb", "c"] and doc["attributes"] == ["x", "y\r"]
 
 
 class TestRank:
@@ -99,6 +116,18 @@ class TestRank:
     def test_missing_samples_file_is_io_error(self, tmp_path):
         assert main(["rank", "--samples", str(tmp_path / "missing.csv")]) == 4
 
+    def test_variance_total_overflow_fails_every_method(self, tmp_path):
+        # Each variance of x is 9.8e307; their total passes the largest float.
+        path, out = tmp_path / "samples.csv", tmp_path / "report.json"
+        path.write_text(HEADER + "A,x,s1,1.4e154\nA,x,s2,0\nB,x,s1,-1.4e154\nB,x,s2,0\n"
+                        "A,y,s1,0\nA,y,s2,1\nB,y,s1,0\nB,y,s2,0.5\n")
+        assert main(["rank", "--samples", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["failures"] == dict.fromkeys(
+            ["ICW", "IGDW"], "ScoreOutOfRange: variance total of attribute 'x' overflows"
+        )
+        assert doc["weights"] == {} and doc["rankings"] == {}
+
     def test_rounding_past_decimal_context_precision(self, workdir, tmp_path):
         out = tmp_path / "report.json"
         assert main(["rank", "--samples", str(workdir / "samples.csv"),
@@ -118,10 +147,12 @@ class TestBadInput:
             ([], {"schema_version": 1, "report_weight_rounding": True}),
             ([], {"schema_version": 1, "report_weight_rounding": "3"}),
             (["--entropy-base", "2"], {"schema_version": 1, "entropy_log_base": "abc"}),
+            (["--entropy-base", "inf"], None),
+            ([], {"schema_version": 1, "kld_log_base": "inf"}),
         ],
         ids=["entropy-base", "round-weights", "methods", "config-epsilon",
              "config-rounding-float", "config-rounding-bool", "config-rounding-string",
-             "config-base-overridden"],
+             "config-base-overridden", "entropy-base-inf", "config-kld-base-inf"],
     )
     def test_exits_two_with_one_line(self, workdir, tmp_path, capsys, flags, config):
         argv = ["rank", "--samples", str(workdir / "samples.csv"), *flags]
@@ -129,8 +160,44 @@ class TestBadInput:
             (tmp_path / "config.json").write_text(json.dumps(config))
             argv += ["--config", str(tmp_path / "config.json")]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "log",
+        [
+            HEADER + "A" * 200_000 + ",x,s1,0.5\n",
+            HEADER.encode() + b"A,x,s1,0.5\nA,x,s2,0.\xff\n",
+            HEADER + "AI1,x,s1,1e308\nAI1,x,s2,1.7e308\nAI2,x,s1,0\nAI2,x,s2,1\n",
+        ],
+        ids=["field-too-long", "not-utf8", "moment-overflow"],
+    )
+    def test_bad_sample_log(self, tmp_path, capsys, log):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(log if isinstance(log, bytes) else log.encode())
+        assert main(["rank", "--samples", str(path)]) == 2
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {**SPEC, "pairs": [{**PAIR, "count": 2.9}]},
+            {**SPEC, "seed": 1.9},
+            {**SPEC, "seed": True},
+            {**SPEC, "family": "uniform"},
+            b'{"schema_version": 1, "seed": 1, "pairs": [], "\xff": 0}',
+        ],
+        ids=["count-float", "seed-float", "seed-bool", "family", "not-utf8"],
+    )
+    def test_bad_scenario_spec(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+        assert main(["simulate", "--spec", str(path)]) == 2
+        _assert_one_error_line(capsys)
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestWeights:

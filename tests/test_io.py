@@ -84,6 +84,21 @@ class TestSamplesFile:
             read_samples(path)
         assert exc_info.value.line == 2
 
+    def test_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"alternative,attribute,situation,utility\nA,x,s1,0.5\nA,x,s2,\xff\n")
+        with pytest.raises(ParseError) as exc_info:
+            read_samples(path)
+        assert str(exc_info.value) == "line 3: byte 0xff is not UTF-8 text"
+
+    def test_overlong_field_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("alternative,attribute,situation,utility\nA,x,s1,0.5\n"
+                        + "A" * 200_000 + ",x,s2,0.5\n")
+        with pytest.raises(ParseError) as exc_info:
+            read_samples(path)
+        assert exc_info.value.line == 3
+
     def test_non_numeric_utility(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("alternative,attribute,situation,utility\nA,x,s1,high\n")
@@ -120,6 +135,13 @@ class TestPriorFile:
         # columns as published: fp = (0.7, 0.3), prop = (0.1, 0.9)
         np.testing.assert_array_equal(loaded.matrix[:, 0], [0.7, 0.3])
         np.testing.assert_array_equal(loaded.matrix[:, 1], [0.1, 0.9])
+
+    def test_carriage_return_names_round_trip(self, tmp_path):
+        sample_set = grid_sample_set(("a\rb", "c"), ("x\r", "y"), lambda i, j: [0.1, 0.2])
+        prior = validate_prior(USE_CASE_PRIOR, sample_set)
+        path = tmp_path / "prior.csv"
+        write_prior(prior, path)
+        np.testing.assert_array_equal(read_prior(path, sample_set).matrix, prior.matrix)
 
     def test_missing_cell(self, sample_set, tmp_path):
         path = tmp_path / "prior.csv"
