@@ -26,7 +26,6 @@ PAIR = {"alternative": "A", "attribute": "x", "mean": 0.5, "variance": 0.01, "co
 SPEC = {"schema_version": 1, "seed": 1, "pairs": [PAIR]}
 
 
-
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")

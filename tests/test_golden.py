@@ -146,6 +146,10 @@ BAD_LOGS = {
                     ParseError, "line 5: expected 4 fields, got 2"),
     "non-finite": (HEADER + "\n\nA,x,s1,0.5\nA,x,s2,nan\n",
                    NonFiniteUtility, "non-finite utility for (A, x, s2) (line 5)"),
+    "field-too-long": (HEADER + "A,x,s1,0.5\n\n\n" + "A" * 200_000 + ",x,s2,0.5\n",
+                       ParseError, "line 5: field larger than field limit (131072)"),
+    "not-utf8": (HEADER.encode() + b"A,x,s1,0.5\n\n\nA,x,s2,\xff\n",
+                 ParseError, "line 5: byte 0xff is not UTF-8 text"),
 }
 
 
@@ -239,7 +243,7 @@ def test_wide_count_simulate_bytes(tmp_path):
 def test_bad_row_line_number(case, tmp_path):
     text, error, message = BAD_LOGS[case]
     path = tmp_path / "bad.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(error) as exc_info:
         read_samples(path)
     assert exc_info.value.line == 5
