@@ -235,6 +235,13 @@ def _integer(raw, name: str) -> int:
     return raw
 
 
+def _real(raw, name: str) -> float:
+    """A JSON number: true or false is rejected, not read as 1.0 or 0.0."""
+    if isinstance(raw, bool):
+        raise TypeError(f"{name} must be a number, got {raw!r}")
+    return float(raw)
+
+
 def read_scenario_spec(path: PathLike) -> ScenarioSpec:
     doc = _read_json_doc(path, "scenario spec")
     try:
@@ -242,8 +249,8 @@ def read_scenario_spec(path: PathLike) -> ScenarioSpec:
             PairSpec(
                 alternative_id=str(p["alternative"]),
                 attribute_id=str(p["attribute"]),
-                target_mean=float(p["mean"]),
-                target_variance=float(p["variance"]),
+                target_mean=_real(p["mean"], "mean"),
+                target_variance=_real(p["variance"], "variance"),
                 sample_count=_integer(p["count"], "count"),
             )
             for p in doc["pairs"]
@@ -292,7 +299,7 @@ _CONFIG_FIELDS = {
     "entropy_log_base": parse_log_base,
     "kld_log_base": parse_log_base,
     "degenerate_variance_policy": DegenerateVariancePolicy,
-    "prior_smoothing_epsilon": float,
+    "prior_smoothing_epsilon": lambda raw: _real(raw, "prior_smoothing_epsilon"),
     "igd_negative_policy": IgdNegativePolicy,
     "report_weight_rounding": lambda raw: raw,  # EngineConfig admits integers only
 }

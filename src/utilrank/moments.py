@@ -23,8 +23,11 @@ from .model import MomentMatrices, SampleSet
 def mean_and_variance(values: Sequence[float]) -> tuple[float, float]:
     """Two-pass mean and unbiased sample variance of one pair's utilities."""
     n = len(values)
-    mean = fsum(values) / n
-    variance = fsum((v - mean) ** 2 for v in values) / (n - 1)
+    try:
+        mean = fsum(values) / n
+    except OverflowError:  # the sum passes the largest float; the mean may not
+        mean = 2 * (fsum(0.5 * v for v in values) / n)
+    variance = fsum([(v - mean) ** 2 for v in values]) / (n - 1)
     return mean, variance
 
 

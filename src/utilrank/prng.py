@@ -1,7 +1,7 @@
-"""Portable deterministic random generation.
+"""Portable deterministic random generation, one numpy lane per stream.
 
 A SplitMix64 mixer derives seeds and substreams; xoshiro256++ generates
-the stream; Gaussian variates come from a rational-approximation inverse
+each stream; Gaussian variates come from a rational-approximation inverse
 normal CDF (Acklam's coefficients, max relative error ~1.15e-9). Only
 64-bit integer arithmetic, sqrt, and log are used, so identical seeds
 give identical output on every platform.
@@ -10,11 +10,22 @@ Substream derivation: substream k of seed s starts from the (k+1)-th
 SplitMix64 output of s, optionally re-mixed with a redraw attempt
 counter. Streams for different substream indices are independent; one
 uniform is consumed per variate, in generation order.
+
+:func:`lane_units` runs many streams at once: each stream is one lane of
+four numpy ``uint64`` state arrays, and every step advances all lanes
+that still owe a draw. Seeding stays in Python, once per lane. The lane
+outputs are bit-identical to stepping each stream on its own. The tail
+branches of :func:`normal_ppf` take ``math.log`` element by element,
+because ``np.log`` is not correctly rounded: it differs from it by an
+ulp on a few inputs in a thousand.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -28,90 +39,118 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Minimal SplitMix64 sequence, used only for state expansion."""
+def substream(seed: int, index: int, attempt: int = 0) -> int:
+    """The seed of substream ``index`` of ``seed`` (redraw ``attempt``).
 
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return mix64(self._state)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
-class Xoshiro256pp:
-    """xoshiro256++ stream with SplitMix64 state expansion."""
-
-    def __init__(self, seed: int):
-        sm = SplitMix64(seed)
-        self._s = [sm.next_u64() for _ in range(4)]
-        if not any(self._s):  # all-zero state is the one forbidden point
-            self._s[0] = _GOLDEN
-
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
-
-    def next_unit(self) -> float:
-        """Uniform float strictly inside (0, 1), 53 significant bits."""
-        return ((self.next_u64() >> 11) + 0.5) * (2.0 ** -53)
-
-    def next_normal(self) -> float:
-        """Standard normal variate via the inverse CDF; one uniform each."""
-        return normal_ppf(self.next_unit())
-
-
-def substream_seed(seed: int, index: int, attempt: int = 0) -> int:
-    """Derive the root seed of substream ``index`` (redraw ``attempt``)."""
+    The substream is the xoshiro256++ stream seeded with it, one lane of
+    :func:`lane_units`.
+    """
     root = mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
     return mix64((root + attempt * _GOLDEN) & _MASK64)
 
 
-def substream(seed: int, index: int, attempt: int = 0) -> Xoshiro256pp:
-    """Independent generator for substream ``index`` of ``seed``."""
-    return Xoshiro256pp(substream_seed(seed, index, attempt))
+def _initial_state(seed: int) -> list[int]:
+    """xoshiro256++ state: the first four SplitMix64 outputs of ``seed``."""
+    state = [mix64((seed + k * _GOLDEN) & _MASK64) for k in range(1, 5)]
+    return state if any(state) else [_GOLDEN, 0, 0, 0]  # all-zero is the one forbidden point
+
+
+def _steps(state: np.ndarray, live: Sequence[int]) -> np.ndarray:
+    """Advance the first ``live[j]`` lanes of ``state`` (4 x lanes) at step j.
+
+    xoshiro256++ outputs rotl(s0 + s3, 23) + s0 from the state before a
+    step, so each step records s0 and then s3 of its lanes, in that order.
+    """
+    record = np.empty(2 * sum(live), dtype=np.uint64)
+    t = np.empty(state.shape[1], dtype=np.uint64)
+    xor, shl, k17, k45, k19 = np.bitwise_xor, np.left_shift, np.uint64(17), np.uint64(45), np.uint64(19)
+    at, width = 0, None
+    for n in live:
+        if n != width:  # fewer lanes as the short ones finish
+            width, s, tn = n, state[:, :n], t[:n]
+            s1, s2, s3, s01, s23, s32, s03 = s[1], s[2], s[3], s[0:2], s[2:4], s[3:1:-1], s[0:4:3]
+        np.copyto(record[at:at + 2 * n].reshape(2, n), s03)
+        at += 2 * n
+        shl(s1, k17, tn)
+        xor(s23, s01, s23)  # s2 ^= s0, s3 ^= s1
+        xor(s01, s32, s01)  # s0 ^= s3, s1 ^= s2
+        xor(s2, tn, s2)
+        shl(s3, k45, tn)
+        np.right_shift(s3, k19, s3)
+        np.bitwise_or(s3, tn, s3)
+    return record
+
+
+def lane_units(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
+    """Uniforms strictly inside (0, 1), 53 significant bits each.
+
+    Lane k is the xoshiro256++ stream seeded by ``seeds[k]``; it yields
+    its first ``counts[k]`` uniforms. The result holds lane 0's uniforms,
+    then lane 1's, and so on.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    # Lanes run longest first, so the ``live[j]`` lanes that still draw at
+    # step j are a prefix; step j's record is record[at[j]:at[j + 1]].
+    order = np.argsort(-counts, kind="stable")
+    live = len(counts) - np.cumsum(np.bincount(counts, minlength=1))[:-1]
+    at = np.concatenate(([0], np.cumsum(2 * live)))
+    state = np.array([_initial_state(seeds[k]) for k in order.tolist()],
+                     dtype=np.uint64).reshape(-1, 4).T.copy()
+    record = _steps(state, live.tolist())
+    # Draw j of the lane in sorted position p: s0 at record[at[j] + p], s3 live[j] later.
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    draw = np.arange(at[-1] // 2) - np.repeat(np.cumsum(counts) - counts, counts)
+    s0_at = at[draw] + np.repeat(position, counts)
+    words = record[s0_at + live[draw]]
+    s0 = record[s0_at]
+    del record, s0_at, draw
+    words += s0
+    words = (words << np.uint64(23)) | (words >> np.uint64(41))
+    words += s0
+    units = (words >> np.uint64(11)).astype(np.float64)
+    units += 0.5
+    units *= 2.0 ** -53
+    return units
 
 
 # Acklam's rational approximation of the inverse normal CDF.
 _PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
+          6.680131188771972e+01, -1.328068155288572e+01, 1.0)
 _PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
+          3.754408661907416e+00, 1.0)
 _PPF_LOW = 0.02425
 _PPF_HIGH = 1.0 - _PPF_LOW
 
 
-def normal_ppf(p: float) -> float:
-    """Inverse standard normal CDF for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"normal_ppf requires p in (0, 1), got {p!r}")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    if p < _PPF_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if p > _PPF_HIGH:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                 / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    q = p - 0.5
+def _horner(coefficients: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """c0 x^(n-1) + ... + c(n-1), one rounded multiply and add per coefficient."""
+    acc = coefficients[0] * x + coefficients[1]
+    for c in coefficients[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def normal_ppf(p) -> np.ndarray:
+    """Inverse standard normal CDF of each entry of ``p``, all in (0, 1)."""
+    p = np.asarray(p, dtype=np.float64)
+    inside = (p > 0.0) & (p < 1.0)
+    if not inside.all():
+        raise ValueError(f"normal_ppf requires p in (0, 1), got {float(p[~inside].flat[0])!r}")
+    z = np.empty_like(p)
+    low, high = p < _PPF_LOW, p > _PPF_HIGH
+    central = ~(low | high)
+    q = p[central] - 0.5
     s = q * q
-    return ((((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5]) * q
-            / (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0))
+    z[central] = _horner(_PPF_A, s) * q / _horner(_PPF_B, s)
+    tail = ~central
+    tail_p = np.where(low, p, 1.0 - p)[tail]
+    q = np.sqrt(np.array([-2.0 * math.log(v) for v in tail_p.tolist()]))
+    r = _horner(_PPF_C, q) / _horner(_PPF_D, q)
+    z[tail] = np.where(high[tail], -r, r)
+    return z

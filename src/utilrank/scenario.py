@@ -11,6 +11,9 @@ variance hit the targets,
 which makes every downstream weight equal its closed-form value
 regardless of the sampling distribution (the weighting math consumes
 only first and second moments). ``stochastic`` mode keeps the raw draws.
+
+The substreams of all pairs are drawn together, one numpy lane per pair
+(:func:`utilrank.prng.lane_units`), and rescaled pair by pair.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import InvalidSpec
 from .model import SampleSet, validate_sample_set
 from .moments import mean_and_variance
-from .prng import substream
+from .prng import lane_units, normal_ppf, substream
 
 
 class MomentMode(Enum):
@@ -74,24 +77,6 @@ class ScenarioSpec:
                 raise InvalidSpec(f"pair {key!r} has invalid target variance")
 
 
-def _pair_values(spec: ScenarioSpec, index: int, pair: PairSpec) -> list[float]:
-    if spec.moment_mode is MomentMode.EXACT and pair.target_variance == 0.0:
-        return [pair.target_mean] * pair.sample_count
-
-    attempt = 0
-    while True:
-        stream = substream(spec.seed, index, attempt)
-        draws = [stream.next_normal() for _ in range(pair.sample_count)]
-        if spec.moment_mode is MomentMode.STOCHASTIC:
-            sd = math.sqrt(pair.target_variance)
-            return [pair.target_mean + sd * z for z in draws]
-        raw_mean, raw_var = mean_and_variance(draws)
-        if raw_var > 0.0:
-            scale = math.sqrt(pair.target_variance / raw_var)
-            return [pair.target_mean + (z - raw_mean) * scale for z in draws]
-        attempt += 1  # constant raw draw cannot be rescaled; next substream
-
-
 def generate_samples(spec: ScenarioSpec) -> SampleSet:
     """Generate a validated sample set from a scenario specification.
 
@@ -100,13 +85,36 @@ def generate_samples(spec: ScenarioSpec) -> SampleSet:
     (s00001, s00002, ...), numbered in draw order within each pair.
     """
     ordered = sorted(spec.pairs, key=lambda p: (p.alternative_id, p.attribute_id))
-    counts = [pair.sample_count for pair in ordered]
-    utilities = np.concatenate(
-        [_pair_values(spec, index, pair) for index, pair in enumerate(ordered)]
-    )
+    counts = np.array([pair.sample_count for pair in ordered])
+    starts = (np.cumsum(counts) - counts).tolist()
+    exact = spec.moment_mode is MomentMode.EXACT
+    # Exact-mode pairs with zero target variance keep these copies, undrawn.
+    utilities = np.repeat([pair.target_mean for pair in ordered], counts)
+    pending = [k for k, pair in enumerate(ordered) if not (exact and pair.target_variance == 0.0)]
+    attempt = 0
+    with np.errstate(invalid="ignore"):  # 0 * inf gives nan, as with Python floats
+        while pending:
+            seeds = [substream(spec.seed, k, attempt) for k in pending]
+            z = normal_ppf(lane_units(seeds, counts[pending]))
+            redraw, at = [], 0
+            for k in pending:
+                pair = ordered[k]
+                draws = z[at:at + pair.sample_count]
+                at += pair.sample_count
+                if not exact:
+                    values = pair.target_mean + math.sqrt(pair.target_variance) * draws
+                else:
+                    raw_mean, raw_var = mean_and_variance(draws.tolist())
+                    if not raw_var > 0.0:  # a constant raw draw cannot be rescaled
+                        redraw.append(k)
+                        continue
+                    scale = math.sqrt(pair.target_variance / raw_var)
+                    values = pair.target_mean + (draws - raw_mean) * scale
+                utilities[starts[k]:starts[k] + pair.sample_count] = values
+            pending, attempt = redraw, attempt + 1  # a redraw takes the next substream
     # Code k of both pair columns names pair k; situation code i is draw i.
     pair_codes = np.repeat(np.arange(len(ordered)), counts)
-    situation_codes = np.arange(len(utilities)) - np.repeat(np.cumsum(counts) - counts, counts)
+    situation_codes = np.arange(len(utilities)) - np.repeat(starts, counts)
     return validate_sample_set(
         ([pair.alternative_id for pair in ordered], pair_codes),
         ([pair.attribute_id for pair in ordered], pair_codes),

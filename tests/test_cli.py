@@ -148,10 +148,12 @@ class TestBadInput:
             (["--entropy-base", "2"], {"schema_version": 1, "entropy_log_base": "abc"}),
             (["--entropy-base", "inf"], None),
             ([], {"schema_version": 1, "kld_log_base": "inf"}),
+            ([], {"schema_version": 1, "prior_smoothing_epsilon": False}),
         ],
         ids=["entropy-base", "round-weights", "methods", "config-epsilon",
              "config-rounding-float", "config-rounding-bool", "config-rounding-string",
-             "config-base-overridden", "entropy-base-inf", "config-kld-base-inf"],
+             "config-base-overridden", "entropy-base-inf", "config-kld-base-inf",
+             "config-epsilon-bool"],
     )
     def test_exits_two_with_one_line(self, workdir, tmp_path, capsys, flags, config):
         argv = ["rank", "--samples", str(workdir / "samples.csv"), *flags]
@@ -184,8 +186,11 @@ class TestBadInput:
             {**SPEC, "seed": True},
             {**SPEC, "family": "uniform"},
             b'{"schema_version": 1, "seed": 1, "pairs": [], "\xff": 0}',
+            {**SPEC, "pairs": [{**PAIR, "mean": True}]},
+            {**SPEC, "pairs": [{**PAIR, "variance": False}]},
         ],
-        ids=["count-float", "seed-float", "seed-bool", "family", "not-utf8"],
+        ids=["count-float", "seed-float", "seed-bool", "family", "not-utf8", "mean-bool",
+             "variance-bool"],
     )
     def test_bad_scenario_spec(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"

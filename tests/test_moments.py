@@ -27,6 +27,11 @@ class TestKnownValues:
         assert mm.variances[0, 0] == 0.0
         assert mm.counts[0, 0] == 5
 
+    def test_sum_past_float_range(self):
+        # 1e308 + 1e308 overflows, but the mean and variance are representable.
+        assert mean_and_variance([1e308, 1e308]) == (1e308, 0.0)
+        assert mean_and_variance([-1e308] * 3) == (-1e308, 0.0)
+
     def test_use_case_targets(self):
         mm = compute_moments(generate_samples(USE_CASE_SPEC))
         np.testing.assert_allclose(mm.means, [[15.0, 4.0], [8.0, 10.0]], atol=1e-9)

@@ -1,17 +1,116 @@
 """Deterministic scenario generation: moment fidelity and reproducibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import utilrank.scenario as scenario_module
-from utilrank.errors import InvalidSpec
+from utilrank.errors import InvalidSpec, NonFiniteUtility
 from utilrank.io_files import samples_to_csv
 from utilrank.moments import compute_moments, mean_and_variance
-from utilrank.prng import Xoshiro256pp, normal_ppf, substream
+from utilrank.prng import lane_units, normal_ppf, substream
 from utilrank.reproduce import USE_CASE_SPEC
 from utilrank.scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
+
+# ---------------------------------------------------------------------------
+# Scalar reference generator: one Python-int xoshiro256++ stream at a time
+# and a per-value inverse normal CDF. The lane generator must match it bit
+# for bit.
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+class ScalarXoshiro256pp:
+    """xoshiro256++ seeded by SplitMix64, stepped with Python integers."""
+
+    def __init__(self, seed):
+        sm = seed & _MASK64
+        self._s = []
+        for _ in range(4):
+            sm = (sm + _GOLDEN) & _MASK64
+            self._s.append(_mix64(sm))
+        if not any(self._s):
+            self._s[0] = _GOLDEN
+
+    def next_u64(self):
+        s0, s1, s2, s3 = self._s
+        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = _rotl(s3, 45)
+        self._s = [s0, s1, s2, s3]
+        return result
+
+    def next_unit(self):
+        return ((self.next_u64() >> 11) + 0.5) * (2.0 ** -53)
+
+
+_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+      6.680131188771972e+01, -1.328068155288572e+01)
+_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+      3.754408661907416e+00)
+
+
+def scalar_normal_ppf(p):
+    """Acklam's inverse normal CDF of one float."""
+    a, b, c, d = _A, _B, _C, _D
+    if p < 0.02425:
+        q = math.sqrt(-2.0 * math.log(p))
+        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
+                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    if p > 1.0 - 0.02425:
+        q = math.sqrt(-2.0 * math.log(1.0 - p))
+        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
+                 / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    q = p - 0.5
+    s = q * q
+    return ((((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5]) * q
+            / (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0))
+
+
+def scalar_pair_values(seed, index, pair, mode):
+    """One pair's utilities, drawn and rescaled one float at a time."""
+    if mode is MomentMode.EXACT and pair.target_variance == 0.0:
+        return [pair.target_mean] * pair.sample_count
+    attempt = 0
+    while True:
+        stream = ScalarXoshiro256pp(substream(seed, index, attempt))
+        draws = [scalar_normal_ppf(stream.next_unit()) for _ in range(pair.sample_count)]
+        if mode is MomentMode.STOCHASTIC:
+            sd = math.sqrt(pair.target_variance)
+            return [pair.target_mean + sd * z for z in draws]
+        raw_mean, raw_var = mean_and_variance(draws)
+        if raw_var > 0.0:
+            scale = math.sqrt(pair.target_variance / raw_var)
+            return [pair.target_mean + (z - raw_mean) * scale for z in draws]
+        attempt += 1
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 def _spec(pairs, seed=1, mode=MomentMode.EXACT):
@@ -41,23 +140,44 @@ class TestExactMode:
         assert ss.utilities.tolist() == [4.2] * 5
 
     def test_constant_raw_draw_redraws(self, monkeypatch):
-        real_substream = substream
+        # Pair A's first draw is constant (every uniform 0.5, every normal
+        # 0.0); only A's lane is redrawn, from attempt 1, and B keeps its draw.
+        spec = _spec([PairSpec("A", "x", 1.0, 2.0, 10), PairSpec("B", "x", 3.0, 0.5, 6)])
+        constant_seed = substream(spec.seed, 0, 0)
         calls = []
 
-        def fake_substream(seed, index, attempt=0):
-            calls.append(attempt)
-            if attempt == 0:
-                class Constant:
-                    def next_normal(self):
-                        return 0.5
-                return Constant()
-            return real_substream(seed, index, attempt)
+        def fake_lane_units(seeds, counts):
+            calls.append(list(seeds))
+            units = lane_units(seeds, counts)
+            if seeds[0] == constant_seed:
+                units[:counts[0]] = 0.5
+            return units
 
-        monkeypatch.setattr(scenario_module, "substream", fake_substream)
-        spec = _spec([PairSpec("A", "x", 1.0, 2.0, 10)])
-        mm = compute_moments(generate_samples(spec))
-        assert max(calls) == 1  # first attempt was constant, second succeeded
+        monkeypatch.setattr(scenario_module, "lane_units", fake_lane_units)
+        ss = generate_samples(spec)
+        assert calls == [[constant_seed, substream(spec.seed, 1, 0)],
+                         [substream(spec.seed, 0, 1)]]
+        mm = compute_moments(ss)
         assert mm.variances[0, 0] == pytest.approx(2.0, rel=1e-9)
+        stream = ScalarXoshiro256pp(substream(spec.seed, 0, 1))
+        draws = [scalar_normal_ppf(stream.next_unit()) for _ in range(10)]
+        raw_mean, raw_var = mean_and_variance(draws)
+        scale = math.sqrt(2.0 / raw_var)
+        assert ss.utilities[:10].tolist() == [1.0 + (z - raw_mean) * scale for z in draws]
+        assert ss.utilities[10:].tolist() == scalar_pair_values(
+            spec.seed, 1, spec.pairs[1], MomentMode.EXACT)
+
+
+    def test_infinite_scale_gives_nan_without_numpy_warnings(self, monkeypatch):
+        # Normals -a, 0, a: the middle deviation is exactly 0 and the scale
+        # sqrt(1e308 / a**2) is inf, so a utility is 0 * inf = nan, as with
+        # Python floats: a NonFiniteUtility, not a RuntimeWarning.
+        monkeypatch.setattr(scenario_module, "lane_units",
+                            lambda seeds, counts: np.array([0.25, 0.5, 0.75]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteUtility):
+                generate_samples(_spec([PairSpec("A", "x", 0.0, 1e308, 3)]))
 
 
 class TestDeterminism:
@@ -139,36 +259,66 @@ class TestSpecValidation:
 
 class TestPrng:
     def test_ppf_center_and_tails(self):
-        assert normal_ppf(0.5) == 0.0
-        assert normal_ppf(0.975) == pytest.approx(1.959963985, abs=1e-6)
-        assert normal_ppf(0.0001) == pytest.approx(-3.719016485, abs=1e-6)
+        z = normal_ppf([0.5, 0.975, 0.0001])
+        assert z[0] == 0.0
+        assert z[1] == pytest.approx(1.959963985, abs=1e-6)
+        assert z[2] == pytest.approx(-3.719016485, abs=1e-6)
 
     def test_ppf_antisymmetric(self):
-        for p in (1e-6, 0.01, 0.1, 0.3, 0.49):
-            assert normal_ppf(p) == pytest.approx(-normal_ppf(1 - p), abs=1e-9)
+        p = np.array([1e-6, 0.01, 0.1, 0.3, 0.49])
+        np.testing.assert_allclose(normal_ppf(p), -normal_ppf(1 - p), rtol=0, atol=1e-9)
 
     def test_ppf_monotonic(self):
-        grid = [i / 1000 for i in range(1, 1000)]
-        values = [normal_ppf(p) for p in grid]
-        assert all(a < b for a, b in zip(values, values[1:]))
+        values = normal_ppf(np.arange(1, 1000) / 1000)
+        assert np.all(np.diff(values) > 0)
 
     def test_ppf_rejects_boundaries(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
+        for p in (0.0, 1.0, -0.1, 1.1, math.nan):
             with pytest.raises(ValueError):
-                normal_ppf(p)
+                normal_ppf([0.5, p])
 
     def test_stream_reproducible(self):
-        a = Xoshiro256pp(123)
-        b = Xoshiro256pp(123)
-        assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+        assert _bits(lane_units([123], [10])).tolist() == _bits(lane_units([123], [10])).tolist()
 
     def test_units_in_open_interval(self):
-        stream = Xoshiro256pp(9)
-        for _ in range(1000):
-            u = stream.next_unit()
-            assert 0.0 < u < 1.0
+        units = lane_units([9], [1000])
+        assert np.all((units > 0.0) & (units < 1.0))
 
     def test_substreams_differ(self):
-        s0 = substream(7, 0)
-        s1 = substream(7, 1)
-        assert [s0.next_u64() for _ in range(4)] != [s1.next_u64() for _ in range(4)]
+        units = lane_units([substream(7, 0), substream(7, 1)], [4, 4])
+        assert units[:4].tolist() != units[4:].tolist()
+
+    def test_lanes_are_independent(self):
+        seeds, counts = [11, 12, 13], [5, 0, 3]
+        together = lane_units(seeds, counts)
+        alone = np.concatenate([lane_units([s], [n]) for s, n in zip(seeds, counts)])
+        assert _bits(together).tolist() == _bits(alone).tolist()
+
+
+class TestScalarOracle:
+    """The lane generator against the scalar reference, bit for bit."""
+
+    def test_units_and_normals_match(self):
+        rng = np.random.default_rng(6)
+        counts = [int(n) for n in rng.integers(500, 1501, size=200)] + [1, 1000, 2]
+        seeds = [substream(99, k) for k in range(len(counts))]
+        expected = []
+        for seed, n in zip(seeds, counts):
+            stream = ScalarXoshiro256pp(seed)
+            expected.extend(stream.next_unit() for _ in range(n))
+        units = lane_units(seeds, counts)
+        assert _bits(units).tolist() == _bits(expected).tolist()
+        assert units.min() < 0.02425 and units.max() > 1.0 - 0.02425  # both tail branches
+        normals = normal_ppf(units)
+        assert _bits(normals).tolist() == _bits([scalar_normal_ppf(u) for u in expected]).tolist()
+
+    @pytest.mark.parametrize("mode", list(MomentMode))
+    def test_generate_samples_matches(self, mode):
+        pairs = [PairSpec(f"A{i}", f"k{j}", 0.1 * i - 0.2 * j, 0.0 if (i, j) == (1, 1) else 0.5 + i,
+                          2 + 97 * i + 31 * j) for i in range(4) for j in range(3)]
+        spec = _spec(pairs, seed=2 ** 64 - 1, mode=mode)
+        expected = []
+        for index, pair in enumerate(pairs):  # already in canonical order
+            expected.extend(scalar_pair_values(spec.seed, index, pair, mode))
+        actual = generate_samples(spec).utilities
+        assert _bits(actual).tolist() == _bits(expected).tolist()
