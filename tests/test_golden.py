@@ -7,6 +7,8 @@ means changed output, which must be a deliberate, documented decision.
 
 import hashlib
 import json
+import math
+import random
 import warnings
 
 import pytest
@@ -17,6 +19,7 @@ from utilrank.io_files import (
     prior_to_csv,
     read_samples,
     samples_to_csv,
+    write_prior,
     write_samples,
     write_scenario_spec,
 )
@@ -102,6 +105,36 @@ LARGE_SPEC = ScenarioSpec(
 )
 LARGE_SAMPLES_SHA256 = "a7cb7bdeb448b33c701ac5b0d352ccdb7783d2d40f2c8e9ac629d8b12460340a"
 LARGE_REPORT_SHA256 = "7ad40cf6495e2b57f16ded547b0b478472667ac05d22ffd7578a641c61229b17"
+
+def _wide_prior_spec(seed: int, alternatives: int, attributes: int) -> ScenarioSpec:
+    """Exact-mode spec, two samples per pair, means and variances from ``seed``."""
+    rng = random.Random(seed)
+    return ScenarioSpec(
+        pairs=tuple(
+            PairSpec(f"A{i:03d}", f"k{j:02d}", rng.uniform(0.2, 0.8), rng.uniform(0.0004, 0.01), 2)
+            for i in range(alternatives)
+            for j in range(attributes)
+        ),
+        seed=rng.getrandbits(64),
+    )
+
+
+def _wide_prior_matrix(seed: int, alternatives: int, attributes: int) -> list[list[float]]:
+    """Positive prior entries, each column normalized to sum to 1 (rows alternatives)."""
+    rng = random.Random(seed ^ 0x5EED)
+    columns = []
+    for _ in range(attributes):
+        raw = [rng.uniform(0.05, 1.0) for _ in range(alternatives)]
+        total = math.fsum(raw)
+        columns.append([v / total for v in raw])
+    return [[columns[j][i] for j in range(attributes)] for i in range(alternatives)]
+
+
+# 300 alternatives x 12 attributes x 2 situations with a 3600-cell prior:
+# the prior, KL-divergence (IGHW) and report paths at scale, all three methods.
+WIDE_PRIOR_SHAPE = (300, 12)
+WIDE_PRIOR_SEED = 17
+WIDE_PRIOR_REPORT_SHA256 = "4df3aa95782ce6423053ef8e5b3b0d2f012f8b342154207a8faa41567cae2487"
 
 STOCHASTIC_SPEC = ScenarioSpec(USE_CASE_SPEC.pairs, seed=7, moment_mode=MomentMode.STOCHASTIC)
 STOCHASTIC_SAMPLES_SHA256 = "591333d068cbf1628af8a193234ebc4484e9ae22a9325bbb3ea583e2d1403290"
@@ -202,6 +235,21 @@ def test_large_rank_report_bytes(large_samples, tmp_path):
                      "--format", "json", "--out", str(out)])
     assert code == 0
     assert _sha256(out) == LARGE_REPORT_SHA256
+
+
+def test_wide_prior_rank_report_bytes(tmp_path):
+    sample_set = generate_samples(_wide_prior_spec(WIDE_PRIOR_SEED, *WIDE_PRIOR_SHAPE))
+    prior = validate_prior(_wide_prior_matrix(WIDE_PRIOR_SEED, *WIDE_PRIOR_SHAPE), sample_set)
+    write_samples(sample_set, tmp_path / "samples.csv")
+    write_prior(prior, tmp_path / "prior.csv")
+    out = tmp_path / "report.json"
+    code = main(["rank", "--samples", str(tmp_path / "samples.csv"),
+                 "--prior", str(tmp_path / "prior.csv"),
+                 "--format", "json", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(report["rankings"]) == ["ICW", "IGDW", "IGHW"] and report["failures"] == {}
+    assert _sha256(out) == WIDE_PRIOR_REPORT_SHA256
 
 
 def test_stochastic_simulate_bytes(tmp_path):
