@@ -357,5 +357,45 @@ def _read_json_doc(path: PathLike, what: str) -> dict:
     return doc
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _dump_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder over
+    every value. Here the layout is walked in Python only down to the
+    lists of scalars; each such list is one call to the C encoder, whose
+    separator carries the line break and indent, so floats, NaN/Infinity
+    and ``ensure_ascii`` escapes come out as the stdlib writes them.
+    Object keys must be strings.
+    """
+    parts: list[str] = []
+    _json_layout(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_layout(value, newline: str, emit) -> None:
+    """Emit ``value``'s indented JSON text; ``newline`` is a line break and its indent."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        for n, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            emit(("{" if n == 0 else ",") + inner + json.dumps(key) + ": ")
+            _json_layout(value[key], inner, emit)
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+        elif not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, value))):
+            text = json.dumps(value, separators=("," + inner, ": "))
+            emit("[" + inner + text[1:-1] + newline + "]")
+        else:
+            for n, item in enumerate(value):
+                emit(("[" if n == 0 else ",") + inner)
+                _json_layout(item, inner, emit)
+            emit(newline + "]")
+    else:
+        emit(json.dumps(value))

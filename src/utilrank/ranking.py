@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch
 from .model import MomentMatrices, WeightVector
 
-#: Expectations closer than this are reported as tied.
+#: Expectations closer than this, relative to the larger magnitude (or to 1
+#: when both lie within [-1, 1]), are reported as tied.
 TIE_TOL = 1e-9
 
 
@@ -66,10 +67,7 @@ def expected_utility(
         raise DimensionMismatch(
             f"{len(w)} weights for {moments.num_attributes} attributes"
         )
-    return tuple(
-        math.fsum(w[r] * float(moments.means[i, r]) for r in range(len(w)))
-        for i in range(moments.num_alternatives)
-    )
+    return tuple(math.fsum([wr * m for wr, m in zip(w, row)]) for row in moments.means.tolist())
 
 
 def rank(
@@ -79,15 +77,18 @@ def rank(
     """Rank alternatives by descending expected utility.
 
     Returns (ranks, ties): ranks aligned with the input order, and tie
-    groups (expectations within TIE_TOL of each other, chained) listed by
-    alternative identifier ascending.
+    groups listed by alternative identifier ascending. Two neighbouring
+    expectations a >= b tie when a - b <= TIE_TOL * max(1, |a|, |b|):
+    an absolute 1e-9 on scales up to 1, relative beyond, so utilities
+    on large scales tie at the same number of significant digits. Ties
+    chain: each expectation is compared with the next one down.
     """
     n = len(expectations)
     order = sorted(range(n), key=lambda i: (-expectations[i], alternatives[i]))
 
     groups: list[list[int]] = []
     for idx in order:
-        if groups and expectations[groups[-1][-1]] - expectations[idx] <= TIE_TOL:
+        if groups and _tied(expectations[groups[-1][-1]], expectations[idx]):
             groups[-1].append(idx)
         else:
             groups.append([idx])
@@ -102,6 +103,10 @@ def rank(
             ties.append(tuple(sorted(alternatives[i] for i in group)))
         position += len(group)
     return tuple(ranks), tuple(ties)
+
+
+def _tied(a: float, b: float) -> bool:
+    return a - b <= TIE_TOL * max(1.0, abs(a), abs(b))
 
 
 def rank_alternatives(

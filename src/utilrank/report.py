@@ -9,7 +9,6 @@ plus the tool version, so the same report always emits identical bytes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from .model import (
     WeightVector,
 )
 from .ranking import RankingReport
-from .io_files import SCHEMA_VERSION, config_to_dict
+from .io_files import SCHEMA_VERSION, _dump_json, config_to_dict
 
 PathLike = Union[str, Path]
 
@@ -144,7 +143,7 @@ def _display_views(report: Report) -> dict:
 
 
 def report_to_json(report: Report) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return _dump_json(report_to_dict(report))
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +183,12 @@ def report_to_text(report: Report) -> str:
     for alt in alts:
         header += [f"{alt} mean", f"{alt} variance"]
     rows = []
-    for r, attr in enumerate(attrs):
+    for attr, means, variances in zip(
+        attrs, report.moments.means.T.tolist(), report.moments.variances.T.tolist()
+    ):
         row = [attr]
-        for i in range(len(alts)):
-            row += [fmt(report.moments.means[i, r]), fmt(report.moments.variances[i, r])]
+        for mean, variance in zip(means, variances):
+            row += [fmt(mean), fmt(variance)]
         rows.append(row)
     out.append(_table("Table A1. Mean and variance per alternative and attribute", header, rows))
 
@@ -198,8 +199,7 @@ def report_to_text(report: Report) -> str:
         header += [f"{alt} p" for alt in alts]
         header += [f"{alt} log(p)" for alt in alts]
         rows = []
-        for r, attr in enumerate(attrs):
-            p_col = [float(report.relative_variance.matrix[i, r]) for i in range(len(alts))]
+        for attr, p_col in zip(attrs, report.relative_variance.matrix.T.tolist()):
             row = [attr] + [fmt(p) for p in p_col]
             row += [fmt(math.log(p) / math.log(base)) if p > 0 else "-inf" for p in p_col]
             rows.append(row)

@@ -66,8 +66,7 @@ def relative_variance(
     m = moments.num_alternatives
     matrix = np.zeros_like(moments.variances)
     degenerate: list[str] = []
-    for r, attr in enumerate(moments.attributes):
-        column = [float(v) for v in moments.variances[:, r]]
+    for r, (attr, column) in enumerate(zip(moments.attributes, moments.variances.T.tolist())):
         try:
             total = math.fsum(column)
         except OverflowError:
@@ -100,20 +99,17 @@ def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> Score
     ln_base = math.log(log_base)
     bound = math.log(m) / ln_base + 1e-9
     values = []
-    for r in range(len(profile.attributes)):
-        nats = fsum_entropy(profile.matrix[:, r])
-        e = nats / ln_base
+    for attr, column in zip(profile.attributes, profile.matrix.T.tolist()):
+        e = fsum_entropy(column) / ln_base
         if not 0.0 <= e <= bound:
-            raise ScoreOutOfRange(
-                f"entropy {e!r} for attribute {profile.attributes[r]!r} escapes [0, log M]"
-            )
+            raise ScoreOutOfRange(f"entropy {e!r} for attribute {attr!r} escapes [0, log M]")
         values.append(e)
     return ScoreVector(tuple(values), profile.attributes, log_base)
 
 
-def fsum_entropy(column: np.ndarray) -> float:
+def fsum_entropy(column: list[float]) -> float:
     """Entropy of one probability column in nats, exactly-rounded sum."""
-    return math.fsum(-p * math.log(p) for p in (float(v) for v in column) if p > 0.0)
+    return math.fsum([-p * math.log(p) for p in column if p > 0.0])
 
 
 def icw(entropies: ScoreVector) -> WeightVector:
@@ -153,15 +149,14 @@ def kld(
     q = (prior.matrix + eps) / (1.0 + m * eps) if eps > 0.0 else prior.matrix
     ln_base = math.log(config.kld_log_base)
     values = []
-    for r in range(len(profile.attributes)):
+    columns = zip(profile.attributes, profile.matrix.T.tolist(), q.T.tolist())
+    for attr, p_column, q_column in columns:
         terms = []
-        for i in range(m):
-            p_ir = float(profile.matrix[i, r])
+        for alt, p_ir, q_ir in zip(profile.alternatives, p_column, q_column):
             if p_ir <= 0.0:
                 continue
-            q_ir = float(q[i, r])
             if q_ir <= 0.0:
-                raise ZeroPriorSupport(profile.alternatives[i], profile.attributes[r])
+                raise ZeroPriorSupport(alt, attr)
             terms.append(p_ir * math.log(p_ir / q_ir))
         values.append(math.fsum(terms) / ln_base)
     return ScoreVector(tuple(values), profile.attributes, config.kld_log_base)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from utilrank.errors import (
     ParseError,
 )
 from utilrank.io_files import (
+    _dump_json,
     config_to_dict,
     digest_sample_set,
     parse_config,
@@ -231,3 +234,73 @@ class TestConfigFile:
 
     def test_config_dict_stable(self):
         assert config_to_dict(EngineConfig()) == config_to_dict(EngineConfig())
+
+
+# Documents whose layout or scalar text is easy to get wrong.
+EDGE_DOCS = {
+    "empty-object": {},
+    "empty-array": [],
+    "nested-empties": {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+    "lists-of-lists": [[1, 2], [[3.5]], [[], [None]], [{"k": [0]}]],
+    "mixed-scalars": [1, 1.5, True, None, "x"],
+    "scalar-document": 0.1,
+    "string-document": "z",
+    "tuples": {"t": (1, (2.0, "x"), ())},
+    "non-finite": {"v": [math.nan, math.inf, -math.inf], "w": math.nan},
+    "floats": [-0.0, 0.0, 1e-7, 1e16, 1e22, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 2**53 + 1],
+    "ints": [0, -1, 2**64, -(10**30), False],
+    "non-ascii": {"naïve": ["Ωmega", "日本", "\U0001f600"], "é": "ß"},
+    "control-chars": {"\x00\t\n\r\x1f\x7f": ["\u2028", "\\", '"', "\x08\x0c"], "": ""},
+    "key-order": {"b": 1, "a": 2, "B": 3, "aa": {"z": 1, "y": [2, 1]}, "\u00e9": 4, "_": 5},
+}
+
+_KEY_CHARS = "abcAB_ é\x00\n\"\\\u2028日\U0001f600"
+
+
+def _random_scalar(rng: random.Random):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randint(-(2**70), 2**70)
+    if kind == 2:
+        return rng.choice([math.nan, math.inf, -math.inf, -0.0, 0.0])
+    if kind in (3, 4):  # any finite float, subnormals included
+        value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        return value if math.isfinite(value) else rng.random()
+    if kind == 5:
+        return rng.uniform(-1e3, 1e3)
+    return "".join(rng.choice(_KEY_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_doc(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(5) if depth < 4 else 0
+    if kind == 0:
+        return _random_scalar(rng)
+    size = rng.randrange(6)
+    if kind == 1:
+        return {"".join(rng.choice(_KEY_CHARS) for _ in range(rng.randrange(4))):
+                _random_doc(rng, depth + 1) for _ in range(size)}
+    if kind == 2:  # a list of scalars only
+        return [_random_scalar(rng) for _ in range(size)]
+    items = [_random_doc(rng, depth + 1) for _ in range(size)]
+    return tuple(items) if kind == 3 and rng.random() < 0.2 else items
+
+
+class TestJsonWriter:
+    """``_dump_json`` writes what ``json.dumps(indent=2, sort_keys=True)`` writes."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_DOCS))
+    def test_edge_documents(self, name):
+        doc = EDGE_DOCS[name]
+        assert _dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_random_documents(self):
+        rng = random.Random(20251018)
+        for _ in range(400):
+            doc = _random_doc(rng)
+            assert _dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_non_string_key_is_refused(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            _dump_json({"a": {1: "x"}})

@@ -94,6 +94,25 @@ class TestRank:
         ranks, ties = rank((5.0, 5.0 + 1e-8), ("a", "b"))
         assert ranks == (2, 1) and ties == ()
 
+    def test_tolerance_is_relative_at_large_scale(self):
+        # At 1e12 one ulp is about 1.2e-4, far past an absolute 1e-9; the
+        # tolerance there is 1e-9 * 1e12 = 1000.
+        ranks, ties = rank((1e12, math.nextafter(1e12, math.inf)), ("a", "b"))
+        assert ranks == (1, 1) and ties == (("a", "b"),)
+        ranks, ties = rank((1e12, 1e12 + 1.0), ("a", "b"))
+        assert ranks == (1, 1) and ties == (("a", "b"),)
+        ranks, ties = rank((1e12, 1e12 + 2000.0), ("a", "b"))
+        assert ranks == (2, 1) and ties == ()
+
+    def test_tolerance_is_absolute_up_to_scale_one(self):
+        for low in (0.0, 0.5, -1.0 - 1e-9):
+            ranks, _ = rank((low, low + 9e-10), ("a", "b"))
+            assert ranks == (1, 1)
+            ranks, _ = rank((low, low + 2e-9), ("a", "b"))
+            assert ranks == (2, 1)
+        ranks, _ = rank((-1e6, -1e6 + 5e-4), ("a", "b"))  # negative scales are relative too
+        assert ranks == (1, 1)
+
     def test_rank_consistency_two_alternatives(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
