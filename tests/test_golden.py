@@ -24,10 +24,12 @@ from utilrank.io_files import (
     write_scenario_spec,
 )
 from utilrank.model import validate_prior
-from utilrank.reproduce import USE_CASE_SPEC
+from utilrank.reproduce import USE_CASE_PRIOR, USE_CASE_SPEC
 from utilrank.scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
 
 from conftest import grid_sample_set
+
+HEADER = "alternative,attribute,situation,utility\n"
 
 REPRODUCE_PAPER_SHA256 = {
     "samples.csv": "f6d15dedf14c310eecf5bbbd0100600b99248f8d58f9521dd393d49eb0638d66",
@@ -136,6 +138,32 @@ WIDE_PRIOR_SHAPE = (300, 12)
 WIDE_PRIOR_SEED = 17
 WIDE_PRIOR_REPORT_SHA256 = "4df3aa95782ce6423053ef8e5b3b0d2f012f8b342154207a8faa41567cae2487"
 
+# The `weights` verb (no rankings) on the reference use case's samples and
+# prior: every method's raw scores and tables A2-A5, without table A6.
+WEIGHTS_SHA256 = {
+    "json": "639d7dcb52d011fcd774e7b634dc67fa5626fa6237bc1ba6c153544034746ad2",
+    "text": "acef38c4962df28c76a413bd8aa70563a454e09634487a0f91da5557c11e927b",
+}
+
+# Each relative-variance column equals its prior column, so every divergence
+# is zero (IGHW fails after KLD ran); two base-2 entropies of 0.469 sum below
+# R - 1 = 1 (IGDW fails), and ICW's expectations tie. Non-default log bases
+# and weight rounding, given as flags.
+BASES_LOG = (
+    HEADER
+    + "A,x,s1,0\nA,x,s2,1\nB,x,s1,0\nB,x,s2,3\n"
+    + "A,y,s1,0\nA,y,s2,3\nB,y,s1,0\nB,y,s2,1\n"
+)
+BASES_PRIOR = (
+    "attribute,alternative,probability\n"
+    "x,A,0.1\nx,B,0.9\ny,A,0.9\ny,B,0.1\n"
+)
+BASES_FLAGS = ["--entropy-base", "2", "--kld-base", "e", "--round-weights", "3"]
+BASES_SHA256 = {
+    "json": "2028982143bf95fae076f1fb19ce59e4fccbd10c3de511e0417f41c1d9372656",
+    "text": "3639bd83d30358145c083e2f7bafebf22aebaf5e7dd89f4b5ddcd772d2b23482",
+}
+
 STOCHASTIC_SPEC = ScenarioSpec(USE_CASE_SPEC.pairs, seed=7, moment_mode=MomentMode.STOCHASTIC)
 STOCHASTIC_SAMPLES_SHA256 = "591333d068cbf1628af8a193234ebc4484e9ae22a9325bbb3ea583e2d1403290"
 
@@ -170,7 +198,6 @@ QUOTED_PRIOR_NAMES = (("a,b", 'q"x', "é"), ("line\nbreak", "plain"))
 QUOTED_PRIOR_MATRIX = [[0.1, 1 / 3], [0.2, 1 / 3], [0.7, 1 / 3]]
 QUOTED_PRIOR_SHA256 = "ff49897aba8121db1f03b1cdf9b5403723be3ecdc3674892d17a2caf716c7ec3"
 
-HEADER = "alternative,attribute,situation,utility\n"
 # Each bad row is on line 5, after blank lines; the message is pinned whole.
 BAD_LOGS = {
     "bad-number": (HEADER + "A,x,s1,0.5\n\n\nA,x,s2,high\n",
@@ -250,6 +277,35 @@ def test_wide_prior_rank_report_bytes(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert sorted(report["rankings"]) == ["ICW", "IGDW", "IGHW"] and report["failures"] == {}
     assert _sha256(out) == WIDE_PRIOR_REPORT_SHA256
+
+
+@pytest.mark.parametrize("fmt", sorted(WEIGHTS_SHA256))
+def test_weights_verb_bytes(fmt, tmp_path):
+    sample_set = generate_samples(USE_CASE_SPEC)
+    write_samples(sample_set, tmp_path / "samples.csv")
+    write_prior(validate_prior(USE_CASE_PRIOR, sample_set), tmp_path / "prior.csv")
+    out = tmp_path / f"weights.{fmt}"
+    code = main(["weights", "--samples", str(tmp_path / "samples.csv"),
+                 "--prior", str(tmp_path / "prior.csv"),
+                 "--format", fmt, "--out", str(out)])
+    assert code == 0
+    assert _sha256(out) == WEIGHTS_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(BASES_SHA256))
+def test_non_default_bases_rank_bytes(fmt, tmp_path):
+    (tmp_path / "samples.csv").write_text(BASES_LOG, encoding="utf-8")
+    (tmp_path / "prior.csv").write_text(BASES_PRIOR, encoding="utf-8")
+    out = tmp_path / f"report.{fmt}"
+    code = main(["rank", "--samples", str(tmp_path / "samples.csv"),
+                 "--prior", str(tmp_path / "prior.csv"), *BASES_FLAGS,
+                 "--format", fmt, "--out", str(out)])
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert sorted(doc["failures"]) == ["IGDW", "IGHW"] and doc["divergences"] is not None
+        assert doc["rankings"]["ICW"]["ties"] == [["A", "B"]]
+    assert _sha256(out) == BASES_SHA256[fmt]
 
 
 def test_stochastic_simulate_bytes(tmp_path):
