@@ -43,7 +43,6 @@ from .model import (
     PriorProfile,
     RelativeVarianceProfile,
     SampleSet,
-    ScoreVector,
     WeightMethod,
     WeightVector,
     validate_prior,

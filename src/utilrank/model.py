@@ -205,26 +205,10 @@ class PriorProfile:
 
 
 @dataclass(frozen=True)
-class ScoreVector:
-    """Per-attribute scores: entropies, divergences or gain differences.
-
-    ``log_base`` is the logarithm base the scores are expressed in, or
-    None for scores that carry no base of their own.
-    """
-
-    values: tuple[float, ...]
-    attributes: tuple[str, ...]
-    log_base: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class WeightVector:
-    """Normalized per-attribute weights produced by one method."""
+    """Normalized per-attribute weights: non-negative and summing to one."""
 
-    method: WeightMethod
     weights: tuple[float, ...]
-    raw_scores: tuple[float, ...]
-    attributes: tuple[str, ...]
 
     def __post_init__(self) -> None:
         total = math.fsum(self.weights)

@@ -38,7 +38,6 @@ class RankingReport:
     expectations: tuple[float, ...]
     ranks: tuple[int, ...]
     weights_used: tuple[float, ...]
-    rounding_applied: Optional[int]
     ties: tuple[tuple[str, ...], ...]
 
 
@@ -124,6 +123,5 @@ def rank_alternatives(
         expectations=expectations,
         ranks=ranks,
         weights_used=effective,
-        rounding_applied=rounding,
         ties=ties,
     )

@@ -19,7 +19,6 @@ from .model import (
     EngineConfig,
     MomentMatrices,
     RelativeVarianceProfile,
-    ScoreVector,
     WeightMethod,
     WeightVector,
 )
@@ -33,18 +32,22 @@ PathLike = Union[str, Path]
 class Provenance:
     samples_sha256: str
     prior_sha256: Optional[str]
-    tool_version: str = __version__
 
 
 @dataclass(frozen=True)
 class Report:
-    """Everything one pipeline run produced, with provenance."""
+    """Everything one pipeline run produced, with provenance.
+
+    ``entropies`` (in ``config.entropy_log_base``), ``divergences`` (in
+    ``config.kld_log_base``) and ``igd`` are the scores that ICW, IGHW and
+    IGDW normalize into their weights.
+    """
 
     moments: MomentMatrices
     relative_variance: Optional[RelativeVarianceProfile]
-    entropies: Optional[ScoreVector]
-    divergences: Optional[ScoreVector]
-    igd: Optional[ScoreVector]
+    entropies: Optional[tuple[float, ...]]
+    divergences: Optional[tuple[float, ...]]
+    igd: Optional[tuple[float, ...]]
     igd_resolution: Optional[str]
     weights: dict[WeightMethod, WeightVector]
     rankings: dict[WeightMethod, RankingReport]
@@ -61,6 +64,13 @@ class Report:
         return self.moments.attributes
 
 
+def _raw_scores(report: Report, method: WeightMethod) -> tuple[float, ...]:
+    """The scores ``method`` normalized into ``report.weights[method]``."""
+    if method is WeightMethod.ICW:
+        return report.entropies
+    return report.divergences if method is WeightMethod.IGHW else report.igd
+
+
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
@@ -71,7 +81,7 @@ def report_to_dict(report: Report) -> dict:
         "provenance": {
             "samples_sha256": report.provenance.samples_sha256,
             "prior_sha256": report.provenance.prior_sha256,
-            "tool_version": report.provenance.tool_version,
+            "tool_version": __version__,
         },
         "config": config_to_dict(report.config),
         "alternatives": list(report.alternatives),
@@ -94,25 +104,28 @@ def report_to_dict(report: Report) -> dict:
             "matrix": report.relative_variance.matrix.tolist(),
             "degenerate_attributes": list(report.relative_variance.degenerate_attributes),
         }
-    for key, scores in (("entropies", report.entropies), ("divergences", report.divergences)):
+    for key, scores, log_base in (
+        ("entropies", report.entropies, report.config.entropy_log_base),
+        ("divergences", report.divergences, report.config.kld_log_base),
+    ):
         if scores is not None:
-            doc[key] = {"values": list(scores.values), "log_base": scores.log_base}
+            doc[key] = {"values": list(scores), "log_base": log_base}
     if report.igd is not None:
         doc["igd"] = {
-            "values": list(report.igd.values),
+            "values": list(report.igd),
             "resolution": report.igd_resolution,
         }
     for method, wv in report.weights.items():
         doc["weights"][method.value] = {
             "weights": list(wv.weights),
-            "raw_scores": list(wv.raw_scores),
+            "raw_scores": list(_raw_scores(report, method)),
         }
     for method, rr in report.rankings.items():
         doc["rankings"][method.value] = {
             "expectations": list(rr.expectations),
             "ranks": list(rr.ranks),
             "weights_used": list(rr.weights_used),
-            "rounding_applied": rr.rounding_applied,
+            "rounding_applied": report.config.report_weight_rounding,
             "ties": [list(group) for group in rr.ties],
         }
     doc["display"] = _display_views(report)
@@ -132,7 +145,7 @@ def _display_views(report: Report) -> dict:
         ("igd", report.igd),
     ):
         if scores is not None:
-            views[key] = [round(v, 4) for v in scores.values]
+            views[key] = [round(v, 4) for v in scores]
     views["weights"] = {
         m.value: [round(w, 4) for w in wv.weights] for m, wv in report.weights.items()
     }
@@ -193,7 +206,7 @@ def report_to_text(report: Report) -> str:
     out.append(_table("Table A1. Mean and variance per alternative and attribute", header, rows))
 
     if report.relative_variance is not None and report.entropies is not None:
-        base = report.entropies.log_base
+        base = report.config.entropy_log_base
         base_label = "e" if base == math.e else fmt(base)
         header = ["Attribute"]
         header += [f"{alt} p" for alt in alts]
@@ -211,8 +224,6 @@ def report_to_text(report: Report) -> str:
             )
         )
 
-    # Each method's raw scores are the entropies, divergences or gain
-    # differences it normalized.
     for method, title, score in (
         (WeightMethod.ICW, "Table A3. Entropy and information-contents weight (ICW)", "Entropy"),
         (WeightMethod.IGHW,
@@ -222,9 +233,8 @@ def report_to_text(report: Report) -> str:
     ):
         wv = report.weights.get(method)
         if wv is not None:
-            rows = [
-                [attr, fmt(s), fmt(w)] for attr, s, w in zip(attrs, wv.raw_scores, wv.weights)
-            ]
+            scores = _raw_scores(report, method)
+            rows = [[attr, fmt(s), fmt(w)] for attr, s, w in zip(attrs, scores, wv.weights)]
             out.append(_table(title, ["Attribute", score, method.value], rows))
 
     if report.rankings:

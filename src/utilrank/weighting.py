@@ -41,8 +41,6 @@ from .model import (
     MomentMatrices,
     PriorProfile,
     RelativeVarianceProfile,
-    ScoreVector,
-    WeightMethod,
     WeightVector,
 )
 
@@ -89,7 +87,7 @@ def relative_variance(
     )
 
 
-def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> ScoreVector:
+def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> tuple[float, ...]:
     """Per-attribute Shannon entropy of the relative-variance columns.
 
     E(r) = sum_i -p(i, r) * log p(i, r), using the convention 0*log 0 = 0.
@@ -104,7 +102,7 @@ def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> Score
         if not 0.0 <= e <= bound:
             raise ScoreOutOfRange(f"entropy {e!r} for attribute {attr!r} escapes [0, log M]")
         values.append(e)
-    return ScoreVector(tuple(values), profile.attributes, log_base)
+    return tuple(values)
 
 
 def fsum_entropy(column: list[float]) -> float:
@@ -112,24 +110,23 @@ def fsum_entropy(column: list[float]) -> float:
     return math.fsum([-p * math.log(p) for p in column if p > 0.0])
 
 
-def icw(entropies: ScoreVector) -> WeightVector:
+def icw(entropies: tuple[float, ...]) -> WeightVector:
     """Information-contents weights: each entropy over the entropy total.
 
     Raises :class:`AllZeroEntropy` when every attribute is fully
     degenerate (all entropies zero).
     """
-    total = math.fsum(entropies.values)
+    total = math.fsum(entropies)
     if total <= 0.0:
         raise AllZeroEntropy("every attribute entropy is zero")
-    weights = tuple(e / total for e in entropies.values)
-    return WeightVector(WeightMethod.ICW, weights, entropies.values, entropies.attributes)
+    return WeightVector(tuple(e / total for e in entropies))
 
 
 def kld(
     profile: RelativeVarianceProfile,
     prior: PriorProfile,
     config: EngineConfig | None = None,
-) -> ScoreVector:
+) -> tuple[float, ...]:
     """Per-attribute KL divergence of the data-driven columns from the prior.
 
     IGH(r) = sum_i p(i, r) * log(p(i, r) / q(i, r)) in config.kld_log_base.
@@ -159,23 +156,24 @@ def kld(
                 raise ZeroPriorSupport(alt, attr)
             terms.append(p_ir * math.log(p_ir / q_ir))
         values.append(math.fsum(terms) / ln_base)
-    return ScoreVector(tuple(values), profile.attributes, config.kld_log_base)
+    return tuple(values)
 
 
-def ighw(divergences: ScoreVector) -> WeightVector:
+def ighw(divergences: tuple[float, ...]) -> WeightVector:
     """Information-gain weights: each divergence over the divergence total.
 
     Raises :class:`AllZeroDivergence` when the data matches the prior for
     every attribute; the caller must fall back to another method or report.
     """
-    total = math.fsum(divergences.values)
+    total = math.fsum(divergences)
     if total <= 0.0:
         raise AllZeroDivergence("data-driven probabilities equal the prior everywhere")
-    weights = tuple(_clamp_noise(d / total) for d in divergences.values)
-    return WeightVector(WeightMethod.IGHW, weights, divergences.values, divergences.attributes)
+    return WeightVector(tuple(_clamp_noise(d / total) for d in divergences))
 
 
-def igd(entropies: ScoreVector, config: EngineConfig | None = None) -> tuple[ScoreVector, str]:
+def igd(
+    entropies: tuple[float, ...], config: EngineConfig | None = None
+) -> tuple[tuple[float, ...], str]:
     """Information-gain difference of each attribute against the others.
 
     IGD(r) = E(r) - sum_{j != r} (1 - E(j))
@@ -189,29 +187,29 @@ def igd(entropies: ScoreVector, config: EngineConfig | None = None) -> tuple[Sco
     Returns the differences and how their sign was resolved: ``"raw"`` or
     ``"min_shifted"``.
     """
-    n = len(entropies.values)
+    n = len(entropies)
     if n < 2:
         raise DimensionMismatch("information-gain difference needs at least 2 attributes")
     raw = tuple(
-        e_r - math.fsum(1.0 - e_j for j, e_j in enumerate(entropies.values) if j != r)
-        for r, e_r in enumerate(entropies.values)
+        e_r - math.fsum(1.0 - e_j for j, e_j in enumerate(entropies) if j != r)
+        for r, e_r in enumerate(entropies)
     )
     if min(raw) >= 0.0 and max(raw) > 0.0:
-        return ScoreVector(raw, entropies.attributes), "raw"
+        return raw, "raw"
     if (config or EngineConfig()).igd_negative_policy is IgdNegativePolicy.ERROR:
         raise NegativeIgd(raw)
-    return ScoreVector((1.0 / n,) * n, entropies.attributes), "min_shifted"
+    return (1.0 / n,) * n, "min_shifted"
 
 
-def igdw(gains: ScoreVector) -> WeightVector:
+def igdw(gains: tuple[float, ...]) -> WeightVector:
     """Information-gain-difference weights: exactly 1/R per attribute.
 
     Every resolved difference is the same positive number up to rounding,
     so normalizing them yields the uniform vector; it is written down, not
     divided out.
     """
-    n = len(gains.values)
-    return WeightVector(WeightMethod.IGDW, (1.0 / n,) * n, gains.values, gains.attributes)
+    n = len(gains)
+    return WeightVector((1.0 / n,) * n)
 
 
 def _clamp_noise(w: float) -> float:

@@ -24,7 +24,6 @@ from utilrank.model import (
     MomentMatrices,
     PriorProfile,
     RelativeVarianceProfile,
-    ScoreVector,
     WeightMethod,
 )
 from utilrank.moments import mean_and_variance
@@ -70,7 +69,7 @@ def test_criterion_1_normalized_variances(reference_stages):
 def test_criterion_2_entropies(reference_stages):
     with criterion(2, "entropies (base e) within 5e-4"):
         _, _, entropies, _ = reference_stages
-        np.testing.assert_allclose(entropies.values, [0.5763, 0.5004], atol=5e-4)
+        np.testing.assert_allclose(entropies, [0.5763, 0.5004], atol=5e-4)
 
 
 def test_criterion_3_icw_weights_and_base_invariance(reference_stages):
@@ -87,7 +86,7 @@ def test_criterion_4_igh_and_ighw(reference_stages):
     with criterion(4, "IGH within 2e-4, IGHW within 5e-4"):
         _, profile, _, prior = reference_stages
         divergences = kld(profile, prior, EngineConfig(kld_log_base=10.0))
-        np.testing.assert_allclose(divergences.values, [0.0014, 0.0193], atol=2e-4)
+        np.testing.assert_allclose(divergences, [0.0014, 0.0193], atol=2e-4)
         weights = ighw(divergences).weights  # from unrounded divergences
         np.testing.assert_allclose(weights, [0.0694, 0.9306], atol=5e-4)
 
@@ -96,7 +95,7 @@ def test_criterion_5_igd_and_igdw(reference_stages):
     with criterion(5, "IGD within 5e-4, IGDW exactly (0.5, 0.5)"):
         _, _, entropies, _ = reference_stages
         gv, _ = igd(entropies)
-        np.testing.assert_allclose(gv.values, [0.0767, 0.0767], atol=5e-4)
+        np.testing.assert_allclose(gv, [0.0767, 0.0767], atol=5e-4)
         assert igdw(gv).weights == (0.5, 0.5)
 
 
@@ -183,10 +182,10 @@ def test_criterion_8_property_suites():
             attrs = tuple(f"x{j}" for j in range(r))
             profile = RelativeVarianceProfile(p, alts, attrs)
             same = kld(profile, PriorProfile(p, alts, attrs), EngineConfig())
-            assert all(abs(d) <= 1e-12 for d in same.values)
+            assert all(abs(d) <= 1e-12 for d in same)
             q = random_profile(rng, m, r)
             diff = kld(profile, PriorProfile(q, alts, attrs), EngineConfig())
-            for d, gap in zip(diff.values, np.max(np.abs(p - q), axis=0)):
+            for d, gap in zip(diff, np.max(np.abs(p - q), axis=0)):
                 assert d >= -1e-12
                 if gap > 1e-3:
                     assert d > 1e-12
@@ -199,7 +198,7 @@ def test_criterion_8_property_suites():
                 random_profile(rng, m, r),
                 tuple(f"a{i}" for i in range(m)), tuple(f"x{j}" for j in range(r)),
             )
-            for e in entropy(profile).values:
+            for e in entropy(profile):
                 assert 0.0 <= e <= math.log(m) + 1e-9
 
         # (d) scale invariance of weights under per-attribute variance scaling
@@ -253,7 +252,7 @@ def test_criterion_9_negative_controls(use_case_moments):
         with pytest.raises(ZeroPriorSupport):
             kld(profile, zero_support, EngineConfig())
 
-        near_degenerate = ScoreVector((0.05, 0.6, 0.5), ("a", "b", "c"), math.e)
+        near_degenerate = (0.05, 0.6, 0.5)
         with pytest.raises(NegativeIgd):
             igd(near_degenerate)
 

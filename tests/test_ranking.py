@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from utilrank.errors import DimensionMismatch
-from utilrank.model import WeightMethod, WeightVector
+from utilrank.model import WeightVector
 from utilrank.ranking import (
     expected_utility,
     rank,
@@ -14,13 +14,7 @@ from utilrank.ranking import (
     round_half_away_from_zero,
 )
 
-from conftest import ATTRIBUTES
-
 ICW_FULL = (0.535260112665091, 0.46473988733490906)  # unrounded use-case weights
-
-
-def _weight_vector(weights, method=WeightMethod.ICW):
-    return WeightVector(method, tuple(weights), tuple(weights), ATTRIBUTES)
 
 
 class TestRounding:
@@ -44,7 +38,7 @@ class TestRounding:
 
 class TestExpectedUtility:
     def test_use_case_rounded_weights(self, use_case_moments):
-        ranking = rank_alternatives(use_case_moments, _weight_vector(ICW_FULL), rounding=2)
+        ranking = rank_alternatives(use_case_moments, WeightVector(ICW_FULL), rounding=2)
         exps = ranking.expectations
         assert exps[0] == pytest.approx(9.94, abs=1e-12)  # 0.54*15 + 0.46*4
         assert exps[1] == pytest.approx(8.92, abs=1e-12)  # 0.54*8 + 0.46*10
@@ -127,8 +121,7 @@ class TestRank:
 
 class TestRankAlternatives:
     def test_report_recomputation_invariant(self, use_case_moments):
-        report = rank_alternatives(use_case_moments, _weight_vector(ICW_FULL), rounding=2)
-        assert report.rounding_applied == 2
+        report = rank_alternatives(use_case_moments, WeightVector(ICW_FULL), rounding=2)
         assert report.weights_used == (0.54, 0.46)
         for i in range(2):
             dot = math.fsum(
@@ -137,8 +130,7 @@ class TestRankAlternatives:
             assert report.expectations[i] == pytest.approx(dot, abs=1e-12)
 
     def test_no_rounding_uses_raw_weights(self, use_case_moments):
-        report = rank_alternatives(use_case_moments, _weight_vector(ICW_FULL))
-        assert report.rounding_applied is None
+        report = rank_alternatives(use_case_moments, WeightVector(ICW_FULL))
         assert report.weights_used == ICW_FULL
 
     def test_argmax_invariant_under_positive_scaling(self, use_case_moments):

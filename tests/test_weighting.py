@@ -22,9 +22,12 @@ from utilrank.model import (
     MomentMatrices,
     PriorProfile,
     RelativeVarianceProfile,
-    ScoreVector,
-    WeightMethod,
+    validate_prior,
 )
+from utilrank.pipeline import run_pipeline
+from utilrank.report import report_to_dict
+from utilrank.reproduce import USE_CASE_SPEC
+from utilrank.scenario import generate_samples
 from utilrank.weighting import (
     entropy,
     icw,
@@ -92,8 +95,8 @@ class TestRelativeVariance:
 class TestEntropy:
     def test_use_case_values(self, use_case_profile):
         ev = entropy(use_case_profile, math.e)
-        assert ev.values[0] == pytest.approx(0.5763, abs=5e-4)
-        assert ev.values[1] == pytest.approx(0.5004, abs=5e-4)
+        assert ev[0] == pytest.approx(0.5763, abs=5e-4)
+        assert ev[1] == pytest.approx(0.5004, abs=5e-4)
 
     def test_term_by_term_oracle(self, use_case_profile):
         ev = entropy(use_case_profile, math.e)
@@ -102,15 +105,15 @@ class TestEntropy:
             for i in range(2):
                 p = float(use_case_profile.matrix[i, r])
                 expected += -p * math.log(p)
-            assert ev.values[r] == pytest.approx(expected, rel=1e-14)
+            assert ev[r] == pytest.approx(expected, rel=1e-14)
 
     def test_degenerate_column_is_zero(self):
         ev = entropy(_profile([[1.0], [0.0]]), math.e)
-        assert ev.values[0] == 0.0
+        assert ev[0] == 0.0
 
     def test_uniform_base_two_is_one(self):
         ev = entropy(_profile([[0.5], [0.5]]), 2.0)
-        assert ev.values[0] == 1.0
+        assert ev[0] == 1.0
 
     def test_out_of_bound_is_range_error(self):
         # Columns that are not distributions can push entropy past log M.
@@ -121,29 +124,32 @@ class TestEntropy:
 class TestIcw:
     def test_use_case(self, use_case_profile):
         weights = icw(entropy(use_case_profile, math.e))
-        assert weights.method is WeightMethod.ICW
         assert weights.weights[0] == pytest.approx(0.5353, abs=5e-4)
         assert weights.weights[1] == pytest.approx(0.4647, abs=5e-4)
 
     def test_equal_entropies_uniform(self):
-        ev = ScoreVector((0.42, 0.42, 0.42), ("a", "b", "c"), math.e)
+        ev = (0.42, 0.42, 0.42)
         np.testing.assert_allclose(icw(ev).weights, [1 / 3] * 3, atol=1e-15)
 
     def test_three_attribute_normalization_oracle(self):
         values = (0.6931, 0.0, 0.6931)
-        ev = ScoreVector(values, ("a", "b", "c"), math.e)
-        weights = icw(ev).weights
+        weights = icw(values).weights
         total = values[0] + values[1] + values[2]
         assert weights == tuple(v / total for v in values)
         np.testing.assert_allclose(weights, [0.5, 0.0, 0.5], atol=1e-15)
 
     def test_all_zero_entropy(self):
         with pytest.raises(AllZeroEntropy):
-            icw(ScoreVector((0.0, 0.0), ("a", "b"), math.e))
+            icw((0.0, 0.0))
 
-    def test_raw_scores_are_entropies(self, use_case_profile):
-        ev = entropy(use_case_profile, math.e)
-        assert icw(ev).raw_scores == ev.values
+    def test_raw_scores_are_entropies(self):
+        # Each method's reported raw scores are the scores it normalized.
+        sample_set = generate_samples(USE_CASE_SPEC)
+        report = run_pipeline(sample_set, validate_prior(USE_CASE_PRIOR, sample_set))
+        doc = report_to_dict(report)
+        for method, key in (("ICW", "entropies"), ("IGHW", "divergences"), ("IGDW", "igd")):
+            assert doc["weights"][method]["raw_scores"] == doc[key]["values"]
+        assert report.entropies == entropy(report.relative_variance, math.e)
 
 
 class TestKld:
@@ -153,22 +159,22 @@ class TestKld:
 
     def test_use_case_base10(self, use_case_profile, use_case_prior):
         dv = kld(use_case_profile, use_case_prior, EngineConfig(kld_log_base=10.0))
-        assert dv.values[0] == pytest.approx(0.0014, abs=2e-4)
-        assert dv.values[1] == pytest.approx(0.0193, abs=2e-4)
+        assert dv[0] == pytest.approx(0.0014, abs=2e-4)
+        assert dv[1] == pytest.approx(0.0193, abs=2e-4)
 
     def test_identical_distributions(self):
         matrix = np.array([[0.3, 0.6], [0.7, 0.4]])
         profile = _profile(matrix)
         prior = PriorProfile(matrix, profile.alternatives, profile.attributes)
         dv = kld(profile, prior, EngineConfig())
-        assert all(abs(d) <= 1e-12 for d in dv.values)
+        assert all(abs(d) <= 1e-12 for d in dv)
 
     def test_term_by_term_oracle_nats(self):
         profile = _profile([[0.6], [0.4]])
         prior = PriorProfile(np.array([[0.5], [0.5]]), profile.alternatives, profile.attributes)
         dv = kld(profile, prior, EngineConfig(kld_log_base=math.e))
         expected = 0.6 * math.log(1.2) + 0.4 * math.log(0.8)  # ~0.020136
-        assert dv.values[0] == pytest.approx(expected, rel=1e-14)
+        assert dv[0] == pytest.approx(expected, rel=1e-14)
 
     def test_zero_prior_support(self, use_case_profile):
         prior = PriorProfile(np.array([[1.0, 0.1], [0.0, 0.9]]), ALTERNATIVES, ATTRIBUTES)
@@ -188,7 +194,7 @@ class TestKld:
                 float(p[i, r]) * math.log(float(p[i, r]) / ((prior.matrix[i, r] + eps) / (1 + 2 * eps)))
                 for i in range(2)
             )
-            assert dv.values[r] == pytest.approx(expected, rel=1e-12)
+            assert dv[r] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self, use_case_profile):
         prior = PriorProfile(np.array([[1.0], [0.0]]), ALTERNATIVES, ("only",))
@@ -204,20 +210,20 @@ class TestIghw:
         assert weights.weights[1] == pytest.approx(0.9306, abs=5e-4)
 
     def test_symmetric(self):
-        dv = ScoreVector((0.37, 0.37), ("a", "b"), 10.0)
+        dv = (0.37, 0.37)
         assert ighw(dv).weights == (0.5, 0.5)
 
     def test_three_attribute_normalization_oracle(self):
-        dv = ScoreVector((0.01, 0.02, 0.07), ("a", "b", "c"), 10.0)
+        dv = (0.01, 0.02, 0.07)
         np.testing.assert_allclose(ighw(dv).weights, [0.1, 0.2, 0.7], rtol=1e-12)
 
     def test_all_zero_divergence(self):
         with pytest.raises(AllZeroDivergence):
-            ighw(ScoreVector((0.0, 0.0), ("a", "b"), 10.0))
+            ighw((0.0, 0.0))
 
     def test_negative_weight_is_range_error(self):
         with pytest.raises(ScoreOutOfRange, match="negative beyond rounding noise"):
-            ighw(ScoreVector((1.0, -0.5), ("a", "b"), 10.0))
+            ighw((1.0, -0.5))
 
 
 MIN_SHIFT = EngineConfig(igd_negative_policy=IgdNegativePolicy.MIN_SHIFT)
@@ -227,40 +233,40 @@ class TestIgd:
     def test_use_case(self, use_case_profile):
         gv, resolution = igd(entropy(use_case_profile, math.e))
         assert resolution == "raw"
-        assert gv.values[0] == pytest.approx(0.0767, abs=5e-4)
-        assert gv.values[1] == pytest.approx(0.0767, abs=5e-4)
+        assert gv[0] == pytest.approx(0.0767, abs=5e-4)
+        assert gv[1] == pytest.approx(0.0767, abs=5e-4)
 
     def test_two_attribute_identity(self):
         # IGD(1) = IGD(2) = a + b - 1 whenever R = 2
         rng = np.random.default_rng(17)
         for _ in range(100):
             a, b = (float(x) for x in rng.uniform(0.55, 1.0, 2))
-            gv, _ = igd(ScoreVector((a, b), ("x", "y"), math.e))
-            for value in gv.values:
+            gv, _ = igd((a, b))
+            for value in gv:
                 assert value == pytest.approx(a + b - 1.0, abs=5e-16)
 
     def test_three_attribute_strict_negative(self):
         # sum of entropies 1.4986 < R - 1 = 2, so the vector is negative
-        ev = ScoreVector((1.0986, 0.2, 0.2), ("a", "b", "c"), math.e)
+        ev = (1.0986, 0.2, 0.2)
         with pytest.raises(NegativeIgd):
             igd(ev, EngineConfig(igd_negative_policy=IgdNegativePolicy.ERROR))
 
     def test_three_attribute_min_shift(self):
         # term-by-term oracle: every entry is 1.4986 - 2 = -0.5014, so the
         # resolved vector is uniform
-        ev = ScoreVector((1.0986, 0.2, 0.2), ("a", "b", "c"), math.e)
+        ev = (1.0986, 0.2, 0.2)
         oracle = tuple(
-            ev.values[r] - sum(1.0 - ev.values[j] for j in range(3) if j != r)
+            ev[r] - sum(1.0 - ev[j] for j in range(3) if j != r)
             for r in range(3)
         )
         assert all(g == pytest.approx(-0.5014, abs=1e-12) for g in oracle)
         gv, resolution = igd(ev, MIN_SHIFT)
         assert resolution == "min_shifted"
-        assert gv.values == (1 / 3, 1 / 3, 1 / 3)
+        assert gv == (1 / 3, 1 / 3, 1 / 3)
 
     def test_single_attribute_rejected(self):
         with pytest.raises(DimensionMismatch):
-            igd(ScoreVector((0.9,), ("only",), math.e))
+            igd((0.9,))
 
 
 class TestIgdw:
@@ -272,7 +278,7 @@ class TestIgdw:
         rng = np.random.default_rng(23)
         for _ in range(100):
             a, b = (float(x) for x in rng.uniform(0.51, 1.0, 2))
-            gv, _ = igd(ScoreVector((a, b), ("x", "y"), math.e))
+            gv, _ = igd((a, b))
             assert igdw(gv).weights == (0.5, 0.5)
 
     def test_normalization_oracle(self):
@@ -282,17 +288,16 @@ class TestIgdw:
         for _ in range(100):
             r = int(rng.integers(2, 9))
             values = tuple(float(x) for x in rng.uniform((r - 1) / r + 0.01, 2.0, r))
-            gv, _ = igd(ScoreVector(values, tuple(f"x{j}" for j in range(r)), math.e))
-            oracle = [g / math.fsum(gv.values) for g in gv.values]
+            gv, _ = igd(values)
+            oracle = [g / math.fsum(gv) for g in gv]
             weights = igdw(gv).weights
             np.testing.assert_allclose(weights, oracle, rtol=1e-12)
             assert weights == (1 / r,) * r
-            assert igdw(gv).raw_scores == gv.values
 
     def test_zero_sum(self):
         # entropies summing to exactly R - 1 give an all-zero difference
         # vector: nothing to normalize, so it is treated like a negative one
-        ev = ScoreVector((0.5, 0.5), ("a", "b"), math.e)
+        ev = (0.5, 0.5)
         with pytest.raises(NegativeIgd):
             igd(ev)
         gv, resolution = igd(ev, MIN_SHIFT)
