@@ -235,6 +235,13 @@ def _integer(raw, name: str) -> int:
     return raw
 
 
+def _string(raw, name: str) -> str:
+    """A JSON string: null, 3 or ["x"] is rejected, not read as 'None', '3' or "['x']"."""
+    if type(raw) is not str:
+        raise TypeError(f"{name} must be a string, got {raw!r}")
+    return raw
+
+
 def _real(raw, name: str) -> float:
     """A JSON number: true or false is rejected, not read as 1.0 or 0.0."""
     if isinstance(raw, bool):
@@ -242,19 +249,22 @@ def _real(raw, name: str) -> float:
     return float(raw)
 
 
+def _pair_spec(raw) -> PairSpec:
+    keys = ("alternative", "attribute", "mean", "variance", "count")
+    pair = _json_object(raw, keys, "scenario spec pair")
+    return PairSpec(
+        alternative_id=_string(pair["alternative"], "alternative"),
+        attribute_id=_string(pair["attribute"], "attribute"),
+        target_mean=_real(pair["mean"], "mean"),
+        target_variance=_real(pair["variance"], "variance"),
+        sample_count=_integer(pair["count"], "count"),
+    )
+
+
 def read_scenario_spec(path: PathLike) -> ScenarioSpec:
-    doc = _read_json_doc(path, "scenario spec")
+    doc = _read_json_doc(path, "scenario spec", ("seed", "moment_mode", "family", "pairs"))
     try:
-        pairs = tuple(
-            PairSpec(
-                alternative_id=str(p["alternative"]),
-                attribute_id=str(p["attribute"]),
-                target_mean=_real(p["mean"], "mean"),
-                target_variance=_real(p["variance"], "variance"),
-                sample_count=_integer(p["count"], "count"),
-            )
-            for p in doc["pairs"]
-        )
+        pairs = tuple(map(_pair_spec, doc["pairs"]))
         seed = _integer(doc["seed"], "seed")
         moment_mode = MomentMode(doc.get("moment_mode", "exact"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -317,7 +327,7 @@ def parse_config(settings: Mapping) -> EngineConfig:
 
 def read_config(path: PathLike) -> dict:
     """A config document's raw settings, for :func:`parse_config`, once they parse."""
-    settings = _read_json_doc(path, "config")
+    settings = _read_json_doc(path, "config", _CONFIG_FIELDS)
     parse_config(settings)
     return settings
 
@@ -343,18 +353,30 @@ def digest_prior(prior: PriorProfile) -> str:
     return hashlib.sha256(prior_to_csv(prior).encode("utf-8")).hexdigest()
 
 
-def _read_json_doc(path: PathLike, what: str) -> dict:
-    """A JSON object document of the supported schema version."""
+def _read_json_doc(path: PathLike, what: str, keys) -> dict:
+    """A JSON object document of the supported schema version, with no key outside ``keys``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidSpec(f"{what} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidSpec(f"{what} must be a JSON object")
+    _json_object(doc, ("schema_version", *keys), what)
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise InvalidSpec(f"unsupported schema_version {version!r}")
     return doc
+
+
+def _json_object(value, keys, what: str) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``.
+
+    A misspelt key is an error, not a setting silently left at its default.
+    """
+    if not isinstance(value, dict):
+        raise InvalidSpec(f"{what} must be a JSON object")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise InvalidSpec(f"unknown {what} key {unknown[0]!r}")
+    return value
 
 
 def _dump_json(doc) -> str:

@@ -314,8 +314,8 @@ def validate_prior(
             f"negative prior probability {matrix[i, r]!r} at "
             f"({sample_set.alternatives[i]}, {sample_set.attributes[r]})"
         )
-    for r, attr in enumerate(sample_set.attributes):
-        total = math.fsum(float(v) for v in matrix[:, r])
+    for attr, column in zip(sample_set.attributes, matrix.T.tolist()):
+        total = math.fsum(column)
         if not abs(total - 1.0) <= COLUMN_SUM_TOL:
             raise ColumnNotNormalized(attr, total)
     return PriorProfile(matrix, sample_set.alternatives, sample_set.attributes)

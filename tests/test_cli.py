@@ -149,11 +149,15 @@ class TestBadInput:
             (["--entropy-base", "inf"], None),
             ([], {"schema_version": 1, "kld_log_base": "inf"}),
             ([], {"schema_version": 1, "prior_smoothing_epsilon": False}),
+            ([], {"schema_version": 1, "kld_logbase": 2}),
+            ([], {"schema_version": True}),
+            ([], {"schema_version": 1.0}),
         ],
         ids=["entropy-base", "round-weights", "methods", "config-epsilon",
              "config-rounding-float", "config-rounding-bool", "config-rounding-string",
              "config-base-overridden", "entropy-base-inf", "config-kld-base-inf",
-             "config-epsilon-bool"],
+             "config-epsilon-bool", "config-unknown-key", "config-version-bool",
+             "config-version-float"],
     )
     def test_exits_two_with_one_line(self, workdir, tmp_path, capsys, flags, config):
         argv = ["rank", "--samples", str(workdir / "samples.csv"), *flags]
@@ -188,9 +192,19 @@ class TestBadInput:
             b'{"schema_version": 1, "seed": 1, "pairs": [], "\xff": 0}',
             {**SPEC, "pairs": [{**PAIR, "mean": True}]},
             {**SPEC, "pairs": [{**PAIR, "variance": False}]},
+            {**SPEC, "pairs": [{**PAIR, "alternative": None}]},
+            {**SPEC, "pairs": [{**PAIR, "attribute": 3}]},
+            {**SPEC, "pairs": [{**PAIR, "alternative": ["x"]}]},
+            {**SPEC, "moment-mode": "stochastic"},
+            {**SPEC, "pairs": [{**PAIR, "sd": 0.1}]},
+            {**SPEC, "schema_version": True},
+            {**SPEC, "schema_version": 1.0},
+            {**SPEC, "pairs": ["A"]},
         ],
         ids=["count-float", "seed-float", "seed-bool", "family", "not-utf8", "mean-bool",
-             "variance-bool"],
+             "variance-bool", "alternative-null", "attribute-int", "alternative-list",
+             "unknown-key", "unknown-pair-key", "version-bool", "version-float",
+             "pair-not-object"],
     )
     def test_bad_scenario_spec(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"

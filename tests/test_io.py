@@ -236,6 +236,36 @@ class TestConfigFile:
         assert config_to_dict(EngineConfig()) == config_to_dict(EngineConfig())
 
 
+PAIR_DOC = {"alternative": "A", "attribute": "x", "mean": 0.5, "variance": 0.01, "count": 3}
+SPEC_DOC = {"schema_version": 1, "seed": 1, "pairs": [PAIR_DOC]}
+
+
+@pytest.mark.parametrize(
+    "read,doc,message",
+    [
+        (read_config, {"schema_version": 1, "kld_logbase": 2}, "unknown config key 'kld_logbase'"),
+        (read_config, {"schema_version": True}, "unsupported schema_version True"),
+        (read_config, {"schema_version": 1.0}, "unsupported schema_version 1.0"),
+        (read_scenario_spec, {**SPEC_DOC, "moment-mode": "stochastic"},
+         "unknown scenario spec key 'moment-mode'"),
+        (read_scenario_spec, {**SPEC_DOC, "pairs": [{**PAIR_DOC, "sd": 1}]},
+         "unknown scenario spec pair key 'sd'"),
+        (read_scenario_spec, {**SPEC_DOC, "pairs": [{**PAIR_DOC, "attribute": 3}]},
+         "malformed scenario spec: attribute must be a string, got 3"),
+        (read_scenario_spec, {**SPEC_DOC, "pairs": [{**PAIR_DOC, "alternative": None}]},
+         "malformed scenario spec: alternative must be a string, got None"),
+    ],
+    ids=["config-key", "config-version-bool", "config-version-float", "spec-key", "pair-key",
+         "attribute-int", "alternative-null"],
+)
+def test_json_doc_rejection_names_key_or_value(tmp_path, read, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidSpec) as exc_info:
+        read(path)
+    assert str(exc_info.value) == message
+
+
 # Documents whose layout or scalar text is easy to get wrong.
 EDGE_DOCS = {
     "empty-object": {},
