@@ -1,7 +1,13 @@
 """Error and warning types shared across the package.
 
-Every failure raised by utilrank derives from :class:`UtilrankError`,
-every warning it emits from :class:`UtilrankWarning`.
+Every failure that bad input or data causes derives from
+:class:`UtilrankError`, every warning utilrank emits from
+:class:`UtilrankWarning`. A caller that passes a bad argument straight
+to a constructor or kernel gets a :class:`ValueError` instead:
+``EngineConfig`` (a log base, smoothing epsilon or rounding out of
+range), ``MomentMatrices`` (a negative variance), ``prng.normal_ppf`` (a
+probability outside (0, 1)) and ``emit_report`` (an unknown format).
+The file readers and the CLI turn bad settings into ``InvalidSpec``.
 The CLI maps exception families to exit codes: input/validation problems
 exit 2, reference-reproduction mismatches exit 3, I/O failures exit 4.
 """

@@ -250,6 +250,7 @@ def _real(raw, name: str) -> float:
 
 
 def _pair_spec(raw) -> PairSpec:
+    """One spec pair from its JSON object."""
     keys = ("alternative", "attribute", "mean", "variance", "count")
     pair = _json_object(raw, keys, "scenario spec pair")
     return PairSpec(
