@@ -16,7 +16,8 @@ import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator, Mapping, Union
+from itertools import repeat
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -97,12 +98,12 @@ def _utf8_text(path: PathLike) -> str:
         raise ParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
 
 
-def _csv_rows(path: PathLike, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, row) of each row below the exact ``header``; blank rows are empty.
 
     Line breaks are not translated (``newline=""``), so a quoted ``\\r`` stays in its field.
     """
-    reader = csv.reader(io.StringIO(_utf8_text(path), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         first = next(reader, None)
         if first is None:
@@ -117,15 +118,68 @@ def _csv_rows(path: PathLike, header: list[str]) -> Iterator[tuple[int, list[str
         raise ParseError(reader.line_num, str(exc)) from None
 
 
+def _plain_fields(text: str, header: list[str]) -> Optional[list[str]]:
+    """The fields, row after row, of a log that splitting alone reads as ``csv.reader`` does.
+
+    That is a log with no quote, ``\\r`` or NUL (which ``csv`` rejects before
+    Python 3.11), the exact ``header``, ``len(header) - 1`` commas on every
+    non-blank line, and no line past ``csv.field_size_limit()``. Any other
+    log gives None and is left to :func:`_csv_rows`, the one source of
+    line-numbered errors. Column k is ``fields[k::len(header)]``. No
+    container per row is built, and the lines and their joined text are
+    freed before the next list is built.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[0] != ",".join(header):
+        return None
+    del lines[0]
+    if "" in lines:  # blank lines are empty rows, which the readers skip
+        lines = list(filter(None, lines))
+    if (set(map(str.count, lines, repeat(","))) != {len(header) - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    joined = ",".join(lines)
+    del lines
+    return joined.split(",")
+
+
+def _floats(column: list[str]) -> Optional[np.ndarray]:
+    """The column as float64 if every cell is a number, else None."""
+    try:
+        return np.fromiter(map(float, column), np.float64, len(column))
+    except ValueError:
+        return None
+
+
 def read_samples(path: PathLike) -> SampleSet:
     """Parse and validate a sample log.
 
     Expects the exact header ``alternative,attribute,situation,utility``;
     reports the offending line number on malformed rows.
     """
+    text = _utf8_text(path)
+    sample_set = _plain_samples(text)
+    return _samples_by_row(text) if sample_set is None else sample_set
+
+
+def _plain_samples(text: str) -> Optional[SampleSet]:
+    """The sample set of a plain log (see :func:`_plain_fields`) with finite utilities, else None."""
+    fields = _plain_fields(text, SAMPLES_HEADER)
+    utilities = None if fields is None else _floats(fields[3::4])
+    if utilities is None or not np.isfinite(utilities).all():
+        return None
+    names = [_coded(fields[k::4]) for k in range(3)]
+    del fields
+    return validate_sample_set(*names, utilities)
+
+
+def _samples_by_row(text: str) -> SampleSet:
+    """The sample set of any log, read row by row; a malformed row raises with its line."""
     names: tuple[list, list, list] = ([], [], [])
     utilities = []
-    for line_no, row in _csv_rows(path, SAMPLES_HEADER):
+    for line_no, row in _csv_rows(text, SAMPLES_HEADER):
         if not row:
             continue
         alternative, attribute, situation, raw_utility = row
@@ -171,12 +225,49 @@ def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
 
     Every (attribute, alternative) cell must appear exactly once.
     """
+    text = _utf8_text(path)
+    matrix = _plain_prior(text, sample_set)
+    if matrix is None:
+        matrix = _prior_by_row(text, sample_set)
+    return validate_prior(matrix, sample_set)
+
+
+def _plain_prior(text: str, sample_set: SampleSet) -> Optional[np.ndarray]:
+    """The matrix of a plain table (see :func:`_plain_fields`) that names every cell once, else None."""
+    fields = _plain_fields(text, PRIOR_HEADER)
+    width = sample_set.num_attributes
+    if fields is None or len(fields) != 3 * sample_set.num_alternatives * width:
+        return None
+    rows = _indices(sample_set.alternatives, fields[1::3])
+    cols = _indices(sample_set.attributes, fields[0::3])
+    if rows.min() < 0 or cols.min() < 0:  # an unknown name
+        return None
+    cells = rows * width + cols
+    del rows, cols
+    if np.bincount(cells).max() > 1:  # as many rows as cells, so none repeated means none missing
+        return None
+    probabilities = _floats(fields[2::3])
+    if probabilities is None:
+        return None
+    matrix = np.empty((sample_set.num_alternatives, width))
+    matrix.flat[cells] = probabilities
+    return matrix
+
+
+def _indices(names: tuple[str, ...], column: list[str]) -> np.ndarray:
+    """Each cell's position in ``names``; -1 for a name not there."""
+    index = {name: k for k, name in enumerate(names)}
+    return np.fromiter(map(index.get, column, repeat(-1)), np.intp, len(column))
+
+
+def _prior_by_row(text: str, sample_set: SampleSet) -> np.ndarray:
+    """The matrix of any prior table, read row by row; a malformed row raises with its line."""
     alt_index = {a: i for i, a in enumerate(sample_set.alternatives)}
     attr_index = {a: j for j, a in enumerate(sample_set.attributes)}
     matrix = np.zeros((len(alt_index), len(attr_index)))
     seen = np.zeros(matrix.shape, dtype=bool)
     line_no = 1  # after the loop: the file's last line
-    for line_no, row in _csv_rows(path, PRIOR_HEADER):
+    for line_no, row in _csv_rows(text, PRIOR_HEADER):
         if not row:
             continue
         attribute, alternative, raw_probability = row
@@ -198,7 +289,7 @@ def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
         i, j = missing[0]
         alt, attr = sample_set.alternatives[i], sample_set.attributes[j]
         raise ParseError(line_no, f"missing cell ({attr}, {alt})")
-    return validate_prior(matrix, sample_set)
+    return matrix
 
 
 # ---------------------------------------------------------------------------

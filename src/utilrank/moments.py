@@ -11,8 +11,9 @@ go negative even under catastrophic cancellation.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import fsum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,20 +38,43 @@ def compute_moments(sample_set: SampleSet) -> MomentMatrices:
     Rows follow ``sample_set.alternatives``, columns
     ``sample_set.attributes``; ``counts`` records each pair's sample count
     (counts may be ragged across pairs, but each is at least 2).
+
+    Every pair gets the bits :func:`mean_and_variance` gives it. All pairs
+    are reduced in one pass of C-level ``map`` calls, which hold one pair's
+    slice at a time; only a pair whose sum or square passes the float range
+    sends the set through :func:`mean_and_variance` pair by pair.
     """
+    counts = sample_set.counts.ravel()
+    bounds = [0, *np.cumsum(counts).tolist()]
+    try:
+        means = _fsums(sample_set.utilities.tolist(), bounds) / counts
+        with np.errstate(over="ignore"):  # an infinite deviation squares to inf, as in the pair path
+            deviations = sample_set.utilities - np.repeat(means, counts)
+        variances = _fsums(list(map(pow, deviations.tolist(), repeat(2))), bounds) / (counts - 1)
+    except OverflowError:
+        means, variances = map(np.array, zip(*_pair_moments(sample_set, bounds)))
+    shape = sample_set.counts.shape
+    return MomentMatrices(
+        means.reshape(shape), variances.reshape(shape), sample_set.counts,
+        sample_set.alternatives, sample_set.attributes,
+    )
+
+
+def _fsums(values: list[float], bounds: list[int]) -> np.ndarray:
+    """``fsum(values[bounds[k]:bounds[k + 1]])`` for each k."""
+    runs = map(values.__getitem__, map(slice, bounds, bounds[1:]))
+    return np.fromiter(map(fsum, runs), np.float64, len(bounds) - 1)
+
+
+def _pair_moments(sample_set: SampleSet, bounds: list[int]) -> Iterator[tuple[float, float]]:
+    """Each pair's :func:`mean_and_variance`; a pair past the float range raises ScoreOutOfRange."""
     values = sample_set.utilities.tolist()
-    ends = np.cumsum(sample_set.counts.ravel()).tolist()
-    moments = []
-    for pair, (start, end) in enumerate(zip([0, *ends], ends)):
+    for pair, (start, end) in enumerate(zip(bounds, bounds[1:])):
         try:
-            moments.append(mean_and_variance(values[start:end]))
+            yield mean_and_variance(values[start:end])
         except OverflowError:  # a sum or square past the largest float
             i, j = divmod(pair, sample_set.num_attributes)
             raise ScoreOutOfRange(
                 f"moments of ({sample_set.alternatives[i]}, {sample_set.attributes[j]}) "
                 "overflow the float range"
             ) from None
-    means, variances = (np.reshape(m, sample_set.counts.shape) for m in zip(*moments))
-    return MomentMatrices(
-        means, variances, sample_set.counts, sample_set.alternatives, sample_set.attributes
-    )

@@ -14,9 +14,14 @@ from utilrank.errors import (
     InvalidSpec,
     NonFiniteUtility,
     ParseError,
+    UtilrankError,
 )
 from utilrank.io_files import (
     _dump_json,
+    _plain_prior,
+    _plain_samples,
+    _prior_by_row,
+    _samples_by_row,
     config_to_dict,
     digest_sample_set,
     parse_config,
@@ -177,6 +182,86 @@ class TestPriorFile:
         )
         with pytest.raises(ParseError):
             read_prior(path, sample_set)
+
+
+# Cells a fuzzed quote-free log is built from: plain names and numbers, and
+# what could part a splitter from csv.reader (spaces, NUL, \x85 and \x0b,
+# which str.splitlines breaks on, empty fields and non-numbers).
+ODD_CELLS = ["", " ", "a ", " a", "\0", "a\0", "\x85", "b\x0bc", "x", "nan", "-inf", "1e999",
+             " 0.5", "1_0", "-0", "0.25"]
+
+
+def _mutated_log(rng: random.Random, header: str, rows: list[list[str]]) -> str:
+    """``rows`` under ``header``, shuffled, with a few random flaws a reader must catch or skip."""
+    rows = [list(row) for row in rows]
+    rng.shuffle(rows)
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        row = rng.choice(rows)
+        if not row:  # a blank line added earlier
+            continue
+        flaw = rng.randrange(6)
+        if flaw == 0:
+            row[rng.randrange(len(row))] = rng.choice(ODD_CELLS)
+        elif flaw == 1:
+            row.insert(rng.randrange(len(row) + 1), rng.choice(ODD_CELLS))
+        elif flaw == 2:
+            del row[rng.randrange(len(row))]
+        elif flaw == 3:
+            rows.append(list(row))
+        elif flaw == 4 and len(rows) > 1:
+            rows.remove(row)
+        else:
+            rows.insert(rng.randrange(len(rows) + 1), [])
+    if rng.random() < 0.05:
+        header = rng.choice(["", header + " ", header.replace(",", ",,", 1)])
+    text = "\n".join([header, *map(",".join, rows)])
+    return text if rng.random() < 0.2 else text + "\n" * rng.choice([1, 1, 2])
+
+
+def _outcome(read, *args):
+    """What a reader returns, or the type, message and line of the error it raises."""
+    try:
+        return read(*args)
+    except UtilrankError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestPlainPathMatchesRowPath:
+    """The split reader of quote-free logs agrees with the csv.reader loop it bypasses."""
+
+    def test_samples(self):
+        rng = random.Random(11)
+        numbers = ["0.5", "1", "-2e3", "0.125", "3", "1e-300"]
+        plain = 0
+        for _ in range(3000):
+            alternatives = rng.sample(["A", "B", "a b", "\x85"], rng.choice([1, 2]))
+            situations = ["s1", "s2", "s3"][:rng.choice([2, 3])]
+            rows = [[alt, attr, sit, rng.choice(numbers)]
+                    for alt in alternatives for attr in ("x", "y") for sit in situations]
+            text = _mutated_log(rng, "alternative,attribute,situation,utility", rows)
+            expected = _outcome(_samples_by_row, text)
+            got = _outcome(_plain_samples, text)
+            if got is not None:
+                plain += 1
+                assert got == expected, text
+        assert plain > 1500
+
+    def test_prior(self):
+        rng = random.Random(12)
+        sample_set = grid_sample_set(("a", "b\x85"), ("x", "y"), lambda i, j: [0.1, 0.2])
+        plain = 0
+        for _ in range(3000):
+            p, q = rng.choice([(0.5, 0.5), (0.25, 0.75), (1.0, 0.0), (0.7, 0.3)])
+            rows = [["x", "a", repr(p)], ["x", "b\x85", repr(q)],
+                    ["y", "a", repr(q)], ["y", "b\x85", repr(p)]]
+            text = _mutated_log(rng, "attribute,alternative,probability", rows)
+            expected = _outcome(_prior_by_row, text, sample_set)
+            got = _plain_prior(text, sample_set)
+            if got is not None:
+                plain += 1
+                assert isinstance(expected, np.ndarray), text
+                assert got.tobytes() == expected.tobytes(), text
+        assert plain > 1500
 
 
 class TestScenarioSpecFile:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from utilrank.errors import ScoreOutOfRange
 from utilrank.moments import compute_moments, mean_and_variance
 from utilrank.reproduce import USE_CASE_SPEC
 from utilrank.scenario import generate_samples
@@ -97,3 +98,41 @@ class TestNumericalStability:
         mm2 = compute_moments(sample_set_from_rows(shuffled))
         assert mm1.means[0, 0] == mm2.means[0, 0]
         assert mm1.variances[0, 0] == mm2.variances[0, 0]
+
+
+class TestBatchedMatchesPairs:
+    """compute_moments gives every pair the bits mean_and_variance gives it."""
+
+    @staticmethod
+    def _check(pair_values):
+        sample_set = build_sample_set(pair_values)
+        try:
+            expected = [mean_and_variance(v) for v in pair_values.values()]
+        except OverflowError:
+            with pytest.raises(ScoreOutOfRange, match="overflow the float range"):
+                compute_moments(sample_set)
+            return False
+        mm = compute_moments(sample_set)
+        # build_sample_set keeps each pair's values in order; its pairs sort by name
+        order = np.argsort([f"{alt}\0{attr}" for alt, attr in pair_values])
+        assert mm.means.ravel().tobytes() == np.array([m for m, _ in expected])[order].tobytes()
+        assert mm.variances.ravel().tobytes() == np.array([v for _, v in expected])[order].tobytes()
+        return True
+
+    def test_random_ragged_sets(self):
+        rng = np.random.default_rng(17)
+        fitted = 0
+        for _ in range(60):
+            m, r = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            scale = float(rng.choice([1.0, 1.0, 1e-160, 1e150, 1e153, 1e154]))
+            pairs = {}
+            for i in range(m):
+                for j in range(r):
+                    n = int(rng.choice([2, 2, 3, int(rng.integers(2, 40)), 3000]))
+                    pairs[(f"A{i}", f"x{j}")] = (rng.normal(0.3, 1.0, n) * scale).tolist()
+            fitted += self._check(pairs)
+        assert 30 < fitted < 60  # most sets fit; some squares pass the float range
+
+    def test_sum_overflows_but_mean_fits(self):
+        assert self._check({("A", "x"): [1e308] * 3, ("A", "y"): [0.25, 0.5, 2.0],
+                            ("B", "x"): [-1.5e308, -1.5e308], ("B", "y"): [1.0, 3.0]})
