@@ -11,8 +11,7 @@ go negative even under catastrophic cancellation.
 
 from __future__ import annotations
 
-from itertools import repeat
-from math import fsum
+from math import fsum, isfinite
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -22,13 +21,20 @@ from .model import MomentMatrices, SampleSet
 
 
 def mean_and_variance(values: Sequence[float]) -> tuple[float, float]:
-    """Two-pass mean and unbiased sample variance of one pair's utilities."""
+    """Two-pass mean and unbiased sample variance of one pair's utilities.
+
+    Squares are IEEE products, correctly rounded on every platform; ``d ** 2``
+    calls the C library's ``pow``, which need not be. A sum or square past
+    the largest float raises OverflowError, unless only the sum passes it.
+    """
     n = len(values)
     try:
         mean = fsum(values) / n
     except OverflowError:  # the sum passes the largest float; the mean may not
         mean = 2 * (fsum(0.5 * v for v in values) / n)
-    variance = fsum([(v - mean) ** 2 for v in values]) / (n - 1)
+    variance = fsum([(v - mean) * (v - mean) for v in values]) / (n - 1)
+    if not isfinite(variance):  # a product does not raise on overflow, as pow does
+        raise OverflowError("a squared deviation passes the float range")
     return mean, variance
 
 
@@ -48,9 +54,12 @@ def compute_moments(sample_set: SampleSet) -> MomentMatrices:
     bounds = [0, *np.cumsum(counts).tolist()]
     try:
         means = _fsums(sample_set.utilities.tolist(), bounds) / counts
-        with np.errstate(over="ignore"):  # an infinite deviation squares to inf, as in the pair path
-            deviations = sample_set.utilities - np.repeat(means, counts)
-        variances = _fsums(list(map(pow, deviations.tolist(), repeat(2))), bounds) / (counts - 1)
+        with np.errstate(over="ignore"):
+            squares = sample_set.utilities - np.repeat(means, counts)
+            squares *= squares
+        if not np.isfinite(squares).all():
+            raise OverflowError("a squared deviation passes the float range")
+        variances = _fsums(squares.tolist(), bounds) / (counts - 1)
     except OverflowError:
         means, variances = map(np.array, zip(*_pair_moments(sample_set, bounds)))
     shape = sample_set.counts.shape
