@@ -354,7 +354,8 @@ def _pair_spec(raw) -> PairSpec:
 
 
 def read_scenario_spec(path: PathLike) -> ScenarioSpec:
-    doc = _read_json_doc(path, "scenario spec", ("seed", "moment_mode", "family", "pairs"))
+    keys = ("schema_version", "seed", "moment_mode", "family", "pairs")
+    doc = _json_object(_read_json_doc(path, "scenario spec"), keys, "scenario spec")
     try:
         pairs = tuple(map(_pair_spec, doc["pairs"]))
         seed = _integer(doc["seed"], "seed")
@@ -408,7 +409,12 @@ _CONFIG_FIELDS = {
 
 
 def parse_config(settings: Mapping) -> EngineConfig:
-    """The EngineConfig that raw settings describe; omitted fields keep their defaults."""
+    """The EngineConfig that raw settings describe; omitted fields keep their defaults.
+
+    ``schema_version`` is allowed (a config document carries it); any other
+    key that names no field is an error, not a setting silently left at its default.
+    """
+    _json_object(settings, ("schema_version", *_CONFIG_FIELDS), "config")
     try:
         return EngineConfig(**{
             name: parse(settings[name]) for name, parse in _CONFIG_FIELDS.items() if name in settings
@@ -419,7 +425,7 @@ def parse_config(settings: Mapping) -> EngineConfig:
 
 def read_config(path: PathLike) -> dict:
     """A config document's raw settings, for :func:`parse_config`, once they parse."""
-    settings = _read_json_doc(path, "config", _CONFIG_FIELDS)
+    settings = _read_json_doc(path, "config")
     parse_config(settings)
     return settings
 
@@ -445,25 +451,26 @@ def digest_prior(prior: PriorProfile) -> str:
     return hashlib.sha256(prior_to_csv(prior).encode("utf-8")).hexdigest()
 
 
-def _read_json_doc(path: PathLike, what: str, keys) -> dict:
-    """A JSON object document of the supported schema version, with no key outside ``keys``."""
+def _read_json_doc(path: PathLike, what: str) -> dict:
+    """A JSON object document of the supported schema version; its reader checks its keys."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidSpec(f"{what} is not valid JSON: {exc}") from None
-    _json_object(doc, ("schema_version", *keys), what)
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{what} must be a JSON object")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise InvalidSpec(f"unsupported schema_version {version!r}")
     return doc
 
 
-def _json_object(value, keys, what: str) -> dict:
+def _json_object(value, keys, what: str) -> Mapping:
     """``value`` if it is a JSON object with no key outside ``keys``.
 
     A misspelt key is an error, not a setting silently left at its default.
     """
-    if not isinstance(value, dict):
+    if not isinstance(value, Mapping):
         raise InvalidSpec(f"{what} must be a JSON object")
     unknown = [key for key in value if key not in keys]
     if unknown:

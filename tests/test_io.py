@@ -313,6 +313,12 @@ class TestConfigFile:
     def test_parse_log_base(self, raw, expected):
         assert parse_log_base(raw) == expected
 
+    def test_parse_config_rejects_unknown_key(self):
+        with pytest.raises(InvalidSpec) as exc_info:
+            parse_config({"kld_logbase": 2})
+        assert str(exc_info.value) == "unknown config key 'kld_logbase'"
+        assert parse_config({"schema_version": 1, "kld_log_base": 2}).kld_log_base == 2.0
+
     def test_parse_log_base_rejects_garbage(self):
         with pytest.raises(InvalidSpec):
             parse_log_base("loge")
