@@ -14,9 +14,9 @@ import hashlib
 import io
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
-from itertools import repeat
 from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
