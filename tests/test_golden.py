@@ -105,9 +105,9 @@ LARGE_SPEC = ScenarioSpec(
     ),
     seed=2025,
 )
-# This pin, LARGE_REPORT_SHA256 and WIDE_PRIOR_REPORT_SHA256 hold for moments
-# whose squared deviations are correctly rounded IEEE products (exact-mode
-# rescaling and variances alike), so they no longer depend on the platform's pow.
+# This pin, LARGE_REPORT_SHA256 and WIDE_PRIOR_REPORT_SHA256 depend on squared
+# deviations being correctly rounded IEEE products, in exact-mode rescaling and
+# in variances alike; the C library's pow would move some of their bits.
 LARGE_SAMPLES_SHA256 = "d1da3e078a32b4dbbf4df6ef5bceee1cddd277ea9c5079eebb6fe7f0127d8a38"
 LARGE_REPORT_SHA256 = "2f932062b200c383e62bdb475618e69eb1988ef5136daf4b47076695ec5d367b"
 
