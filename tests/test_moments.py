@@ -37,13 +37,13 @@ class TestKnownValues:
         assert mean_and_variance([-1e308] * 3) == (-1e308, 0.0)
 
     def test_squares_are_correctly_rounded(self):
-        # pow(d, 2) from glibc 2.36 rounds one of these squares the wrong way
+        # glibc's pow(d, 2) rounds one of these two squares the wrong way
         assert mean_and_variance([0.544743, 0.719915])[1] == 0.015342614792
         rng = np.random.default_rng(5)
         for _ in range(200):
             values = rng.normal(0.5, 0.2, int(rng.integers(2, 30))).tolist()
             mean, variance = mean_and_variance(values)
-            exact_squares = [float((Fraction(v - mean)) ** 2) for v in values]
+            exact_squares = [float(Fraction(v - mean) ** 2) for v in values]
             assert variance == math.fsum(exact_squares) / (len(values) - 1)
 
     def test_use_case_targets(self):
