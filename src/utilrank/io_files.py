@@ -17,7 +17,7 @@ import math
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -84,8 +84,25 @@ def samples_to_csv(sample_set: SampleSet) -> str:
 
 
 def write_samples(sample_set: SampleSet, path: PathLike) -> None:
+    _write_lf(path, _csv_chunks(sample_set), sample_set)
+
+
+def _write_lf(path: PathLike, chunks: Iterable[str],
+              rendered: Union[SampleSet, PriorProfile, None] = None) -> None:
+    """Write text chunks as UTF-8, each ``\\n`` an LF on every platform.
+
+    With ``rendered``, the chunks are its canonical CSV: unless it holds
+    their sha256 already, it keeps it, for :func:`digest_sample_set` or
+    :func:`digest_prior`.
+    """
+    hasher = None if rendered is None or rendered._csv_sha256 else hashlib.sha256()
     with open(path, "w", encoding="utf-8", newline="") as out:
-        out.writelines(_csv_chunks(sample_set))
+        for chunk in chunks:
+            out.write(chunk)
+            if hasher is not None:
+                hasher.update(chunk.encode("utf-8"))
+    if hasher is not None:
+        object.__setattr__(rendered, "_csv_sha256", hasher.hexdigest())
 
 
 def _utf8_text(path: PathLike) -> str:
@@ -121,16 +138,21 @@ def _csv_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
 def _plain_fields(text: str, header: list[str]) -> Optional[list[str]]:
     """The fields, row after row, of a log that splitting alone reads as ``csv.reader`` does.
 
-    That is a log with no quote, ``\\r`` or NUL (which ``csv`` rejects before
-    Python 3.11), the exact ``header``, ``len(header) - 1`` commas on every
-    non-blank line, and no line past ``csv.field_size_limit()``. Any other
-    log gives None and is left to :func:`_csv_rows`, the one source of
-    line-numbered errors. Column k is ``fields[k::len(header)]``. No
-    container per row is built, and the lines and their joined text are
-    freed before the next list is built.
+    That is a log with no quote or NUL (which ``csv`` rejects before
+    Python 3.11), no ``\\r`` but in a ``\\r\\n`` line end, the exact
+    ``header``, ``len(header) - 1`` commas on every non-blank line, and no
+    line past ``csv.field_size_limit()``. Any other log gives None and is
+    left to :func:`_csv_rows`, the one source of line-numbered errors.
+    Column k is ``fields[k::len(header)]``. No container per row is built,
+    and the lines and their joined text are freed before the next list is
+    built.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text:
         return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):  # csv reads a lone \r as a line break
+            return None
+        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     if lines[0] != ",".join(header):
         return None
@@ -217,7 +239,7 @@ def prior_to_csv(prior: PriorProfile) -> str:
 
 
 def write_prior(prior: PriorProfile, path: PathLike) -> None:
-    Path(path).write_text(prior_to_csv(prior), encoding="utf-8")
+    _write_lf(path, [prior_to_csv(prior)], prior)
 
 
 def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
@@ -316,7 +338,7 @@ def scenario_spec_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def write_scenario_spec(spec: ScenarioSpec, path: PathLike) -> None:
-    Path(path).write_text(_dump_json(scenario_spec_to_dict(spec)), encoding="utf-8")
+    _write_lf(path, [_dump_json(scenario_spec_to_dict(spec))])
 
 
 def _integer(raw, name: str) -> int:
@@ -394,7 +416,7 @@ def config_to_dict(config: EngineConfig) -> dict:
 
 
 def write_config(config: EngineConfig, path: PathLike) -> None:
-    Path(path).write_text(_dump_json(config_to_dict(config)), encoding="utf-8")
+    _write_lf(path, [_dump_json(config_to_dict(config))])
 
 
 # Each EngineConfig field and the parser of its raw value, from a document or a flag.
@@ -439,8 +461,11 @@ def digest_sample_set(sample_set: SampleSet) -> str:
 
     Computed over canonical bytes rather than raw input files so that
     logically-equal inputs (reordered rows, different formatting) carry
-    the same provenance digest.
+    the same provenance digest. A set :func:`write_samples` wrote keeps
+    the digest of the text it rendered; any other set is rendered here.
     """
+    if sample_set._csv_sha256 is not None:
+        return sample_set._csv_sha256
     hasher = hashlib.sha256()
     for chunk in _csv_chunks(sample_set):
         hasher.update(chunk.encode("utf-8"))
@@ -448,6 +473,9 @@ def digest_sample_set(sample_set: SampleSet) -> str:
 
 
 def digest_prior(prior: PriorProfile) -> str:
+    """Digest of a prior's canonical CSV, kept by :func:`write_prior` as for sample sets."""
+    if prior._csv_sha256 is not None:
+        return prior._csv_sha256
     return hashlib.sha256(prior_to_csv(prior).encode("utf-8")).hexdigest()
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -96,6 +96,8 @@ class SampleSet:
     sample beside ``utilities``. Samples are sorted by (alternative,
     attribute, situation), so pair (i, j) owns one contiguous slice of
     ``counts[i, j]`` samples, the slices in row-major pair order.
+    ``_csv_sha256`` is the digest of the canonical CSV, kept by the writer
+    that rendered it (see :mod:`utilrank.io_files`); it is no part of the value.
     """
 
     alternatives: tuple[str, ...]
@@ -106,6 +108,7 @@ class SampleSet:
     situation_codes: np.ndarray
     utilities: np.ndarray
     counts: np.ndarray
+    _csv_sha256: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_alternatives(self) -> int:
@@ -194,11 +197,15 @@ class RelativeVarianceProfile:
 
 @dataclass(frozen=True, eq=False)
 class PriorProfile:
-    """Subjective per-attribute probability distributions over alternatives."""
+    """Subjective per-attribute probability distributions over alternatives.
+
+    ``_csv_sha256`` is kept as on :class:`SampleSet`.
+    """
 
     matrix: np.ndarray
     alternatives: tuple[str, ...]
     attributes: tuple[str, ...]
+    _csv_sha256: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _frozen_array(self.matrix))

@@ -13,11 +13,14 @@ uniform is consumed per variate, in generation order.
 
 :func:`lane_units` runs many streams at once: each stream is one lane of
 four numpy ``uint64`` state arrays, and every step advances all lanes
-that still owe a draw. Seeding stays in Python, once per lane. The lane
-outputs are bit-identical to stepping each stream on its own. The tail
-branches of :func:`normal_ppf` take ``math.log`` element by element,
-because ``np.log`` is not correctly rounded: it differs from it by an
-ulp on a few inputs in a thousand.
+that still owe a draw. Seeding stays in Python, once per lane. A long
+stream is cut into pieces that run as lanes of their own, each piece
+starting from an exact jump-ahead state: the xoshiro256++ step is linear
+over GF(2), so a jump of L steps is a table lookup per state byte and an
+XOR. The lane outputs are bit-identical to stepping each stream on its
+own. The tail branches of :func:`normal_ppf` take ``math.log`` element
+by element, because ``np.log`` is not correctly rounded: it differs
+from it by an ulp on a few inputs in a thousand.
 """
 
 from __future__ import annotations
@@ -81,21 +84,89 @@ def _steps(state: np.ndarray, live: Sequence[int]) -> np.ndarray:
     return record
 
 
+def _jump_table(length: int) -> np.ndarray:
+    """The xoshiro256++ jump of ``length`` steps as a 32 x 256 x 4 ``uint64`` byte table.
+
+    The step is linear over GF(2), so the state ``length`` steps on is the
+    XOR, over the 32 bytes b of the state (byte k of word w is b = 8w + k),
+    of ``table[b, byte b's value]``. Each entry is the XOR of the images of
+    the byte's set bits, the images found by stepping the 256 one-bit states.
+    """
+    bit = np.arange(256)
+    basis = np.zeros((4, 256), dtype=np.uint64)
+    basis[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    _steps(basis, [256] * length)  # its record is dropped
+    images = basis.T.reshape(32, 8, 1, 4)  # bit j of byte b is state bit 8b + j
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    for j in range(8):  # the values with top bit j are those below 2**j, plus bit j
+        np.bitwise_xor(table[:, :1 << j], images[:, j], table[:, 1 << j:2 << j])
+    return table
+
+
+_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
+_BYTE_ROWS = np.arange(32)
+
+
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``states`` (lanes x 4) advanced by the jump of :func:`_jump_table`.
+
+    Bytes are taken with shifts, so the result does not depend on byte order.
+    """
+    octets = (states[:, :, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
+    rows = table[_BYTE_ROWS, octets.reshape(-1, 32)]
+    return np.bitwise_xor.reduce(rows, axis=1)
+
+
+def _piece_length(counts: np.ndarray) -> int:
+    """Draws per piece: the square root of the longest count, or more if pieces would pass 1024.
+
+    A lane of n draws then takes about 2 sqrt(n) numpy steps and jumps
+    (those that build the jump table included), not n; many lanes are cut
+    into at most about 1024 pieces beyond one per lane.
+    """
+    return max(math.isqrt(int(counts.max(initial=0))), -(-int(counts.sum()) // 1024), 1)
+
+
 def lane_units(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
     """Uniforms strictly inside (0, 1), 53 significant bits each.
 
     Lane k is the xoshiro256++ stream seeded by ``seeds[k]``; it yields
     its first ``counts[k]`` uniforms. The result holds lane 0's uniforms,
     then lane 1's, and so on.
+
+    Each lane is cut into pieces of :func:`_piece_length` draws (the last
+    one may be shorter), piece q starting from the lane's state jumped q
+    times, and the pieces run as lanes of their own.
     """
     counts = np.asarray(counts, dtype=np.int64)
+    length = _piece_length(counts)
+    pieces = -(-counts // length)
+    # Pieces are lane-major; piece q of lane k is starts[first[k] + q].
+    first = np.cumsum(pieces) - pieces
+    starts = np.empty((int(pieces.sum()), 4), dtype=np.uint64)
+    # Lanes with the most pieces first, so the lanes that still jump at round q are a prefix.
+    order = np.argsort(-pieces, kind="stable")
+    live = len(pieces) - np.cumsum(np.bincount(pieces, minlength=1))[:-1]
+    state = np.array([_initial_state(seeds[k]) for k in order.tolist()],
+                     dtype=np.uint64).reshape(-1, 4)
+    table = _jump_table(length) if len(live) > 1 else None
+    for q, n in enumerate(live.tolist()):
+        state = _jump(table, state[:n]) if q else state[:n]
+        starts[first[order[:n]] + q] = state
+    drawn = pieces > 0  # a lane with no draws has no piece
+    sizes = np.full(len(starts), length)
+    sizes[(first + pieces - 1)[drawn]] = (counts - (pieces - 1) * length)[drawn]  # last pieces
+    return _units(starts, sizes)
+
+
+def _units(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[k]`` uniforms of the stream in state ``starts[k]`` (4 words), lane after lane."""
     # Lanes run longest first, so the ``live[j]`` lanes that still draw at
     # step j are a prefix; step j's record is record[at[j]:at[j + 1]].
     order = np.argsort(-counts, kind="stable")
     live = len(counts) - np.cumsum(np.bincount(counts, minlength=1))[:-1]
     at = np.concatenate(([0], np.cumsum(2 * live)))
-    state = np.array([_initial_state(seeds[k]) for k in order.tolist()],
-                     dtype=np.uint64).reshape(-1, 4).T.copy()
+    state = np.ascontiguousarray(starts[order].T)
     record = _steps(state, live.tolist())
     # Draw j of the lane in sorted position p: s0 at record[at[j] + p], s3 live[j] later.
     position = np.empty_like(order)

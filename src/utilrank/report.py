@@ -23,7 +23,7 @@ from .model import (
     WeightVector,
 )
 from .ranking import RankingReport
-from .io_files import SCHEMA_VERSION, _dump_json, config_to_dict
+from .io_files import SCHEMA_VERSION, _dump_json, _write_lf, config_to_dict
 
 PathLike = Union[str, Path]
 
@@ -270,5 +270,5 @@ def emit_report(report: Report, format: str = "json", destination: PathLike | No
     else:
         raise ValueError(f"unknown report format {format!r}; use 'json' or 'text'")
     if destination is not None:
-        Path(destination).write_text(text, encoding="utf-8")
+        _write_lf(destination, [text])
     return text

@@ -1,13 +1,17 @@
 """File formats: parsing, validation errors, round trips, byte stability."""
 
+import ast
+import hashlib
 import json
 import math
 import random
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import utilrank.io_files as io_files
 from utilrank.errors import (
     ColumnNotNormalized,
     EmptyInput,
@@ -23,9 +27,11 @@ from utilrank.io_files import (
     _prior_by_row,
     _samples_by_row,
     config_to_dict,
+    digest_prior,
     digest_sample_set,
     parse_config,
     parse_log_base,
+    prior_to_csv,
     read_config,
     read_prior,
     read_samples,
@@ -37,7 +43,7 @@ from utilrank.io_files import (
     write_scenario_spec,
 )
 from utilrank.model import EngineConfig, IgdNegativePolicy, validate_prior
-from utilrank.reproduce import USE_CASE_SPEC
+from utilrank.reproduce import USE_CASE_SPEC, reproduce_paper
 from utilrank.scenario import generate_samples
 
 from conftest import USE_CASE_PRIOR, grid_sample_set, sample_rows, sample_set_from_rows
@@ -110,6 +116,95 @@ class TestSamplesFile:
         assert digest_sample_set(sample_set_from_rows(shuffled)) == digest_sample_set(
             use_case_samples
         )
+
+
+class TestDigestMemo:
+    """A writer keeps the sha256 of the canonical text it rendered; the digest reuses it."""
+
+    def test_samples_memo_equals_streamed_digest(self, tmp_path, monkeypatch):
+        written, unwritten = generate_samples(USE_CASE_SPEC), generate_samples(USE_CASE_SPEC)
+        streamed = digest_sample_set(unwritten)
+        assert streamed == hashlib.sha256(samples_to_csv(unwritten).encode("utf-8")).hexdigest()
+        path = tmp_path / "samples.csv"
+        write_samples(written, path)
+        assert written._csv_sha256 == streamed == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert written == unwritten  # the memo is no part of the value
+        monkeypatch.setattr(io_files, "_csv_chunks", None)  # the memo is used, not re-rendered
+        assert digest_sample_set(written) == streamed
+
+    def test_unwritten_set_streams(self):
+        sample_set = generate_samples(USE_CASE_SPEC)
+        first = digest_sample_set(sample_set)
+        assert sample_set._csv_sha256 is None and digest_sample_set(sample_set) == first
+
+    def test_prior_memo_equals_streamed_digest(self, tmp_path, monkeypatch):
+        sample_set = generate_samples(USE_CASE_SPEC)
+        written = validate_prior(USE_CASE_PRIOR, sample_set)
+        streamed = digest_prior(validate_prior(USE_CASE_PRIOR, sample_set))
+        assert streamed == hashlib.sha256(prior_to_csv(written).encode("utf-8")).hexdigest()
+        path = tmp_path / "prior.csv"
+        write_prior(written, path)
+        assert written._csv_sha256 == streamed == hashlib.sha256(path.read_bytes()).hexdigest()
+        monkeypatch.setattr(io_files, "prior_to_csv", None)
+        assert digest_prior(written) == streamed
+
+    def test_reproduce_paper_renders_samples_once(self, tmp_path, monkeypatch):
+        renders = []
+        real = io_files._csv_chunks
+        monkeypatch.setattr(io_files, "_csv_chunks",
+                            lambda sample_set: renders.append(1) or real(sample_set))
+        report = reproduce_paper(tmp_path)
+        assert renders == [1]
+        samples = (tmp_path / "samples.csv").read_bytes()
+        assert report.provenance.samples_sha256 == hashlib.sha256(samples).hexdigest()
+
+
+def _unpinned_writes(source: str) -> list[int]:
+    """Lines of calls that write text without ``newline=``: ``write_text``, or ``open`` in a text write mode.
+
+    Without ``newline=""`` text mode turns each ``\\n`` into ``os.linesep``,
+    CRLF on Windows. Binary mode translates nothing (and refuses ``newline=``).
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or any(k.arg == "newline" for k in node.keywords):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "write_text":
+            lines.append(node.lineno)
+        elif name == "open":
+            at = 0 if isinstance(func, ast.Attribute) else 1  # Path.open(mode) or open(path, mode)
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            if not isinstance(mode, ast.Constant):
+                lines.append(node.lineno)  # a mode only known at run time
+            elif set(mode.value) & set("wax+") and "b" not in mode.value:
+                lines.append(node.lineno)
+    return lines
+
+
+class TestWritersEmitLf:
+    def test_no_text_write_lacks_newline(self):
+        package = Path(io_files.__file__).parent
+        found = {path.name: _unpinned_writes(path.read_text(encoding="utf-8"))
+                 for path in sorted(package.glob("*.py"))}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_scanner_finds_unpinned_writes(self):
+        source = "\n".join([
+            'Path(p).write_text(t, encoding="utf-8")',
+            'open(p, "w", encoding="utf-8")',
+            'open(p, mode="a")',
+            'Path(p).open("w")',
+            'open(p, mode)',
+            'open(p, "w", encoding="utf-8", newline="")',
+            'Path(p).write_text(t, newline="")',
+            'open(p, "wb")',
+            'open(p)',
+            'Path(p).open()',
+        ])
+        assert _unpinned_writes(source) == [1, 2, 3, 4, 5]
 
 
 class TestPriorFile:
@@ -218,6 +313,20 @@ def _mutated_log(rng: random.Random, header: str, rows: list[list[str]]) -> str:
     return text if rng.random() < 0.2 else text + "\n" * rng.choice([1, 1, 2])
 
 
+def _line_ends(rng: random.Random, text: str) -> str:
+    """``text`` kept with LF line ends, given CRLF ones or a mix, or with a ``\\r`` put in anywhere."""
+    kind = rng.randrange(4)
+    if kind == 1:
+        return text.replace("\n", "\r\n")
+    if kind == 2:
+        first, *rest = text.split("\n")
+        return first + "".join(rng.choice(["\n", "\r\n"]) + line for line in rest)
+    if kind == 3:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + "\r" + text[at:]
+    return text
+
+
 def _outcome(read, *args):
     """What a reader returns, or the type, message and line of the error it raises."""
     try:
@@ -232,36 +341,38 @@ class TestPlainPathMatchesRowPath:
     def test_samples(self):
         rng = random.Random(11)
         numbers = ["0.5", "1", "-2e3", "0.125", "3", "1e-300"]
-        plain = 0
-        for _ in range(3000):
+        plain = crlf = 0
+        for _ in range(4000):  # a quarter get a stray \r, which mostly sends them to the row path
             alternatives = rng.sample(["A", "B", "a b", "\x85"], rng.choice([1, 2]))
             situations = ["s1", "s2", "s3"][:rng.choice([2, 3])]
             rows = [[alt, attr, sit, rng.choice(numbers)]
                     for alt in alternatives for attr in ("x", "y") for sit in situations]
-            text = _mutated_log(rng, "alternative,attribute,situation,utility", rows)
+            text = _line_ends(rng, _mutated_log(rng, "alternative,attribute,situation,utility", rows))
             expected = _outcome(_samples_by_row, text)
             got = _outcome(_plain_samples, text)
             if got is not None:
                 plain += 1
-                assert got == expected, text
-        assert plain > 1500
+                crlf += "\r" in text
+                assert got == expected, repr(text)
+        assert plain > 1500 and crlf > 500, (plain, crlf)
 
     def test_prior(self):
         rng = random.Random(12)
         sample_set = grid_sample_set(("a", "b\x85"), ("x", "y"), lambda i, j: [0.1, 0.2])
-        plain = 0
-        for _ in range(3000):
+        plain = crlf = 0
+        for _ in range(4000):  # a quarter get a stray \r, which mostly sends them to the row path
             p, q = rng.choice([(0.5, 0.5), (0.25, 0.75), (1.0, 0.0), (0.7, 0.3)])
             rows = [["x", "a", repr(p)], ["x", "b\x85", repr(q)],
                     ["y", "a", repr(q)], ["y", "b\x85", repr(p)]]
-            text = _mutated_log(rng, "attribute,alternative,probability", rows)
+            text = _line_ends(rng, _mutated_log(rng, "attribute,alternative,probability", rows))
             expected = _outcome(_prior_by_row, text, sample_set)
             got = _plain_prior(text, sample_set)
             if got is not None:
                 plain += 1
-                assert isinstance(expected, np.ndarray), text
-                assert got.tobytes() == expected.tobytes(), text
-        assert plain > 1500
+                crlf += "\r" in text
+                assert isinstance(expected, np.ndarray), repr(text)
+                assert got.tobytes() == expected.tobytes(), repr(text)
+        assert plain > 1500 and crlf > 500, (plain, crlf)
 
 
 class TestScenarioSpecFile:

@@ -10,7 +10,7 @@ import utilrank.scenario as scenario_module
 from utilrank.errors import InvalidSpec, NonFiniteUtility
 from utilrank.io_files import samples_to_csv
 from utilrank.moments import compute_moments, mean_and_variance
-from utilrank.prng import lane_units, normal_ppf, substream
+from utilrank.prng import _jump, _jump_table, _piece_length, lane_units, normal_ppf, substream
 from utilrank.reproduce import USE_CASE_SPEC
 from utilrank.scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
 
@@ -107,6 +107,15 @@ def scalar_pair_values(seed, index, pair, mode):
             scale = math.sqrt(pair.target_variance / raw_var)
             return [pair.target_mean + (z - raw_mean) * scale for z in draws]
         attempt += 1
+
+
+def _scalar_units(seeds, counts):
+    """Each stream's first uniforms, stepped one at a time, lane after lane."""
+    units = []
+    for seed, n in zip(seeds, counts):
+        stream = ScalarXoshiro256pp(seed)
+        units.extend(stream.next_unit() for _ in range(n))
+    return units
 
 
 def _bits(values):
@@ -302,10 +311,7 @@ class TestScalarOracle:
         rng = np.random.default_rng(6)
         counts = [int(n) for n in rng.integers(500, 1501, size=200)] + [1, 1000, 2]
         seeds = [substream(99, k) for k in range(len(counts))]
-        expected = []
-        for seed, n in zip(seeds, counts):
-            stream = ScalarXoshiro256pp(seed)
-            expected.extend(stream.next_unit() for _ in range(n))
+        expected = _scalar_units(seeds, counts)
         units = lane_units(seeds, counts)
         assert _bits(units).tolist() == _bits(expected).tolist()
         assert units.min() < 0.02425 and units.max() > 1.0 - 0.02425  # both tail branches
@@ -322,3 +328,40 @@ class TestScalarOracle:
             expected.extend(scalar_pair_values(spec.seed, index, pair, mode))
         actual = generate_samples(spec).utilities
         assert _bits(actual).tolist() == _bits(expected).tolist()
+
+
+class TestJumpAhead:
+    """Lanes cut into jump-ahead pieces against the scalar reference, bit for bit."""
+
+    @pytest.mark.parametrize("length", [1, 2, 17, 64, 316])
+    def test_jump_equals_stepping(self, length):
+        rng = np.random.default_rng(length)
+        table = _jump_table(length)
+        states = rng.integers(0, 2 ** 64, size=(6, 4), dtype=np.uint64)
+        states[0] = [1, 0, 0, 0]
+        states[1] = [0, 0, 0, 1 << 63]
+        jumped = _jump(table, states)
+        for state, expected in zip(states.tolist(), jumped.tolist()):
+            stream = ScalarXoshiro256pp(0)
+            stream._s = state
+            for _ in range(length):
+                stream.next_u64()
+            assert stream._s == expected
+
+    def test_counts_around_the_piece_length(self):
+        length = 20
+        counts = [length * length, length - 1, length, length + 1, 2 * length + 1]
+        assert _piece_length(np.array(counts)) == length
+        seeds = [substream(31, k) for k in range(len(counts))]
+        assert _bits(lane_units(seeds, counts)).tolist() == _bits(_scalar_units(seeds, counts)).tolist()
+
+    def test_single_draws_and_empty_lanes(self):
+        counts = [0, 1, 900, 0, 1, 31, 0]
+        seeds = [substream(5, k) for k in range(len(counts))]
+        assert _bits(lane_units(seeds, counts)).tolist() == _bits(_scalar_units(seeds, counts)).tolist()
+        assert lane_units(seeds[:1], [0]).size == 0
+
+    def test_one_long_lane(self):
+        seeds, counts = [substream(2025, 0)], [100_001]
+        assert _piece_length(np.array(counts)) == 316
+        assert _bits(lane_units(seeds, counts)).tolist() == _bits(_scalar_units(seeds, counts)).tolist()
