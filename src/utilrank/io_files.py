@@ -3,7 +3,8 @@
 Sample logs are flat delimiter-separated rows (one per observation) so
 simulation farms can append cheaply; specs, priors, and configs are small
 structured JSON documents with a schema version field. Numbers serialize
-with the shortest round-trip decimal representation, and all writers emit
+with the shortest round-trip decimal representation (in CSV through
+:mod:`utilrank.floatfmt`, byte for byte ``repr``), and all writers emit
 LF line endings, so identical content yields identical bytes.
 """
 
@@ -21,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
+from . import floatfmt
 from .errors import InvalidSpec, NonFiniteUtility, ParseError
 from .model import (
     DegenerateVariancePolicy,
@@ -36,7 +38,7 @@ from .scenario import MomentMode, PairSpec, ScenarioSpec
 
 SAMPLES_HEADER = ["alternative", "attribute", "situation", "utility"]
 PRIOR_HEADER = ["attribute", "alternative", "probability"]
-CHUNK_ROWS = 1 << 16  # sample rows rendered at once: bounds the text held in memory
+CHUNK_BYTES = 1 << 19  # bytes of the row matrix rendered at once: bounds the memory held
 SCHEMA_VERSION = 1
 
 PathLike = Union[str, Path]
@@ -58,51 +60,94 @@ def _csv_fields(names: tuple[str, ...]) -> list[str]:
     return [line[:-3] for line in lines]
 
 
-def _csv_chunks(sample_set: SampleSet) -> Iterator[str]:
-    """Canonical CSV text in chunks: a ``csv.writer`` row per sample, utility as ``repr``."""
-    yield ",".join(SAMPLES_HEADER) + "\n"
-    attributes = _csv_fields(sample_set.attributes)
-    prefixes = [f"{alt},{attr}," for alt in _csv_fields(sample_set.alternatives)
-                for attr in attributes]
-    situations = _csv_fields(sample_set.situations)
-    pairs = sample_set.alternative_codes.astype(np.intp) * len(attributes)
-    pairs += sample_set.attribute_codes
-    for start in range(0, len(sample_set), CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        yield "".join([
-            f"{prefixes[p]}{situations[s]},{u!r}\n" for p, s, u in zip(
-                pairs[rows].tolist(),
-                sample_set.situation_codes[rows].tolist(),
-                sample_set.utilities[rows].tolist(),
-            )
-        ])
+def _name_table(names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each name's CSV field and a comma as a row of UTF-8 bytes padded to the longest, its mask and length."""
+    fields = [field.encode("utf-8") + b"," for field in _csv_fields(names)]
+    lengths = np.fromiter(map(len, fields), np.intp, len(fields))
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    table = np.zeros(keep.shape, dtype=np.uint8)
+    table[keep] = np.frombuffer(b"".join(fields), dtype=np.uint8)
+    return table, keep, lengths
+
+
+def _byte_rows(header: list[str], columns: list[tuple[tuple[str, ...], np.ndarray]],
+               values: np.ndarray) -> Iterator[Union[bytes, np.ndarray]]:
+    """A CSV table as UTF-8 chunks: the header, then per value one row.
+
+    Row i holds ``names[codes[i]]`` of each (names, codes) column, then
+    ``repr(values[i])`` and LF. A chunk of rows is laid out as a byte
+    matrix, each name gathered from its padded table and each number from
+    :func:`utilrank.floatfmt.render`, and compacted through the mask of the
+    bytes that are kept. A chunk takes as many rows as fit in
+    ``CHUNK_BYTES`` with each name column as wide as its longest name in
+    the chunk, so one long name widens only the chunks that hold it.
+    """
+    yield (",".join(header) + "\n").encode("utf-8")
+    tables = [(*_name_table(names), codes) for names, codes in columns]
+    widest = sum(table.shape[1] for table, _, _, _ in tables) + floatfmt.WIDTH + 1
+    size = max(min(CHUNK_BYTES, len(values) * widest), widest)
+    row_buffer, keep_buffer = np.empty(size, dtype=np.uint8), np.empty(size, dtype=bool)
+    start = 0
+    while start < len(values):
+        window = slice(start, start + CHUNK_BYTES // (floatfmt.WIDTH + 1))
+        widths = [np.maximum.accumulate(lengths[codes[window]]) for _, _, lengths, codes in tables]
+        fits = sum(widths, floatfmt.WIDTH + 1) * np.arange(1, len(values[window]) + 1) <= CHUNK_BYTES
+        count = max(int(np.count_nonzero(fits)), 1)  # the row widths only grow, so a prefix fits
+        widths = [int(width[count - 1]) for width in widths]
+        width = sum(widths) + floatfmt.WIDTH + 1
+        rows = row_buffer[:count * width].reshape(count, width)
+        keep = keep_buffer[:count * width].reshape(count, width)
+        at = 0
+        for (table, kept, _, codes), name_width in zip(tables, widths):
+            chunk = codes[start:start + count]
+            rows[:, at:at + name_width] = np.take(table[:, :name_width], chunk, axis=0)
+            keep[:, at:at + name_width] = np.take(kept[:, :name_width], chunk, axis=0)
+            at += name_width
+        floatfmt.render(values[start:start + count], rows[:, at:-1], keep[:, at:-1])
+        rows[:, -1], keep[:, -1] = ord("\n"), True
+        yield np.compress(keep.ravel(), rows.ravel())
+        start += count
+
+
+def _csv_chunks(sample_set: SampleSet) -> Iterator[Union[bytes, np.ndarray]]:
+    """Canonical CSV bytes in chunks: a ``csv.writer`` row per sample, utility as ``repr``."""
+    return _byte_rows(SAMPLES_HEADER, [
+        (sample_set.alternatives, sample_set.alternative_codes),
+        (sample_set.attributes, sample_set.attribute_codes),
+        (sample_set.situations, sample_set.situation_codes),
+    ], sample_set.utilities)
 
 
 def samples_to_csv(sample_set: SampleSet) -> str:
     """Canonical CSV serialization of a sample set (sorted rows, LF)."""
-    return "".join(_csv_chunks(sample_set))
+    return b"".join(_csv_chunks(sample_set)).decode("utf-8")
 
 
 def write_samples(sample_set: SampleSet, path: PathLike) -> None:
-    _write_lf(path, _csv_chunks(sample_set), sample_set)
+    _write_csv(path, _csv_chunks(sample_set), sample_set)
 
 
-def _write_lf(path: PathLike, chunks: Iterable[str],
-              rendered: Union[SampleSet, PriorProfile, None] = None) -> None:
-    """Write text chunks as UTF-8, each ``\\n`` an LF on every platform.
+def _write_csv(path: PathLike, chunks: Iterable, rendered: Union[SampleSet, PriorProfile]) -> None:
+    """Write the canonical CSV bytes of ``rendered`` in chunks.
 
-    With ``rendered``, the chunks are its canonical CSV: unless it holds
-    their sha256 already, it keeps it, for :func:`digest_sample_set` or
-    :func:`digest_prior`.
+    Unless ``rendered`` holds their sha256 already, it keeps it, for
+    :func:`digest_sample_set` or :func:`digest_prior`.
     """
-    hasher = None if rendered is None or rendered._csv_sha256 else hashlib.sha256()
-    with open(path, "w", encoding="utf-8", newline="") as out:
+    hasher = None if rendered._csv_sha256 else hashlib.sha256()
+    with open(path, "wb") as out:
         for chunk in chunks:
             out.write(chunk)
             if hasher is not None:
-                hasher.update(chunk.encode("utf-8"))
+                hasher.update(chunk)
     if hasher is not None:
         object.__setattr__(rendered, "_csv_sha256", hasher.hexdigest())
+
+
+def _write_lf(path: PathLike, chunks: Iterable[str]) -> None:
+    """Write text chunks as UTF-8, each ``\\n`` an LF on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        for chunk in chunks:
+            out.write(chunk)
 
 
 def _utf8_text(path: PathLike) -> str:
@@ -228,18 +273,23 @@ def _coded(column: list[str]) -> IdColumn:
 # Prior tables
 # ---------------------------------------------------------------------------
 
+def _prior_chunks(prior: PriorProfile) -> Iterator[Union[bytes, np.ndarray]]:
+    """Canonical CSV bytes of a prior in chunks: one row per cell, attribute-major, probability as ``repr``."""
+    alternatives, attributes = prior.matrix.shape
+    cells = np.arange(alternatives * attributes)
+    return _byte_rows(PRIOR_HEADER, [
+        (prior.attributes, cells // alternatives),
+        (prior.alternatives, cells % alternatives),
+    ], prior.matrix.T.ravel())
+
+
 def prior_to_csv(prior: PriorProfile) -> str:
-    """Canonical CSV of a prior: one row per cell, attribute-major, probability as ``repr``."""
-    alternatives = _csv_fields(prior.alternatives)
-    return ",".join(PRIOR_HEADER) + "\n" + "".join([
-        f"{attr},{alt},{p!r}\n"
-        for attr, column in zip(_csv_fields(prior.attributes), prior.matrix.T.tolist())
-        for alt, p in zip(alternatives, column)
-    ])
+    """Canonical CSV of a prior (attribute-major rows, LF)."""
+    return b"".join(_prior_chunks(prior)).decode("utf-8")
 
 
 def write_prior(prior: PriorProfile, path: PathLike) -> None:
-    _write_lf(path, [prior_to_csv(prior)], prior)
+    _write_csv(path, _prior_chunks(prior), prior)
 
 
 def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
@@ -466,17 +516,21 @@ def digest_sample_set(sample_set: SampleSet) -> str:
     """
     if sample_set._csv_sha256 is not None:
         return sample_set._csv_sha256
-    hasher = hashlib.sha256()
-    for chunk in _csv_chunks(sample_set):
-        hasher.update(chunk.encode("utf-8"))
-    return hasher.hexdigest()
+    return _sha256(_csv_chunks(sample_set))
 
 
 def digest_prior(prior: PriorProfile) -> str:
     """Digest of a prior's canonical CSV, kept by :func:`write_prior` as for sample sets."""
     if prior._csv_sha256 is not None:
         return prior._csv_sha256
-    return hashlib.sha256(prior_to_csv(prior).encode("utf-8")).hexdigest()
+    return _sha256(_prior_chunks(prior))
+
+
+def _sha256(chunks: Iterable) -> str:
+    hasher = hashlib.sha256()
+    for chunk in chunks:
+        hasher.update(chunk)
+    return hasher.hexdigest()
 
 
 def _read_json_doc(path: PathLike, what: str) -> dict:

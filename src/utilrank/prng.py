@@ -25,6 +25,7 @@ from it by an ulp on a few inputs in a thousand.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -84,6 +85,7 @@ def _steps(state: np.ndarray, live: Sequence[int]) -> np.ndarray:
     return record
 
 
+@functools.lru_cache(maxsize=1)
 def _jump_table(length: int) -> np.ndarray:
     """The xoshiro256++ jump of ``length`` steps as a 32 x 256 x 4 ``uint64`` byte table.
 
@@ -91,6 +93,8 @@ def _jump_table(length: int) -> np.ndarray:
     XOR, over the 32 bytes b of the state (byte k of word w is b = 8w + k),
     of ``table[b, byte b's value]``. Each entry is the XOR of the images of
     the byte's set bits, the images found by stepping the 256 one-bit states.
+    The last table built is kept (read-only): runs of one spec shape ask
+    for the same length again.
     """
     bit = np.arange(256)
     basis = np.zeros((4, 256), dtype=np.uint64)
@@ -100,6 +104,7 @@ def _jump_table(length: int) -> np.ndarray:
     table = np.zeros((32, 256, 4), dtype=np.uint64)
     for j in range(8):  # the values with top bit j are those below 2**j, plus bit j
         np.bitwise_xor(table[:, :1 << j], images[:, j], table[:, 1 << j:2 << j])
+    table.setflags(write=False)
     return table
 
 

@@ -536,3 +536,49 @@ class TestJsonWriter:
     def test_non_string_key_is_refused(self):
         with pytest.raises(TypeError, match="keys must be str"):
             _dump_json({"a": {1: "x"}})
+
+
+class TestFloatTextRoundTrip:
+    """Every float a CSV writer prints reads back as the same bits, beside names csv must quote."""
+
+    NAMES = ("plain", "com,ma", 'quo"te', "cr\rin", "lf\nin", "naïve", "日本語")
+
+    @staticmethod
+    def _values(rng, count):
+        bits = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64).view(np.float64)
+        return np.concatenate([
+            bits[np.isfinite(bits)],  # every exponent, both signs
+            5e-324 * rng.integers(1, 2 ** 52, size=200),  # subnormals
+            rng.random(200) * 10.0 ** rng.integers(-6, 18, size=200),  # both sides of 1e-4, 1e16
+            [5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+             np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, 0.0, -0.0, 2.0 ** 53, 0.1],
+        ])
+
+    def test_samples(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = self._values(rng, 4000)
+        rows = [(self.NAMES[i % 7], self.NAMES[i // 7 % 7], f"s{i}" if i % 3 else f's,"{i}"\r\n', v)
+                for i, v in enumerate(values.tolist())]
+        written = sample_set_from_rows(rows)
+        path = tmp_path / "samples.csv"
+        write_samples(written, path)
+        read = read_samples(path)
+        assert read == written
+        assert read.utilities.view(np.uint64).tolist() == written.utilities.view(np.uint64).tolist()
+
+    def test_prior(self, tmp_path):
+        rng = np.random.default_rng(12)
+        alternatives = tuple(f"{name}{i}" for i in range(40) for name in self.NAMES)
+        attributes = self.NAMES
+        sample_set = grid_sample_set(alternatives, attributes, lambda i, j: [0.1, 0.2])
+        matrix = rng.uniform(0.05, 1.0, size=(len(alternatives), len(attributes)))
+        tiny = np.concatenate([5e-324 * rng.integers(2 ** 40, 2 ** 52, size=140),  # subnormal
+                               rng.random(140) * 10.0 ** rng.integers(-300, -4, size=140)])
+        matrix[:40] = tiny.reshape(40, len(attributes))
+        matrix /= matrix.sum(axis=0)
+        assert (matrix[:40] < 2.2250738585072014e-308).sum() > 100
+        written = validate_prior(matrix, sample_set)
+        path = tmp_path / "prior.csv"
+        write_prior(written, path)
+        read = read_prior(path, sample_set)
+        assert read.matrix.view(np.uint64).tolist() == written.matrix.view(np.uint64).tolist()

@@ -365,3 +365,20 @@ class TestJumpAhead:
         seeds, counts = [substream(2025, 0)], [100_001]
         assert _piece_length(np.array(counts)) == 316
         assert _bits(lane_units(seeds, counts)).tolist() == _bits(_scalar_units(seeds, counts)).tolist()
+
+    def test_jump_table_is_built_once_per_length(self, monkeypatch):
+        import utilrank.prng as prng
+
+        _jump_table.cache_clear()
+        steps = []
+        real = prng._steps
+        monkeypatch.setattr(prng, "_steps", lambda state, live: steps.append(len(live)) or real(state, live))
+        counts = [300, 300, 300, 300]  # the reproduce-paper shape: pieces of 17 draws
+        seeds = [substream(11, k) for k in range(len(counts))]
+        expected = _bits(_scalar_units(seeds, counts)).tolist()
+        assert _bits(lane_units(seeds, counts)).tolist() == expected
+        assert steps == [17, 17]  # the table's 17 steps, then the pieces'
+        steps.clear()
+        assert _bits(lane_units(seeds, counts)).tolist() == expected
+        assert steps == [17]  # the pieces only: the table is kept
+        assert not _jump_table(17).flags.writeable
