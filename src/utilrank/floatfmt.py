@@ -69,8 +69,8 @@ def _layout(digits: int, form: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _tables() -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Built on first use: the per-exponent ``g``, h and k, the layout masks, exponent digits.
+def _tables() -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Built on first use: the per-exponent ``g``, h and k, the layout masks and lengths, exponent digits.
 
     Entry 2 * (biased exponent) + (irregular spacing) holds Schubfach's k
     and h, and g = g1 2**63 + g0 as g1 and g0, where g = floor(10**-k / 2**r) + 1
@@ -96,11 +96,12 @@ def _tables() -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarra
     masks[np.repeat(np.arange(_HALF), list(map(len, layouts))), np.concatenate(layouts)] = True
     masks[_HALF:] = masks[:_HALF]
     masks[_HALF:, _MINUS] = True
+    lengths = np.count_nonzero(masks, axis=1)
     exponents = np.frombuffer("".join(f"{m:03d}" for m in range(1000)).encode(),
                               dtype=np.uint8).reshape(1000, 3)  # the digits of 0..999
-    for table in (*per_exponent, k, masks, exponents):
+    for table in (*per_exponent, k, masks, lengths, exponents):
         table.setflags(write=False)
-    return per_exponent, k, masks, exponents
+    return per_exponent, k, masks, lengths, exponents
 
 
 def _mulhi(a1: np.ndarray, a0: np.ndarray, b1: np.ndarray, b0: np.ndarray) -> np.ndarray:
@@ -137,14 +138,15 @@ def _rop(g: tuple[np.ndarray, ...], cp: np.ndarray) -> np.ndarray:
     return vb
 
 
-def render(values: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
-    """Write the ``repr`` of each of ``values`` into ``text`` and ``keep``.
+def render(values: np.ndarray, text: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Write the ``repr`` of each of ``values`` into ``text`` and ``keep``; return its lengths.
 
     ``text`` and ``keep`` are (len(values), WIDTH) ``uint8`` and bool
     arrays (column slices of wider rows will do). Row i of ``text``
-    filtered by row i of ``keep`` is ``repr(values[i])`` in ASCII.
+    filtered by row i of ``keep`` is ``repr(values[i])`` in ASCII, and
+    its length is entry i of the returned ``intp`` array.
     """
-    per_exponent, exponent_k, masks, exponents = _tables()
+    per_exponent, exponent_k, masks, lengths, exponents = _tables()
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     negative = (bits >> _U(63)).astype(np.intp)
     biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.intp)
@@ -209,3 +211,4 @@ def render(values: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
     key += _HALF * negative
     key[(biased == 0x7FF) & (fraction != 0)] = _NAN
     keep[:] = masks.take(key, axis=0)
+    return lengths.take(key)

@@ -18,7 +18,7 @@ import math
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .scenario import MomentMode, PairSpec, ScenarioSpec
 
 SAMPLES_HEADER = ["alternative", "attribute", "situation", "utility"]
 PRIOR_HEADER = ["attribute", "alternative", "probability"]
-CHUNK_BYTES = 1 << 19  # bytes of the row matrix rendered at once: bounds the memory held
+CHUNK_BYTES = 1 << 18  # bytes a chunk of rows may write: bounds the memory held
 SCHEMA_VERSION = 1
 
 PathLike = Union[str, Path]
@@ -60,14 +60,10 @@ def _csv_fields(names: tuple[str, ...]) -> list[str]:
     return [line[:-3] for line in lines]
 
 
-def _name_table(names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each name's CSV field and a comma as a row of UTF-8 bytes padded to the longest, its mask and length."""
+def _name_column(names: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
+    """A column's fields end to end in UTF-8, each name's CSV field and a comma, and their lengths."""
     fields = [field.encode("utf-8") + b"," for field in _csv_fields(names)]
-    lengths = np.fromiter(map(len, fields), np.intp, len(fields))
-    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    table = np.zeros(keep.shape, dtype=np.uint8)
-    table[keep] = np.frombuffer(b"".join(fields), dtype=np.uint8)
-    return table, keep, lengths
+    return b"".join(fields), np.fromiter(map(len, fields), np.intp, len(fields))
 
 
 def _byte_rows(header: list[str], columns: list[tuple[tuple[str, ...], np.ndarray]],
@@ -75,37 +71,55 @@ def _byte_rows(header: list[str], columns: list[tuple[tuple[str, ...], np.ndarra
     """A CSV table as UTF-8 chunks: the header, then per value one row.
 
     Row i holds ``names[codes[i]]`` of each (names, codes) column, then
-    ``repr(values[i])`` and LF. A chunk of rows is laid out as a byte
-    matrix, each name gathered from its padded table and each number from
-    :func:`utilrank.floatfmt.render`, and compacted through the mask of the
-    bytes that are kept. A chunk takes as many rows as fit in
-    ``CHUNK_BYTES`` with each name column as wide as its longest name in
-    the chunk, so one long name widens only the chunks that hold it.
+    ``repr(values[i])`` and LF. Each column's fields are held once, end to
+    end in ``source``. A chunk's numbers are rendered by
+    :func:`utilrank.floatfmt.render` and compacted through their mask into
+    the tail of ``source``; the chunk is then one gather from ``source``,
+    each row's segments (its names, then its number) laid end to end. A
+    chunk takes the rows that write at most ``CHUNK_BYTES``, a number
+    counted at its widest (and at least one row), so the memory held and
+    the work done follow the bytes written, however long a name is.
     """
     yield (",".join(header) + "\n").encode("utf-8")
-    tables = [(*_name_table(names), codes) for names, codes in columns]
-    widest = sum(table.shape[1] for table, _, _, _ in tables) + floatfmt.WIDTH + 1
-    size = max(min(CHUNK_BYTES, len(values) * widest), widest)
-    row_buffer, keep_buffer = np.empty(size, dtype=np.uint8), np.empty(size, dtype=bool)
-    start = 0
+    line = floatfmt.WIDTH + 1  # a number's text at its widest, and LF
+    buffers, lengths = zip(*(_name_column(names) for names, _ in columns))
+    names_end = sum(map(len, buffers))
+    source = np.empty(names_end + max(min(CHUNK_BYTES, len(values) * line), line), dtype=np.uint8)
+    firsts, at = [], 0
+    for buffer, length in zip(buffers, lengths):
+        source[at:at + len(buffer)] = np.frombuffer(buffer, dtype=np.uint8)
+        firsts.append(np.cumsum(length) - length + at)
+        at += len(buffer)
+    window = CHUNK_BYTES // (line + len(columns))  # the most rows that fit: a field is at least its comma
+    text_rows = np.empty((min(window, len(values)), line), dtype=np.uint8)
+    keep_rows = np.empty(text_rows.shape, dtype=bool)
+    text_rows[:, -1], keep_rows[:, -1] = ord("\n"), True
+    start, ramp = 0, np.arange(0)
     while start < len(values):
-        window = slice(start, start + CHUNK_BYTES // (floatfmt.WIDTH + 1))
-        widths = [np.maximum.accumulate(lengths[codes[window]]) for _, _, lengths, codes in tables]
-        fits = sum(widths, floatfmt.WIDTH + 1) * np.arange(1, len(values[window]) + 1) <= CHUNK_BYTES
-        count = max(int(np.count_nonzero(fits)), 1)  # the row widths only grow, so a prefix fits
-        widths = [int(width[count - 1]) for width in widths]
-        width = sum(widths) + floatfmt.WIDTH + 1
-        rows = row_buffer[:count * width].reshape(count, width)
-        keep = keep_buffer[:count * width].reshape(count, width)
-        at = 0
-        for (table, kept, _, codes), name_width in zip(tables, widths):
-            chunk = codes[start:start + count]
-            rows[:, at:at + name_width] = np.take(table[:, :name_width], chunk, axis=0)
-            keep[:, at:at + name_width] = np.take(kept[:, :name_width], chunk, axis=0)
-            at += name_width
-        floatfmt.render(values[start:start + count], rows[:, at:-1], keep[:, at:-1])
-        rows[:, -1], keep[:, -1] = ord("\n"), True
-        yield np.compress(keep.ravel(), rows.ravel())
+        codes = [column_codes[start:start + window] for _, column_codes in columns]
+        widths = [length.take(chunk) for length, chunk in zip(lengths, codes)]
+        count = max(int(np.searchsorted(np.cumsum(sum(widths, line)), CHUNK_BYTES, "right")), 1)
+        segments = np.empty((count, len(columns) + 1), dtype=np.intp)  # each segment's length
+        segment_firsts = np.empty_like(segments)  # and the index of its first byte in source
+        for k, (first, chunk, width) in enumerate(zip(firsts, codes, widths)):
+            segments[:, k] = width[:count]
+            segment_firsts[:, k] = first.take(chunk[:count])
+        text, keep = text_rows[:count], keep_rows[:count]
+        segments[:, -1] = floatfmt.render(values[start:start + count], text[:, :-1], keep[:, :-1])
+        segments[:, -1] += 1  # the LF
+        number_ends = segments[:, -1].cumsum()
+        np.compress(keep.ravel(), text.ravel(), out=source[names_end:names_end + number_ends[-1]])
+        segment_firsts[:, -1] = number_ends - segments[:, -1] + names_end
+        # Per byte, its index in source: its place in the chunk plus the
+        # offset of its segment's first byte in source from its place.
+        segments, segment_firsts = segments.ravel(), segment_firsts.ravel()
+        segment_firsts += segments
+        segment_firsts -= segments.cumsum()
+        index = segment_firsts.repeat(segments)
+        if len(ramp) < len(index):
+            ramp = np.arange(len(index))
+        index += ramp[:len(index)]
+        yield source.take(index)
         start += count
 
 
@@ -124,30 +138,22 @@ def samples_to_csv(sample_set: SampleSet) -> str:
 
 
 def write_samples(sample_set: SampleSet, path: PathLike) -> None:
-    _write_csv(path, _csv_chunks(sample_set), sample_set)
+    _write_bytes(path, _csv_chunks(sample_set), sample_set)
 
 
-def _write_csv(path: PathLike, chunks: Iterable, rendered: Union[SampleSet, PriorProfile]) -> None:
-    """Write the canonical CSV bytes of ``rendered`` in chunks.
+def _write_bytes(path: PathLike, chunks: Iterable,
+                 rendered: Union[SampleSet, PriorProfile, None] = None) -> None:
+    """Write byte chunks to ``path`` as they are, so each ``\\n`` is an LF on every platform.
 
-    Unless ``rendered`` holds their sha256 already, it keeps it, for
-    :func:`digest_sample_set` or :func:`digest_prior`.
+    With ``rendered``, the chunks are its canonical CSV: unless it holds
+    their sha256 already, it keeps it, for :func:`digest_sample_set` or
+    :func:`digest_prior`.
     """
-    hasher = None if rendered._csv_sha256 else hashlib.sha256()
     with open(path, "wb") as out:
-        for chunk in chunks:
-            out.write(chunk)
-            if hasher is not None:
-                hasher.update(chunk)
-    if hasher is not None:
-        object.__setattr__(rendered, "_csv_sha256", hasher.hexdigest())
-
-
-def _write_lf(path: PathLike, chunks: Iterable[str]) -> None:
-    """Write text chunks as UTF-8, each ``\\n`` an LF on every platform."""
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        for chunk in chunks:
-            out.write(chunk)
+        if rendered is None or rendered._csv_sha256 is not None:
+            out.writelines(chunks)
+        else:
+            object.__setattr__(rendered, "_csv_sha256", _sha256(chunks, out.write))
 
 
 def _utf8_text(path: PathLike) -> str:
@@ -289,7 +295,7 @@ def prior_to_csv(prior: PriorProfile) -> str:
 
 
 def write_prior(prior: PriorProfile, path: PathLike) -> None:
-    _write_csv(path, _prior_chunks(prior), prior)
+    _write_bytes(path, _prior_chunks(prior), prior)
 
 
 def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
@@ -388,7 +394,7 @@ def scenario_spec_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def write_scenario_spec(spec: ScenarioSpec, path: PathLike) -> None:
-    _write_lf(path, [_dump_json(scenario_spec_to_dict(spec))])
+    _write_bytes(path, [_dump_json(scenario_spec_to_dict(spec)).encode("utf-8")])
 
 
 def _integer(raw, name: str) -> int:
@@ -466,7 +472,7 @@ def config_to_dict(config: EngineConfig) -> dict:
 
 
 def write_config(config: EngineConfig, path: PathLike) -> None:
-    _write_lf(path, [_dump_json(config_to_dict(config))])
+    _write_bytes(path, [_dump_json(config_to_dict(config)).encode("utf-8")])
 
 
 # Each EngineConfig field and the parser of its raw value, from a document or a flag.
@@ -526,10 +532,13 @@ def digest_prior(prior: PriorProfile) -> str:
     return _sha256(_prior_chunks(prior))
 
 
-def _sha256(chunks: Iterable) -> str:
+def _sha256(chunks: Iterable, sink: Optional[Callable] = None) -> str:
+    """The sha256 of byte chunks, each passed on to ``sink`` too when one is given."""
     hasher = hashlib.sha256()
     for chunk in chunks:
         hasher.update(chunk)
+        if sink is not None:
+            sink(chunk)
     return hasher.hexdigest()
 
 

@@ -23,7 +23,7 @@ from .model import (
     WeightVector,
 )
 from .ranking import RankingReport
-from .io_files import SCHEMA_VERSION, _dump_json, _write_lf, config_to_dict
+from .io_files import SCHEMA_VERSION, _dump_json, _write_bytes, config_to_dict
 
 PathLike = Union[str, Path]
 
@@ -270,5 +270,5 @@ def emit_report(report: Report, format: str = "json", destination: PathLike | No
     else:
         raise ValueError(f"unknown report format {format!r}; use 'json' or 'text'")
     if destination is not None:
-        _write_lf(destination, [text])
+        _write_bytes(destination, [text.encode("utf-8")])
     return text

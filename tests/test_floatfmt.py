@@ -12,7 +12,8 @@ def _rendered(values: np.ndarray) -> bytes:
     """Each value's text from :func:`floatfmt.render`, one per line."""
     text = np.empty((len(values), floatfmt.WIDTH + 1), dtype=np.uint8)
     keep = np.empty(text.shape, dtype=bool)
-    floatfmt.render(values, text[:, :-1], keep[:, :-1])
+    lengths = floatfmt.render(values, text[:, :-1], keep[:, :-1])
+    assert np.array_equal(lengths, np.count_nonzero(keep[:, :-1], axis=1))
     text[:, -1], keep[:, -1] = ord("\n"), True
     return np.compress(keep.ravel(), text.ravel()).tobytes()
 
