@@ -24,17 +24,17 @@ PEAK_BYTES_PER_SAMPLE = 360
 
 #: Peak bytes allocated while writing the 200,000-sample log below, whatever
 #: its length: rows are rendered and written a chunk at a time. Measured
-#: 4,371,610 (4,333,483 for 20,000 samples; Python 3.11, numpy 2.4); the
+#: 2,680,103 (2,644,043 for 20,000 samples; Python 3.11, numpy 2.4); the
 #: writer that joined each chunk's text peaked at 14,507,919.
-WRITE_PEAK_BYTES = 5_000_000
+WRITE_PEAK_BYTES = 3_500_000
 
 #: Peak bytes that one long name adds to writing or digesting the log below,
 #: per byte of the name: its own bytes held a few times over (its field, its
-#: place in the column's buffer, its chunk's 8-byte gather index and ramp),
-#: not its length times the column's name count. Measured 19.0 for both
+#: place in the column's buffer, the 8-byte gather index of its block),
+#: not its length times the column's name count. Measured 10.8 for both
 #: (Python 3.11, numpy 2.4); a table that padded every situation to the
 #: longest held 2,000 x 20,000 bytes and as many mask bytes.
-LONG_NAME_PEAK_PER_BYTE = 24
+LONG_NAME_PEAK_PER_BYTE = 16
 
 
 @pytest.fixture(scope="module")
