@@ -82,7 +82,7 @@ def _byte_rows(header: list[str], columns: list[tuple[tuple[str, ...], np.ndarra
     the work done follow the bytes written, however long a name is. The
     gather goes ``GATHER_SEGMENTS`` segments at a time: its 8-byte index
     per byte then fits the heap's reused memory, where a chunk-wide index
-    took fresh pages on every call and made small logs 14% slower.
+    took fresh pages on every call and made small logs slower.
     """
     yield (",".join(header) + "\n").encode("utf-8")
     line = floatfmt.WIDTH + 1  # a number's text at its widest, and LF
