@@ -15,10 +15,12 @@ import hashlib
 import io
 import json
 import math
+from array import array
 from itertools import repeat
+from operator import length_hint
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -176,107 +178,105 @@ def _utf8_text(path: PathLike) -> str:
         raise ParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
 
 
-def _csv_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of each row below the exact ``header``; blank rows are empty.
+def _table(text: str, header: list[str]) -> tuple[list[str], Sequence[int], int, Optional[ParseError]]:
+    """The fields below the exact ``header``, row after row, as ``csv.reader`` reads them.
 
-    Line breaks are not translated (``newline=""``), so a quoted ``\\r`` stays in its field.
+    Returns ``(fields, lines, last, fault)``: column k is
+    ``fields[k::len(header)]``, row i starts on line ``lines[i]`` and the
+    file ends on line ``last`` (physical lines; blank lines are no rows).
+    ``fault`` is the ParseError of the first row of the wrong width or that
+    csv cannot read, or None; ``fields`` holds the rows before it. A log
+    that starts with the header line and holds no quote, no NUL (which csv
+    rejects before Python 3.11) and no ``\\r`` but in a ``\\r\\n`` is split
+    as text, with no container per row. Any other streams through
+    ``csv.reader`` with line breaks untranslated, so a quoted ``\\r`` stays.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    width, limit, head = len(header), csv.field_size_limit(), ",".join(header)
+    if (not text.startswith((head + "\n", head + "\r\n")) or '"' in text or "\0" in text
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))):
+        reader = csv.reader(io.StringIO(text, newline=""))
+        del text
+        fields, lines, fault = [], array("i"), None
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise ParseError(1, "file is empty; expected a header row")
+            if first != header:
+                raise ParseError(1, f"expected header {head!r}, got {','.join(first)!r}")
+            line = reader.line_num
+            for row in reader:
+                if row:
+                    if len(row) != width:
+                        fault = ParseError(line + 1, f"expected {width} fields, got {len(row)}")
+                        break
+                    fields += row
+                    lines.append(line + 1)
+                line = reader.line_num
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            fault = ParseError(reader.line_num, str(exc))
+        return fields, lines, reader.line_num, fault
+    rows = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+    del text, rows[0]
+    if not rows[-1]:
+        rows.pop()  # the line end of the last line
+    last = len(rows) + 1
+    long = len(rows)  # the first row with a field that csv finds too long
+    if max(map(len, rows), default=0) > limit:
+        long = next((k for k, row in enumerate(rows) if max(map(len, row.split(","))) > limit), long)
+    counts = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
+    odd = np.flatnonzero(counts != width - 1).tolist()  # blank lines and rows of the wrong width
+    end = min(next((k for k in odd if rows[k]), len(rows)), long)
+    fault = None
+    if end < len(rows):
+        wrong = f"expected {width} fields, got {counts[end] + 1}"
+        fault = ParseError(end + 2, f"field larger than field limit ({limit})" if end == long else wrong)
+    del rows[end:], counts
+    blank = [k for k in odd if k < end]
+    lines = range(2, end + 2)
+    if blank:
+        lines = np.delete(np.arange(2, end + 2), blank)
+        rows = list(filter(None, rows))
+    joined = ",".join(rows)
+    del rows
+    return joined.split(",") if joined else [], lines, last, fault
+
+
+def _floats(column: list[str]) -> np.ndarray:
+    """The cells as float64 up to the first that is not a number, whose index is the result's length."""
+    cells = iter(column)
     try:
-        first = next(reader, None)
-        if first is None:
-            raise ParseError(1, "file is empty; expected a header row")
-        if first != header:
-            raise ParseError(1, f"expected header {','.join(header)!r}, got {','.join(first)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if row and len(row) != len(header):
-                raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
-            yield line_no, row
-    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        raise ParseError(reader.line_num, str(exc)) from None
+        return np.fromiter(map(float, cells), np.float64, len(column))
+    except ValueError:  # ``cells`` stopped just past that cell
+        end = len(column) - length_hint(cells) - 1
+        return np.fromiter(map(float, column[:end]), np.float64, end)
 
 
-def _plain_fields(text: str, header: list[str]) -> Optional[list[str]]:
-    """The fields, row after row, of a log that splitting alone reads as ``csv.reader`` does.
-
-    That is a log with no quote or NUL (which ``csv`` rejects before
-    Python 3.11), no ``\\r`` but in a ``\\r\\n`` line end, the exact
-    ``header``, ``len(header) - 1`` commas on every non-blank line, and no
-    line past ``csv.field_size_limit()``. Any other log gives None and is
-    left to :func:`_csv_rows`, the one source of line-numbered errors.
-    Column k is ``fields[k::len(header)]``. No container per row is built,
-    and the lines and their joined text are freed before the next list is
-    built.
-    """
-    if '"' in text or "\0" in text:
-        return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):  # csv reads a lone \r as a line break
-            return None
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if lines[0] != ",".join(header):
-        return None
-    del lines[0]
-    if "" in lines:  # blank lines are empty rows, which the readers skip
-        lines = list(filter(None, lines))
-    if (set(map(str.count, lines, repeat(","))) != {len(header) - 1}
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
-    joined = ",".join(lines)
-    del lines
-    return joined.split(",")
-
-
-def _floats(column: list[str]) -> Optional[np.ndarray]:
-    """The column as float64 if every cell is a number, else None."""
-    try:
-        return np.fromiter(map(float, column), np.float64, len(column))
-    except ValueError:
-        return None
+def _first(mask: np.ndarray) -> int:
+    """The index of the first true entry; the length if none is."""
+    return int(mask.argmax()) if mask.any() else len(mask)
 
 
 def read_samples(path: PathLike) -> SampleSet:
     """Parse and validate a sample log.
 
-    Expects the exact header ``alternative,attribute,situation,utility``;
-    reports the offending line number on malformed rows.
+    Expects the exact header ``alternative,attribute,situation,utility``.
+    The first row whose utility is not a finite number, then the first row
+    of the wrong form, then the set as a whole is the error; a row's error
+    names its line.
     """
-    text = _utf8_text(path)
-    sample_set = _plain_samples(text)
-    return _samples_by_row(text) if sample_set is None else sample_set
-
-
-def _plain_samples(text: str) -> Optional[SampleSet]:
-    """The sample set of a plain log (see :func:`_plain_fields`) with finite utilities, else None."""
-    fields = _plain_fields(text, SAMPLES_HEADER)
-    utilities = None if fields is None else _floats(fields[3::4])
-    if utilities is None or not np.isfinite(utilities).all():
-        return None
+    fields, lines, _, fault = _table(_utf8_text(path), SAMPLES_HEADER)
+    utilities = _floats(fields[3::4])
+    end = len(utilities)
+    bad = _first(~np.isfinite(utilities))
+    if bad < end:
+        raise NonFiniteUtility(*fields[4 * bad:4 * bad + 3], line=int(lines[bad]))
+    if end < len(fields) // 4:
+        raise ParseError(int(lines[end]), f"utility {fields[4 * end + 3]!r} is not a number")
+    if fault is not None:
+        raise fault
     names = [_coded(fields[k::4]) for k in range(3)]
     del fields
     return validate_sample_set(*names, utilities)
-
-
-def _samples_by_row(text: str) -> SampleSet:
-    """The sample set of any log, read row by row; a malformed row raises with its line."""
-    names: tuple[list, list, list] = ([], [], [])
-    utilities = []
-    for line_no, row in _csv_rows(text, SAMPLES_HEADER):
-        if not row:
-            continue
-        alternative, attribute, situation, raw_utility = row
-        try:
-            utility = float(raw_utility)
-        except ValueError:
-            raise ParseError(line_no, f"utility {raw_utility!r} is not a number") from None
-        if not math.isfinite(utility):
-            raise NonFiniteUtility(alternative, attribute, situation, line=line_no)
-        names[0].append(alternative)
-        names[1].append(attribute)
-        names[2].append(situation)
-        utilities.append(utility)
-    return validate_sample_set(*map(_coded, names), utilities)
 
 
 def _coded(column: list[str]) -> IdColumn:
@@ -311,73 +311,43 @@ def write_prior(prior: PriorProfile, path: PathLike) -> None:
 def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
     """Parse a prior table and validate it against the sample set.
 
-    Every (attribute, alternative) cell must appear exactly once.
+    Every (attribute, alternative) cell must appear exactly once. The first
+    row with an unknown attribute or alternative, a probability that is not
+    a number or a repeated cell (checked in that order), then a row of the
+    wrong form, then a missing cell, named at the last line, is the error.
     """
-    text = _utf8_text(path)
-    matrix = _plain_prior(text, sample_set)
-    if matrix is None:
-        matrix = _prior_by_row(text, sample_set)
-    return validate_prior(matrix, sample_set)
-
-
-def _plain_prior(text: str, sample_set: SampleSet) -> Optional[np.ndarray]:
-    """The matrix of a plain table (see :func:`_plain_fields`) that names every cell once, else None."""
-    fields = _plain_fields(text, PRIOR_HEADER)
-    width = sample_set.num_attributes
-    if fields is None or len(fields) != 3 * sample_set.num_alternatives * width:
-        return None
-    rows = _indices(sample_set.alternatives, fields[1::3])
+    fields, lines, last, fault = _table(_utf8_text(path), PRIOR_HEADER)
     cols = _indices(sample_set.attributes, fields[0::3])
-    if rows.min() < 0 or cols.min() < 0:  # an unknown name
-        return None
-    cells = rows * width + cols
-    del rows, cols
-    if np.bincount(cells).max() > 1:  # as many rows as cells, so none repeated means none missing
-        return None
+    rows = _indices(sample_set.alternatives, fields[1::3])
+    width = sample_set.num_attributes
+    cells = (rows * width + cols)[:_first((cols < 0) | (rows < 0))]  # up to an unknown name
+    named, firsts = np.unique(cells, return_index=True)  # the cells named, sorted, and their first rows
+    repeated = np.ones(len(cells), dtype=bool)
+    repeated[firsts] = False
     probabilities = _floats(fields[2::3])
-    if probabilities is None:
-        return None
+    at, reason = min([  # each check's first row; a tie goes to the check made first
+        (_first(cols < 0), lambda i: f"unknown attribute {fields[3 * i]!r}"),
+        (_first(rows < 0), lambda i: f"unknown alternative {fields[3 * i + 1]!r}"),
+        (len(probabilities), lambda i: f"probability {fields[3 * i + 2]!r} is not a number"),
+        (_first(repeated), lambda i: f"duplicate cell ({fields[3 * i]}, {fields[3 * i + 1]})"),
+    ], key=lambda check: check[0])
+    if at < len(cols):
+        raise ParseError(int(lines[at]), reason(at))
+    if fault is not None:
+        raise fault
+    missing = _first(named != np.arange(len(named)))  # the first cell not named
+    if missing < sample_set.num_alternatives * width:
+        i, j = divmod(missing, width)
+        raise ParseError(last, f"missing cell ({sample_set.attributes[j]}, {sample_set.alternatives[i]})")
     matrix = np.empty((sample_set.num_alternatives, width))
     matrix.flat[cells] = probabilities
-    return matrix
+    return validate_prior(matrix, sample_set)
 
 
 def _indices(names: tuple[str, ...], column: list[str]) -> np.ndarray:
     """Each cell's position in ``names``; -1 for a name not there."""
     index = {name: k for k, name in enumerate(names)}
     return np.fromiter(map(index.get, column, repeat(-1)), np.intp, len(column))
-
-
-def _prior_by_row(text: str, sample_set: SampleSet) -> np.ndarray:
-    """The matrix of any prior table, read row by row; a malformed row raises with its line."""
-    alt_index = {a: i for i, a in enumerate(sample_set.alternatives)}
-    attr_index = {a: j for j, a in enumerate(sample_set.attributes)}
-    matrix = np.zeros((len(alt_index), len(attr_index)))
-    seen = np.zeros(matrix.shape, dtype=bool)
-    line_no = 1  # after the loop: the file's last line
-    for line_no, row in _csv_rows(text, PRIOR_HEADER):
-        if not row:
-            continue
-        attribute, alternative, raw_probability = row
-        if attribute not in attr_index:
-            raise ParseError(line_no, f"unknown attribute {attribute!r}")
-        if alternative not in alt_index:
-            raise ParseError(line_no, f"unknown alternative {alternative!r}")
-        try:
-            probability = float(raw_probability)
-        except ValueError:
-            raise ParseError(line_no, f"probability {raw_probability!r} is not a number") from None
-        key = (alt_index[alternative], attr_index[attribute])
-        if seen[key]:
-            raise ParseError(line_no, f"duplicate cell ({attribute}, {alternative})")
-        seen[key] = True
-        matrix[key] = probability
-    missing = np.argwhere(~seen)
-    if missing.size:
-        i, j = missing[0]
-        alt, attr = sample_set.alternatives[i], sample_set.attributes[j]
-        raise ParseError(line_no, f"missing cell ({attr}, {alt})")
-    return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,7 @@ def validate_prior(
     if np.any(matrix < 0):
         i, r = map(int, np.argwhere(matrix < 0)[0])
         raise NegativeEntry(
-            f"negative prior probability {matrix[i, r]!r} at "
+            f"negative prior probability {float(matrix[i, r])!r} at "
             f"({sample_set.alternatives[i]}, {sample_set.attributes[r]})"
         )
     for attr, column in zip(sample_set.attributes, matrix.T.tolist()):

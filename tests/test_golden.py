@@ -213,6 +213,10 @@ BAD_LOGS = {
                        ParseError, "line 5: field larger than field limit (131072)"),
     "not-utf8": (HEADER.encode() + b"A,x,s1,0.5\n\n\nA,x,s2,\xff\n",
                  ParseError, "line 5: byte 0xff is not UTF-8 text"),
+    "after-quoted-break": (HEADER + '"two\nlines",x,s1,0.5\n\nA,x,s1,high\n',
+                           ParseError, "line 5: utility 'high' is not a number"),
+    "number-before-field-count": (HEADER + "A,x,s1,0.5\n\n\nA,x,s2,high\n\nA,x\n",
+                                  ParseError, "line 5: utility 'high' is not a number"),
 }
 
 

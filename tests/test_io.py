@@ -1,7 +1,9 @@
 """File formats: parsing, validation errors, round trips, byte stability."""
 
 import ast
+import csv
 import hashlib
+import io
 import json
 import math
 import random
@@ -16,16 +18,15 @@ from utilrank.errors import (
     ColumnNotNormalized,
     EmptyInput,
     InvalidSpec,
+    NegativeEntry,
     NonFiniteUtility,
     ParseError,
     UtilrankError,
 )
 from utilrank.io_files import (
+    PRIOR_HEADER,
+    SAMPLES_HEADER,
     _dump_json,
-    _plain_prior,
-    _plain_samples,
-    _prior_by_row,
-    _samples_by_row,
     config_to_dict,
     digest_prior,
     digest_sample_set,
@@ -278,16 +279,87 @@ class TestPriorFile:
         with pytest.raises(ParseError):
             read_prior(path, sample_set)
 
+    def test_negative_cell_message_prints_the_number(self, sample_set, tmp_path):
+        path = tmp_path / "prior.csv"
+        path.write_text(
+            "attribute,alternative,probability\n"
+            "force_protection,AI1,1.5\n"
+            "force_protection,AI2,-0.5\n"
+            "proportionality,AI1,0.1\n"
+            "proportionality,AI2,0.9\n"
+        )
+        with pytest.raises(NegativeEntry) as exc_info:
+            read_prior(path, sample_set)
+        assert str(exc_info.value) == "negative prior probability -0.5 at (AI2, force_protection)"
 
-# Cells a fuzzed quote-free log is built from: plain names and numbers, and
-# what could part a splitter from csv.reader (spaces, NUL, \x85 and \x0b,
-# which str.splitlines breaks on, empty fields and non-numbers).
+
+# Prior faults, each a change to the four rows of a table: (row, the row
+# that replaces it, or None to drop it and end the file with two blank
+# lines). Their messages and lines in a quote-free table over
+# PLAIN_PRIOR_NAMES, then in one over QUOTED_PRIOR_NAMES, which csv.writer
+# quotes; its third row starts on line 4 and ends on line 5.
+PLAIN_PRIOR_NAMES = (("AI1", "AI2"), ("force_protection", "proportionality"))
+QUOTED_PRIOR_NAMES = (("AI1", 'A,"2"'), ("force_protection", "propor\ntionality"))
+PRIOR_FAULTS = {
+    "unknown-attribute": (2, ("bogus", 0, "0.1"),
+                          "line 4: unknown attribute 'bogus'", "line 4: unknown attribute 'bogus'"),
+    "unknown-alternative": (1, (0, "AI9", "0.3"),
+                            "line 3: unknown alternative 'AI9'", "line 3: unknown alternative 'AI9'"),
+    "attribute-first": (3, ("bogus", "AI9", "high"),
+                        "line 5: unknown attribute 'bogus'", "line 6: unknown attribute 'bogus'"),
+    "alternative-before-number": (3, (1, "AI9", "high"),
+                                  "line 5: unknown alternative 'AI9'", "line 6: unknown alternative 'AI9'"),
+    "not-a-number": (3, (1, 1, "high"), "line 5: probability 'high' is not a number",
+                     "line 6: probability 'high' is not a number"),
+    "number-before-duplicate": (3, (1, 0, "high"), "line 5: probability 'high' is not a number",
+                                "line 6: probability 'high' is not a number"),
+    "duplicate-cell": (3, (1, 0, "0.9"), "line 5: duplicate cell (proportionality, AI1)",
+                       "line 6: duplicate cell (propor\ntionality, AI1)"),
+    "missing-cell": (3, None, "line 6: missing cell (proportionality, AI2)",
+                     "line 7: missing cell (propor\ntionality, A,\"2\")"),
+}
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("case", sorted(PRIOR_FAULTS))
+def test_prior_fault_names_its_line(case, quoted, tmp_path):
+    alternatives, attributes = QUOTED_PRIOR_NAMES if quoted else PLAIN_PRIOR_NAMES
+    at, change, *messages = PRIOR_FAULTS[case]
+    rows = [[attribute, alternative, "0.5"] for attribute in attributes for alternative in alternatives]
+    if change is None:
+        del rows[at]
+    else:  # an int in the change is the index of one of the table's names
+        attribute, alternative, probability = change
+        rows[at] = [attributes[attribute] if isinstance(attribute, int) else attribute,
+                    alternatives[alternative] if isinstance(alternative, int) else alternative,
+                    probability]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([PRIOR_HEADER, *rows])
+    text = out.getvalue() + ("\n\n" if change is None else "")
+    path = tmp_path / "prior.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as exc_info:
+        read_prior(path, grid_sample_set(alternatives, attributes, lambda i, j: [0.1, 0.2]))
+    assert str(exc_info.value) == messages[quoted]
+
+
+# Cells a fuzzed log is built from: plain names and numbers, and what
+# could part a splitter from csv.reader (spaces, NUL, \x85 and \x0b, which
+# str.splitlines breaks on, empty fields and non-numbers).
 ODD_CELLS = ["", " ", "a ", " a", "\0", "a\0", "\x85", "b\x0bc", "x", "nan", "-inf", "1e999",
              " 0.5", "1_0", "-0", "0.25"]
 
+# Quoted cells, which only csv.reader reads: a comma, a doubled quote, a
+# quoted LF and CR, a quote inside an unquoted field, an unterminated quote.
+QUOTED_CELLS = ['"a,b"', '"q""x"', '"l\nf"', '"c\rr"', 'a"b', '"open']
+
 
 def _mutated_log(rng: random.Random, header: str, rows: list[list[str]]) -> str:
-    """``rows`` under ``header``, shuffled, with a few random flaws a reader must catch or skip."""
+    """``rows`` under ``header``, shuffled, with a few random flaws a reader must catch or skip.
+
+    Half the logs get one or two quoted cells: a cell quoted as csv.writer
+    would (the same name), or one of ``QUOTED_CELLS``.
+    """
     rows = [list(row) for row in rows]
     rng.shuffle(rows)
     for _ in range(rng.choice([0, 0, 0, 1, 2])):
@@ -307,6 +379,11 @@ def _mutated_log(rng: random.Random, header: str, rows: list[list[str]]) -> str:
             rows.remove(row)
         else:
             rows.insert(rng.randrange(len(rows) + 1), [])
+    filled = [row for row in rows if row]
+    for _ in range(rng.choice([1, 2]) if filled and rng.random() < 0.5 else 0):
+        row = rng.choice(filled)
+        k = rng.randrange(len(row))
+        row[k] = rng.choice(['"' + row[k].replace('"', '""') + '"', *QUOTED_CELLS])
     if rng.random() < 0.05:
         header = rng.choice(["", header + " ", header.replace(",", ",,", 1)])
     text = "\n".join([header, *map(",".join, rows)])
@@ -335,44 +412,131 @@ def _outcome(read, *args):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
-class TestPlainPathMatchesRowPath:
-    """The split reader of quote-free logs agrees with the csv.reader loop it bypasses."""
+# The row loop the column readers replaced, kept as their oracle: csv.reader
+# row by row, each check made as its row is read. A row's line is the
+# physical line it starts on, one past the line the reader had reached.
+ORACLE_READER = csv.reader
 
-    def test_samples(self):
+
+def _oracle_rows(text: str, header: list[str]):
+    """(line, row) of each row below the exact ``header``; blank rows are empty.
+
+    The last item is an empty row on the file's last line.
+    """
+    reader = ORACLE_READER(io.StringIO(text, newline=""))
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(1, "file is empty; expected a header row")
+        if first != header:
+            raise ParseError(1, f"expected header {','.join(header)!r}, got {','.join(first)!r}")
+        line_no = reader.line_num
+        for row in reader:
+            if row and len(row) != len(header):
+                raise ParseError(line_no + 1, f"expected {len(header)} fields, got {len(row)}")
+            yield line_no + 1, row
+            line_no = reader.line_num
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
+    yield reader.line_num, []
+
+
+def _oracle_samples(text: str):
+    rows = []
+    for line_no, row in _oracle_rows(text, SAMPLES_HEADER):
+        if not row:
+            continue
+        alternative, attribute, situation, raw_utility = row
+        try:
+            utility = float(raw_utility)
+        except ValueError:
+            raise ParseError(line_no, f"utility {raw_utility!r} is not a number") from None
+        if not math.isfinite(utility):
+            raise NonFiniteUtility(alternative, attribute, situation, line=line_no)
+        rows.append((alternative, attribute, situation, utility))
+    return sample_set_from_rows(rows)
+
+
+def _oracle_prior(text: str, sample_set):
+    alt_index = {a: i for i, a in enumerate(sample_set.alternatives)}
+    attr_index = {a: j for j, a in enumerate(sample_set.attributes)}
+    matrix = np.zeros((len(alt_index), len(attr_index)))
+    seen = np.zeros(matrix.shape, dtype=bool)
+    for line_no, row in _oracle_rows(text, PRIOR_HEADER):
+        if not row:
+            continue
+        attribute, alternative, raw_probability = row
+        if attribute not in attr_index:
+            raise ParseError(line_no, f"unknown attribute {attribute!r}")
+        if alternative not in alt_index:
+            raise ParseError(line_no, f"unknown alternative {alternative!r}")
+        try:
+            probability = float(raw_probability)
+        except ValueError:
+            raise ParseError(line_no, f"probability {raw_probability!r} is not a number") from None
+        key = (alt_index[alternative], attr_index[attribute])
+        if seen[key]:
+            raise ParseError(line_no, f"duplicate cell ({attribute}, {alternative})")
+        seen[key] = True
+        matrix[key] = probability
+    missing = np.argwhere(~seen)
+    if missing.size:
+        i, j = missing[0]
+        alt, attr = sample_set.alternatives[i], sample_set.attributes[j]
+        raise ParseError(line_no, f"missing cell ({attr}, {alt})")
+    return validate_prior(matrix, sample_set)
+
+
+class TestReadersMatchRowLoop:
+    """Both ways the readers tokenize, split and csv.reader, agree with the row-loop oracle."""
+
+    @pytest.fixture
+    def csv_reads(self, monkeypatch):
+        """A list that gets an entry each time a reader streams a log through csv.reader."""
+        reads = []
+        monkeypatch.setattr(csv, "reader", lambda *args: reads.append(1) or ORACLE_READER(*args))
+        return reads
+
+    def test_samples(self, tmp_path, csv_reads):
         rng = random.Random(11)
         numbers = ["0.5", "1", "-2e3", "0.125", "3", "1e-300"]
-        plain = crlf = 0
-        for _ in range(4000):  # a quarter get a stray \r, which mostly sends them to the row path
+        path = tmp_path / "samples.csv"
+        split = crlf = 0
+        for _ in range(5000):  # a quarter get a stray \r, which mostly sends them to csv
             alternatives = rng.sample(["A", "B", "a b", "\x85"], rng.choice([1, 2]))
             situations = ["s1", "s2", "s3"][:rng.choice([2, 3])]
             rows = [[alt, attr, sit, rng.choice(numbers)]
                     for alt in alternatives for attr in ("x", "y") for sit in situations]
-            text = _line_ends(rng, _mutated_log(rng, "alternative,attribute,situation,utility", rows))
-            expected = _outcome(_samples_by_row, text)
-            got = _outcome(_plain_samples, text)
-            if got is not None:
-                plain += 1
+            text = _line_ends(rng, _mutated_log(rng, ",".join(SAMPLES_HEADER), rows))
+            path.write_bytes(text.encode("utf-8"))
+            streamed = len(csv_reads)
+            assert _outcome(read_samples, path) == _outcome(_oracle_samples, text), repr(text)
+            if len(csv_reads) == streamed:
+                split += 1
                 crlf += "\r" in text
-                assert got == expected, repr(text)
-        assert plain > 1500 and crlf > 500, (plain, crlf)
+        assert split > 1500 and crlf > 800 and 5000 - split > 2500, (split, crlf)
 
-    def test_prior(self):
+    def test_prior(self, tmp_path, csv_reads):
         rng = random.Random(12)
         sample_set = grid_sample_set(("a", "b\x85"), ("x", "y"), lambda i, j: [0.1, 0.2])
-        plain = crlf = 0
-        for _ in range(4000):  # a quarter get a stray \r, which mostly sends them to the row path
+        path = tmp_path / "prior.csv"
+        split = crlf = 0
+        for _ in range(5000):  # a quarter get a stray \r, which mostly sends them to csv
             p, q = rng.choice([(0.5, 0.5), (0.25, 0.75), (1.0, 0.0), (0.7, 0.3)])
             rows = [["x", "a", repr(p)], ["x", "b\x85", repr(q)],
                     ["y", "a", repr(q)], ["y", "b\x85", repr(p)]]
-            text = _line_ends(rng, _mutated_log(rng, "attribute,alternative,probability", rows))
-            expected = _outcome(_prior_by_row, text, sample_set)
-            got = _plain_prior(text, sample_set)
-            if got is not None:
-                plain += 1
+            text = _line_ends(rng, _mutated_log(rng, ",".join(PRIOR_HEADER), rows))
+            path.write_bytes(text.encode("utf-8"))
+            streamed = len(csv_reads)
+            got, expected = _outcome(read_prior, path, sample_set), _outcome(_oracle_prior, text, sample_set)
+            if isinstance(expected, tuple):
+                assert got == expected, repr(text)
+            else:
+                assert got.matrix.tobytes() == expected.matrix.tobytes(), repr(text)
+            if len(csv_reads) == streamed:
+                split += 1
                 crlf += "\r" in text
-                assert isinstance(expected, np.ndarray), repr(text)
-                assert got.tobytes() == expected.tobytes(), repr(text)
-        assert plain > 1500 and crlf > 500, (plain, crlf)
+        assert split > 1500 and crlf > 800 and 5000 - split > 2500, (split, crlf)
 
 
 class TestScenarioSpecFile:
