@@ -3,8 +3,8 @@
 Sample logs are flat delimiter-separated rows (one per observation) so
 simulation farms can append cheaply; specs, priors, and configs are small
 structured JSON documents with a schema version field. Numbers serialize
-with the shortest round-trip decimal representation (in CSV through
-:mod:`utilrank.floatfmt`, byte for byte ``repr``), and all writers emit
+with the shortest round-trip decimal representation (in CSV and reports
+through :mod:`utilrank.floatfmt`, byte for byte ``repr``), and all writers emit
 LF line endings, so identical content yields identical bytes.
 """
 
@@ -16,7 +16,8 @@ import io
 import json
 import math
 from array import array
-from itertools import repeat
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from operator import length_hint
 from pathlib import Path
 from types import SimpleNamespace
@@ -63,59 +64,64 @@ def _csv_fields(names: tuple[str, ...]) -> list[str]:
     return [line[:-3] for line in lines]
 
 
-def _name_column(names: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
-    """A column's fields end to end in UTF-8, each name's CSV field and a comma, and their lengths."""
-    fields = [field.encode("utf-8") + b"," for field in _csv_fields(names)]
+def _field_table(fields: list[bytes]) -> tuple[bytes, np.ndarray]:
+    """Fields end to end, and their lengths."""
     return b"".join(fields), np.fromiter(map(len, fields), np.intp, len(fields))
 
 
-def _byte_rows(header: list[str], columns: list[tuple[tuple[str, ...], np.ndarray]],
-               values: np.ndarray) -> Iterator[Union[bytes, np.ndarray]]:
-    """A CSV table as UTF-8 chunks: the header, then per value one row.
+def _name_column(names: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
+    """A column's fields end to end in UTF-8, each name's CSV field and a comma, and their lengths."""
+    return _field_table([field.encode("utf-8") + b"," for field in _csv_fields(names)])
 
-    Row i holds ``names[codes[i]]`` of each (names, codes) column, then
-    ``repr(values[i])`` and LF. Each column's fields are held once, end to
-    end in ``source``. A chunk's numbers are rendered by
+
+def _byte_rows(columns: list[tuple[bytes, np.ndarray, np.ndarray]], values: np.ndarray,
+               end: bytes) -> Iterator[np.ndarray]:
+    """Rows of bytes in chunks: per value, each column's field, then ``repr`` of the value and ``end``.
+
+    A column is (fields, lengths, codes): its fields end to end, the length
+    of each, and per row the index of its field. Each column's fields are
+    held once, end to end in ``source``. A chunk's numbers are rendered by
     :func:`utilrank.floatfmt.render` and compacted through their mask into
     the tail of ``source``; the chunk is then gathered from ``source``,
-    each row's segments (its names, then its number) laid end to end. A
+    each row's segments (its fields, then its number) laid end to end. A
     chunk takes the rows that write at most ``CHUNK_BYTES``, a number
     counted at its widest (and at least one row), so the memory held and
-    the work done follow the bytes written, however long a name is. The
+    the work done follow the bytes written, however long a field is. The
     gather goes ``GATHER_SEGMENTS`` segments at a time: its 8-byte index
     per byte then fits the heap's reused memory, where a chunk-wide index
-    took fresh pages on every call and made small logs slower.
+    took fresh pages on every call and made small tables slower.
     """
-    yield (",".join(header) + "\n").encode("utf-8")
-    line = floatfmt.WIDTH + 1  # a number's text at its widest, and LF
-    buffers, lengths = zip(*(_name_column(names) for names, _ in columns))
-    names_end = sum(map(len, buffers))
-    source = np.empty(names_end + max(min(CHUNK_BYTES, len(values) * line), line), dtype=np.uint8)
+    line = floatfmt.WIDTH + len(end)  # a number's text at its widest, and the end
+    buffers, lengths, codes = zip(*columns)
+    fields_end = sum(map(len, buffers))
+    source = np.empty(fields_end + max(min(CHUNK_BYTES, len(values) * line), line), dtype=np.uint8)
     firsts, at = [], 0
     for buffer, length in zip(buffers, lengths):
         source[at:at + len(buffer)] = np.frombuffer(buffer, dtype=np.uint8)
         firsts.append(np.cumsum(length) - length + at)
         at += len(buffer)
-    window = CHUNK_BYTES // (line + len(columns))  # the most rows that fit: a field is at least its comma
+    window = CHUNK_BYTES // (line + len(columns))  # the most rows that fit: a field is a byte or more
     text_rows = np.empty((min(window, len(values)), line), dtype=np.uint8)
     keep_rows = np.empty(text_rows.shape, dtype=bool)
-    text_rows[:, -1], keep_rows[:, -1] = ord("\n"), True
+    text_rows[:, floatfmt.WIDTH:] = np.frombuffer(end, dtype=np.uint8)
+    keep_rows[:, floatfmt.WIDTH:] = True
     start, ramp = 0, np.arange(0)
     while start < len(values):
-        codes = [column_codes[start:start + window] for _, column_codes in columns]
-        widths = [length.take(chunk) for length, chunk in zip(lengths, codes)]
+        chunks = [column_codes[start:start + window] for column_codes in codes]
+        widths = [length.take(chunk) for length, chunk in zip(lengths, chunks)]
         count = max(int(np.searchsorted(np.cumsum(sum(widths, line)), CHUNK_BYTES, "right")), 1)
         segments = np.empty((count, len(columns) + 1), dtype=np.intp)  # each segment's length
         segment_firsts = np.empty_like(segments)  # and the index of its first byte in source
-        for k, (first, chunk, width) in enumerate(zip(firsts, codes, widths)):
+        for k, (first, chunk, width) in enumerate(zip(firsts, chunks, widths)):
             segments[:, k] = width[:count]
             segment_firsts[:, k] = first.take(chunk[:count])
         text, keep = text_rows[:count], keep_rows[:count]
-        segments[:, -1] = floatfmt.render(values[start:start + count], text[:, :-1], keep[:, :-1])
-        segments[:, -1] += 1  # the LF
+        segments[:, -1] = floatfmt.render(values[start:start + count], text[:, :floatfmt.WIDTH],
+                                          keep[:, :floatfmt.WIDTH])
+        segments[:, -1] += len(end)
         number_ends = segments[:, -1].cumsum()
-        np.compress(keep.ravel(), text.ravel(), out=source[names_end:names_end + number_ends[-1]])
-        segment_firsts[:, -1] = number_ends - segments[:, -1] + names_end
+        np.compress(keep.ravel(), text.ravel(), out=source[fields_end:fields_end + number_ends[-1]])
+        segment_firsts[:, -1] = number_ends - segments[:, -1] + fields_end
         # A byte's index in source is its place in the chunk plus its
         # segment's offset: the segment's first byte in source less its place.
         segments, offsets = segments.ravel(), segment_firsts.ravel()
@@ -135,9 +141,20 @@ def _byte_rows(header: list[str], columns: list[tuple[tuple[str, ...], np.ndarra
         start += count
 
 
+def _csv_table(header: list[str], columns: list[tuple[tuple[str, ...], np.ndarray]],
+               values: np.ndarray) -> Iterator[Union[bytes, np.ndarray]]:
+    """A CSV table as UTF-8 chunks: the header, then per value a row.
+
+    Row i holds ``names[codes[i]]`` of each (names, codes) column, then
+    ``repr(values[i])`` and LF.
+    """
+    yield (",".join(header) + "\n").encode("utf-8")
+    yield from _byte_rows([(*_name_column(names), codes) for names, codes in columns], values, b"\n")
+
+
 def _csv_chunks(sample_set: SampleSet) -> Iterator[Union[bytes, np.ndarray]]:
     """Canonical CSV bytes in chunks: a ``csv.writer`` row per sample, utility as ``repr``."""
-    return _byte_rows(SAMPLES_HEADER, [
+    return _csv_table(SAMPLES_HEADER, [
         (sample_set.alternatives, sample_set.alternative_codes),
         (sample_set.attributes, sample_set.attribute_codes),
         (sample_set.situations, sample_set.situation_codes),
@@ -169,12 +186,16 @@ def _write_bytes(path: PathLike, chunks: Iterable,
 
 
 def _utf8_text(path: PathLike) -> str:
-    """A file's text; a byte that is not UTF-8 is a ParseError naming its line."""
+    """A file's text; a byte that is not UTF-8 is a ParseError naming its line.
+
+    Lines end as ``csv`` ends them: at ``\\n``, ``\\r\\n`` or a lone ``\\r``.
+    """
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        ends = data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
+        line_no = ends - data.count(b"\r\n", 0, exc.start) + 1
         raise ParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
 
 
@@ -189,13 +210,17 @@ def _table(text: str, header: list[str]) -> tuple[list[str], Sequence[int], int,
     that starts with the header line and holds no quote, no NUL (which csv
     rejects before Python 3.11) and no ``\\r`` but in a ``\\r\\n`` is split
     as text, with no container per row. Any other streams through
-    ``csv.reader`` with line breaks untranslated, so a quoted ``\\r`` stays.
+    ``csv.reader`` from its UTF-8 bytes, decoded a block at a time, in
+    lines cut at ``\\n``, ``\\r\\n`` or a lone ``\\r`` with their line breaks
+    kept, so a quoted ``\\r`` stays: the cuts of ``io.StringIO(text,
+    newline="")`` without its copy of the text at 4 bytes per character.
     """
     width, limit, head = len(header), csv.field_size_limit(), ",".join(header)
     if (not text.startswith((head + "\n", head + "\r\n")) or '"' in text or "\0" in text
             or ("\r" in text and text.count("\r") != text.count("\r\n"))):
-        reader = csv.reader(io.StringIO(text, newline=""))
+        data = io.BytesIO(text.encode("utf-8"))
         del text
+        reader = csv.reader(io.TextIOWrapper(data, encoding="utf-8", newline=""))
         fields, lines, fault = [], array("i"), None
         try:
             first = next(reader, None)
@@ -293,7 +318,7 @@ def _prior_chunks(prior: PriorProfile) -> Iterator[Union[bytes, np.ndarray]]:
     """Canonical CSV bytes of a prior in chunks: one row per cell, attribute-major, probability as ``repr``."""
     alternatives, attributes = prior.matrix.shape
     cells = np.arange(alternatives * attributes)
-    return _byte_rows(PRIOR_HEADER, [
+    return _csv_table(PRIOR_HEADER, [
         (prior.attributes, cells // alternatives),
         (prior.alternatives, cells % alternatives),
     ], prior.matrix.T.ravel())
@@ -374,7 +399,7 @@ def scenario_spec_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def write_scenario_spec(spec: ScenarioSpec, path: PathLike) -> None:
-    _write_bytes(path, [_dump_json(scenario_spec_to_dict(spec)).encode("utf-8")])
+    _write_bytes(path, [_settings_json(scenario_spec_to_dict(spec))])
 
 
 def _integer(raw, name: str) -> int:
@@ -452,7 +477,7 @@ def config_to_dict(config: EngineConfig) -> dict:
 
 
 def write_config(config: EngineConfig, path: PathLike) -> None:
-    _write_bytes(path, [_dump_json(config_to_dict(config)).encode("utf-8")])
+    _write_bytes(path, [_settings_json(config_to_dict(config))])
 
 
 # Each EngineConfig field and the parser of its raw value, from a document or a flag.
@@ -549,45 +574,124 @@ def _json_object(value, keys, what: str) -> Mapping:
     return value
 
 
-def _dump_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+def _settings_json(doc: dict) -> bytes:
+    """A spec or config document, as ``json.dumps(doc, indent=2, sort_keys=True)`` writes it.
 
-    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder over
-    every value. Here the layout is walked in Python only down to the
-    lists of scalars; each such list is one call to the C encoder, whose
-    separator carries the line break and indent, so floats, NaN/Infinity
-    and ``ensure_ascii`` escapes come out as the stdlib writes them.
-    Object keys must be strings.
+    Settings hold few floats, and no arrays: :func:`_dump_json`'s render,
+    about 0.3 ms a call whatever its length, would cost more than they do.
     """
-    parts: list[str] = []
-    _json_layout(doc, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _json_layout(value, newline: str, emit) -> None:
-    """Emit ``value``'s indented JSON text; ``newline`` is a line break and its indent."""
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            emit("{}")
-            return
-        for n, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            emit(("{" if n == 0 else ",") + inner + json.dumps(key) + ": ")
-            _json_layout(value[key], inner, emit)
-        emit(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            emit("[]")
-        elif not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, value))):
-            text = json.dumps(value, separators=("," + inner, ": "))
-            emit("[" + inner + text[1:-1] + newline + "]")
-        else:
+def _dump_json(doc) -> Iterator[Union[bytes, np.ndarray]]:
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, in chunks.
+
+    ``doc`` may hold float64 arrays where ``json.dumps`` takes lists; they
+    are written as the nested lists ``tolist()`` gives. The layout is
+    walked in Python: keys, braces, indents, ints, strings, null, booleans
+    and ``NaN``/``Infinity``/``-Infinity`` are laid out as ``json.dumps``
+    writes them, a list that holds no float and no container in one call
+    to it. Every finite float becomes a row of :func:`_byte_rows`: the text
+    since the float before it, then its ``repr`` from
+    :func:`utilrank.floatfmt.render`, so a document's floats are rendered in
+    one chunked pass. An array or list of finite floats takes one step per
+    dimension; one holding anything else is walked item by item. The walk
+    runs before this returns: an object key that is not a string raises
+    TypeError here.
+    """
+    rows = _JsonRows()
+    rows.layout(doc, "\n")
+    rows.pending.append("\n")
+    prefixes = _field_table([text.encode("utf-8") for text in rows.prefixes])
+    codes = np.concatenate([np.empty(0, dtype=np.int64), *rows.codes])
+    values = np.concatenate([np.empty(0), *rows.values])
+    return chain(_byte_rows([(*prefixes, codes)], values, b""),
+                 ["".join(rows.pending).encode("utf-8")])
+
+
+class _JsonRows:
+    """A JSON document as rows: per finite float, a code for the text before it, and the float."""
+
+    def __init__(self):
+        self.pending: list[str] = []  # the text since the last float
+        self.prefixes: dict[str, int] = {}  # each distinct text before a float, and its code
+        self.codes: list = []  # per block of rows, in order: the codes of its texts
+        self.values: list = []  # and its floats
+        self.layouts: dict[tuple[str, int], tuple[str, list[int], str]] = {}  # see _array_layout
+
+    def _code(self, text: str) -> int:
+        return self.prefixes.setdefault(text, len(self.prefixes))
+
+    def layout(self, value, newline: str) -> None:
+        """Lay out ``value``'s indented JSON; ``newline`` is a line break and its indent."""
+        inner = newline + "  "
+        if isinstance(value, dict):
+            if not value:
+                self.pending.append("{}")
+                return
+            for n, key in enumerate(sorted(value)):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+                key_text = encode_basestring_ascii(key)  # as json.dumps(key) writes it
+                self.pending.append(("{" if n == 0 else ",") + inner + key_text + ": ")
+                self.layout(value[key], inner)
+            self.pending.append(newline + "}")
+        elif isinstance(value, (list, tuple, np.ndarray)):
+            if not len(value):
+                self.pending.append("[]")
+                return
+            if isinstance(value, np.ndarray):
+                finite = value.size and np.isfinite(value).all()
+            else:
+                kinds = set(map(type, value))
+                if not any(issubclass(kind, (dict, list, tuple, np.ndarray, float)) for kind in kinds):
+                    text = json.dumps(value, separators=("," + inner, ": "))
+                    self.pending.append("[" + inner + text[1:-1] + newline + "]")
+                    return
+                finite = (all(issubclass(kind, float) for kind in kinds)
+                          and all(map(math.isfinite, value)))
+            if finite:
+                self._array(value, newline)
+                return
             for n, item in enumerate(value):
-                emit(("[" if n == 0 else ",") + inner)
-                _json_layout(item, inner, emit)
-            emit(newline + "]")
-    else:
-        emit(json.dumps(value))
+                self.pending.append(("[" if n == 0 else ",") + inner)
+                self.layout(item, inner)
+            self.pending.append(newline + "]")
+        elif isinstance(value, float) and math.isfinite(value):
+            self.codes.append([self._code("".join(self.pending))])
+            self.values.append([value])
+            self.pending = []
+        else:
+            self.pending.append(json.dumps(value))
+
+    def _array(self, floats, newline: str) -> None:
+        """Lay out a non-empty list or array of finite floats as its nested lists, a row per float."""
+        shape = floats.shape if isinstance(floats, np.ndarray) else (len(floats),)
+        key = (newline, len(shape))
+        if key not in self.layouts:
+            self.layouts[key] = self._array_layout(*key)
+        opening, starts, closing = self.layouts[key]
+        codes = array("q", starts[:1]) * shape[-1]
+        for start, size in zip(starts[1:], reversed(shape[:-1])):
+            codes[0] = start
+            codes *= size
+        codes[0] = self._code("".join(self.pending) + opening)
+        self.codes.append(codes)
+        self.values.append(floats.ravel() if isinstance(floats, np.ndarray) else floats)
+        self.pending = [closing]
+
+    def _array_layout(self, newline: str, depth: int) -> tuple[str, list[int], str]:
+        """The layout of an array of ``depth`` dimensions whose text starts at ``newline``.
+
+        Returns the text before its first float, the codes of the texts
+        before a float that starts r of its lists for r = 0 .. depth - 1 (the
+        closing of r lists, a comma and the opening of r lists), and the text
+        after its last float.
+        """
+        indents = [newline + "  " * level for level in range(depth + 1)]
+        opens = ["".join("[" + indents[level] for level in range(depth - r + 1, depth + 1))
+                 for r in range(depth + 1)]
+        closes = ["".join(indents[level] + "]" for level in range(depth - 1, depth - 1 - r, -1))
+                  for r in range(depth + 1)]
+        starts = [self._code(closes[r] + "," + indents[depth - r] + opens[r]) for r in range(depth)]
+        return opens[depth], starts, closes[depth]

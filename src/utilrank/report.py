@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from . import __version__
 from .model import (
@@ -26,6 +29,8 @@ from .ranking import RankingReport
 from .io_files import SCHEMA_VERSION, _dump_json, _write_bytes, config_to_dict
 
 PathLike = Union[str, Path]
+
+TEXT_PIECE = 1 << 14  # bytes of a JSON report kept as one piece of its text
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,7 @@ def _raw_scores(report: Report, method: WeightMethod) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def report_to_dict(report: Report) -> dict:
+    """The JSON document of a report; its matrices stay float64 arrays."""
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "provenance": {
@@ -87,8 +93,8 @@ def report_to_dict(report: Report) -> dict:
         "alternatives": list(report.alternatives),
         "attributes": list(report.attributes),
         "moments": {
-            "means": report.moments.means.tolist(),
-            "variances": report.moments.variances.tolist(),
+            "means": report.moments.means,
+            "variances": report.moments.variances,
             "counts": report.moments.counts.tolist(),
         },
         "relative_variance": None,
@@ -101,7 +107,7 @@ def report_to_dict(report: Report) -> dict:
     }
     if report.relative_variance is not None:
         doc["relative_variance"] = {
-            "matrix": report.relative_variance.matrix.tolist(),
+            "matrix": report.relative_variance.matrix,
             "degenerate_attributes": list(report.relative_variance.degenerate_attributes),
         }
     for key, scores, log_base in (
@@ -136,9 +142,10 @@ def _display_views(report: Report) -> dict:
     """Rounded presentation copies; never feed these back into computation."""
     views: dict = {}
     if report.relative_variance is not None:
-        views["relative_variance"] = [
-            [round(v, 4) for v in row] for row in report.relative_variance.matrix.tolist()
-        ]
+        matrix = report.relative_variance.matrix
+        views["relative_variance"] = np.fromiter(
+            map(round, matrix.ravel().tolist(), repeat(4)), np.float64, matrix.size
+        ).reshape(matrix.shape)
     for key, scores in (
         ("entropies", report.entropies),
         ("divergences", report.divergences),
@@ -153,10 +160,6 @@ def _display_views(report: Report) -> dict:
         m.value: [round(e, 2) for e in rr.expectations] for m, rr in report.rankings.items()
     }
     return views
-
-
-def report_to_json(report: Report) -> str:
-    return _dump_json(report_to_dict(report))
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +262,35 @@ def report_to_text(report: Report) -> str:
 
 
 def emit_report(report: Report, format: str = "json", destination: PathLike | None = None) -> str:
-    """Serialize a report and optionally write it to ``destination``.
+    """Serialize a report, write its bytes to ``destination`` if one is given, and return its text.
 
-    Emitting the same report twice produces byte-identical output.
+    JSON bytes go to the file chunk by chunk as they are made, each chunk
+    kept as text on its way, so no chunk is held twice. Emitting the same
+    report twice produces byte-identical output.
     """
-    if format == "json":
-        text = report_to_json(report)
-    elif format == "text":
+    if format == "text":
         text = report_to_text(report)
-    else:
+        if destination is not None:
+            _write_bytes(destination, [text.encode("utf-8")])
+        return text
+    if format != "json":
         raise ValueError(f"unknown report format {format!r}; use 'json' or 'text'")
-    if destination is not None:
-        _write_bytes(destination, [text.encode("utf-8")])
-    return text
+    chunks = _dump_json(report_to_dict(report))
+    if destination is None:
+        return "".join(str(chunk, "ascii") for chunk in chunks)
+    pieces: list[str] = []
+    _write_bytes(destination, _kept_as_text(chunks, pieces.append))
+    return "".join(pieces)
+
+
+def _kept_as_text(chunks: Iterable, keep: Callable[[str], None]) -> Iterator:
+    """The ASCII chunks as they are, each passed to ``keep`` first as text, ``TEXT_PIECE`` bytes a piece.
+
+    Pieces that size fit the memory a chunk's own arrays have just freed;
+    one piece per chunk (up to ``CHUNK_BYTES``) grew the heap by about the
+    report's size instead.
+    """
+    for chunk in chunks:
+        for at in range(0, len(chunk), TEXT_PIECE):
+            keep(str(chunk[at:at + TEXT_PIECE], "ascii"))
+        yield chunk

@@ -15,6 +15,8 @@ import math
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .errors import ReproductionMismatch
 from .io_files import (
     digest_prior,
@@ -118,6 +120,8 @@ def verify_report(report: Report) -> None:
         actual = doc
         for key in field.split("."):
             actual = actual[key]
+        if isinstance(actual, np.ndarray):  # a matrix: its cell as a Python number
+            actual = actual.tolist()
         for name in cell.split("/"):
             actual = actual[index[name]]
         if not abs(actual - figure) <= tolerance:

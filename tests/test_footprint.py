@@ -12,17 +12,29 @@ import pytest
 
 import utilrank
 from utilrank.io_files import digest_sample_set, read_samples, write_samples
-from utilrank.model import validate_sample_set
+from utilrank.model import validate_prior, validate_sample_set
+from utilrank.pipeline import run_pipeline
+from utilrank.report import emit_report
 from utilrank.scenario import PairSpec, ScenarioSpec, generate_samples
 
 #: Bytes a read sample set may keep alive per sample.
 RETAINED_BYTES_PER_SAMPLE = 40
 
 #: Peak bytes per sample allocated while reading the log below, with LF or
-#: CRLF line ends. The whole-file csv.reader row loop peaked at 359.6 on the
-#: LF log (Python 3.11, numpy 2.4), and the split-or-fall-back reader at 332.7
-#: on it and at about 370 on the CRLF one; the column reader splits both.
-PEAK_BYTES_PER_SAMPLE = 360
+#: CRLF line ends, or with one quoted name. The whole-file csv.reader row loop
+#: peaked at 359.6 on the LF log (Python 3.11, numpy 2.4), and the
+#: split-or-fall-back reader at 332.7 on it and at about 370 on the CRLF one;
+#: the column reader splits both (297.7). The quoted log goes through
+#: csv.reader: 407.8 while it read a copy of the text in io.StringIO, at 4
+#: bytes per character, and 303.0 from the text's UTF-8 bytes.
+PEAK_BYTES_PER_SAMPLE = 320
+
+#: Peak bytes allocated while emitting the wide JSON report below, per byte
+#: of the report. Measured 2.92 (17,636,885 for 6,034,058; Python 3.11, numpy
+#: 2.4): the returned text in pieces and joined, and 16 bytes per float for
+#: the writer's rows. The writer that handed float lists to the C encoder
+#: peaked at 3.31, every float a Python object in the report's lists.
+EMIT_PEAK_PER_REPORT_BYTE = 3.1
 
 #: Peak bytes allocated while writing the 200,000-sample log below, whatever
 #: its length: rows are rendered and written a chunk at a time. Measured
@@ -71,9 +83,11 @@ def test_read_sample_set_retains_at_most_40_bytes_per_sample(log_20k):
 
 
 def test_reading_a_log_peaks_below_the_row_reader(log_20k, tmp_path):
-    crlf = tmp_path / "crlf.csv"
+    crlf, quoted = tmp_path / "crlf.csv", tmp_path / "quoted.csv"
     crlf.write_bytes(log_20k.read_bytes().replace(b"\n", b"\r\n"))
-    peaks = {path.name: _peak(lambda: read_samples(path)) / 20_000 for path in (log_20k, crlf)}
+    quoted.write_bytes(log_20k.read_bytes().replace(b"\nA000,", b'\n"A000",', 1))
+    peaks = {path.name: _peak(lambda: read_samples(path)) / 20_000
+             for path in (log_20k, crlf, quoted)}
     assert max(peaks.values()) <= PEAK_BYTES_PER_SAMPLE, peaks
 
 
@@ -122,6 +136,26 @@ def test_a_long_name_costs_its_own_bytes(tmp_path):
                        _peak(lambda: digest_sample_set(digested)))
     for short_peak, long_peak in zip(peaks["s0007"], peaks[long_name]):
         assert long_peak - short_peak <= LONG_NAME_PEAK_PER_BYTE * len(long_name)
+
+
+def test_emitting_a_wide_report_peaks_below_the_list_writer(tmp_path):
+    # 1000 alternatives x 50 attributes, the shape of the rank-wide benchmark:
+    # 50,000 cells, about 200,000 floats in a report of about 6 MB.
+    alternatives, attributes = 1000, 50
+    rng = np.random.default_rng(5)
+    cells = np.arange(alternatives * attributes).repeat(2)
+    sample_set = validate_sample_set(
+        ([f"A{i:04d}" for i in range(alternatives)], cells // attributes),
+        ([f"k{j:02d}" for j in range(attributes)], cells % attributes),
+        (["s1", "s2"], np.tile([0, 1], alternatives * attributes)),
+        rng.random(len(cells)),
+    )
+    prior = rng.uniform(0.05, 1.0, (alternatives, attributes))
+    report = run_pipeline(sample_set, validate_prior(prior / prior.sum(axis=0), sample_set))
+    path = tmp_path / "report.json"
+    emit_report(report, "json", path)  # the render tables are built once
+    peak = _peak(lambda: emit_report(report, "json", path))
+    assert peak <= EMIT_PEAK_PER_REPORT_BYTE * path.stat().st_size
 
 
 def test_import_loads_only_stdlib_and_numpy():

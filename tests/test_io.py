@@ -85,6 +85,19 @@ class TestSamplesFile:
             read_samples(path)
         assert exc_info.value.line == 3
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_bad_byte_and_bad_utility_name_the_same_line(self, tmp_path, end):
+        # A lone \r ends a line for csv, so it must for the UTF-8 check too.
+        lines = ["alternative,attribute,situation,utility", "A,x,s1,0.5", "", "A,x,s2,{}", ""]
+        lines_at = {}
+        for bad in (b"high", b"\xff"):
+            path = tmp_path / "bad.csv"
+            path.write_bytes(end.join(lines).encode().replace(b"{}", bad))
+            with pytest.raises(ParseError) as exc_info:
+                read_samples(path)
+            lines_at[bad] = exc_info.value.line
+        assert lines_at == {b"high": 4, b"\xff": 4}
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("alt,attr,sit,util\nA,x,s1,0.5\n")
@@ -683,23 +696,100 @@ def _random_doc(rng: random.Random, depth: int = 0):
     return tuple(items) if kind == 3 and rng.random() < 0.2 else items
 
 
+def _json_text(doc) -> str:
+    return b"".join(_dump_json(doc)).decode("utf-8")
+
+
+def _as_lists(value):
+    """``value`` with every array as the nested lists ``tolist()`` gives: the oracle's input."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    return value
+
+
+def _oracle(doc) -> str:
+    return json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _bit_floats(rng: np.random.Generator, shape) -> np.ndarray:
+    """Floats of uniformly random bits: every exponent, both signs, nan and inf among them."""
+    return rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64).view(np.float64)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+            float(2 ** 53 + 1), 1e16, np.nextafter(1e16, 0), 1e-4, np.nextafter(1e-4, 0), 0.1]
+
+# Documents holding float64 arrays where json.dumps takes lists.
+ARRAY_DOCS = {
+    "1-d": {"v": np.array([0.5, 1.0, 15.0, 1e22, 1.7976931348623157e308, 0.1 + 0.2])},
+    "2-d": {"m": np.linspace(-3.0, 3.0, 12).reshape(3, 4), "k": 1},
+    "3-d": {"t": np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 7},
+    "one-cell": [np.array([[2.5]])],
+    "empty": {"a": np.empty(0), "b": np.empty((0, 3)), "c": np.empty((3, 0)), "d": np.empty((2, 0, 4))},
+    "specials": {"s": np.array(_SPECIAL), "rows": np.array(_SPECIAL[:12]).reshape(3, 4)},
+    "non-finite-only": {"n": np.array([[math.nan], [math.inf]]), "x": np.array([-math.inf])},
+    "non-finite-last": {"z": np.array([[1.0, 2.0], [3.0, math.nan]]), "after": [1.5, math.inf]},
+    "subnormals": {"s": 5e-324 * np.arange(1, 40, 3, dtype=np.float64)},
+    "in-lists": [np.array([1.0, -0.0]), [np.array([[3.0]]), "x", 2 ** 53 + 1, None], (np.ones(2),)],
+    "scalar-arrays": {"f": np.float64(0.25), "g": [np.float64(-1e-7), True]},
+    "float-lists": {"a": [0.1, 0.2, 0.30000000000000004], "b": (1e300, -2.5), "c": [1, 2.0, "3"]},
+    "bare-array": np.array([9.5, 1e-300]),
+    "bare-float": 5e-324,
+}
+
+
 class TestJsonWriter:
-    """``_dump_json`` writes what ``json.dumps(indent=2, sort_keys=True)`` writes."""
+    """``_dump_json`` writes what ``json.dumps(indent=2, sort_keys=True)`` writes, arrays as lists."""
 
     @pytest.mark.parametrize("name", sorted(EDGE_DOCS))
     def test_edge_documents(self, name):
         doc = EDGE_DOCS[name]
-        assert _dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_random_documents(self):
         rng = random.Random(20251018)
         for _ in range(400):
             doc = _random_doc(rng)
-            assert _dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_non_string_key_is_refused(self):
         with pytest.raises(TypeError, match="keys must be str"):
             _dump_json({"a": {1: "x"}})
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_DOCS))
+    def test_array_documents(self, name):
+        doc = ARRAY_DOCS[name]
+        assert _json_text(doc) == _oracle(doc)
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(200):
+            shape = tuple(rng.integers(0, 5, size=rng.integers(1, 4)))
+            values = _bit_floats(rng, shape)
+            if rng.random() < 0.5:  # most bit patterns are huge or tiny: mix in plain numbers
+                values = np.where(rng.random(shape) < 0.8, rng.normal(size=shape), values)
+            doc = {"values": values, "list": values.ravel()[:3].tolist(), "n": int(values.size)}
+            assert _json_text(doc) == _oracle(doc)
+
+    def test_floats_across_chunks(self):
+        rng = np.random.default_rng(7)
+        matrix = _bit_floats(rng, (3000, 40))
+        matrix[~np.isfinite(matrix)] = 1.5
+        matrix[::97, 3] = math.nan  # rows walked float by float, in the same pass
+        doc = {
+            "matrix": matrix,
+            "long": np.concatenate([rng.normal(size=20_000), _SPECIAL]),
+            "floats": rng.random(15_000).tolist(),
+            "mixed": [x if k % 3 else k for k, x in enumerate(rng.random(9_000).tolist())],
+            "key " * 20_000: 0.5,  # one text wider than a chunk before a float
+        }
+        chunks = list(_dump_json(doc))
+        assert len(chunks) > 10  # the float rows of many chunks, each rendered once
+        assert b"".join(chunks).decode("utf-8") == _oracle(doc)
 
 
 class TestFloatTextRoundTrip:
