@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import sys
 import warnings
+from contextlib import contextmanager
 from functools import partial
 from typing import Optional, Sequence
 
@@ -28,7 +29,6 @@ from .io_files import (
     read_prior,
     read_samples,
     read_scenario_spec,
-    samples_to_csv,
     write_samples,
 )
 from .model import EngineConfig
@@ -100,10 +100,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     sample_set = generate_samples(spec)
-    if args.out is None:
-        sys.stdout.write(samples_to_csv(sample_set))
-    else:
-        write_samples(sample_set, args.out)
+    with _destination(args.out) as out:
+        write_samples(sample_set, out)
     return EXIT_OK
 
 
@@ -118,10 +116,20 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         methods=_parse_methods(args.methods),
         include_rankings=args.include_rankings,
     )
-    text = emit_report(report, args.format, destination=args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    with _destination(args.out) as out:
+        emit_report(report, args.format, destination=out)
     return EXIT_OK
+
+
+@contextmanager
+def _destination(path: Optional[str]):
+    """``--out``'s path, or stdout's byte stream, so stdout gets the bytes a file would."""
+    if path is not None:
+        yield path
+        return
+    sys.stdout.flush()
+    yield sys.stdout.buffer
+    sys.stdout.buffer.flush()
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:

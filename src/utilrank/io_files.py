@@ -15,13 +15,14 @@ import hashlib
 import io
 import json
 import math
+import os
 from array import array
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import length_hint
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +47,7 @@ GATHER_SEGMENTS = 1 << 10  # row segments gathered at once: the index arrays sta
 SCHEMA_VERSION = 1
 
 PathLike = Union[str, Path]
+Destination = Union[str, Path, BinaryIO]  # a path, or an open binary stream
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +168,27 @@ def samples_to_csv(sample_set: SampleSet) -> str:
     return b"".join(_csv_chunks(sample_set)).decode("utf-8")
 
 
-def write_samples(sample_set: SampleSet, path: PathLike) -> None:
-    _write_bytes(path, _csv_chunks(sample_set), sample_set)
+def write_samples(sample_set: SampleSet, destination: Destination) -> None:
+    _write_bytes(destination, _csv_chunks(sample_set), sample_set)
 
 
-def _write_bytes(path: PathLike, chunks: Iterable,
+def _write_bytes(destination: Destination, chunks: Iterable,
                  rendered: Union[SampleSet, PriorProfile, None] = None) -> None:
-    """Write byte chunks to ``path`` as they are, so each ``\\n`` is an LF on every platform.
+    """Write byte chunks as they are, so each ``\\n`` is an LF on every platform.
 
+    ``destination`` is a path, opened in binary mode, or an open binary
+    stream such as ``sys.stdout.buffer``, which is written and left open.
     With ``rendered``, the chunks are its canonical CSV: unless it holds
     their sha256 already, it keeps it, for :func:`digest_sample_set` or
     :func:`digest_prior`.
     """
-    with open(path, "wb") as out:
-        if rendered is None or rendered._csv_sha256 is not None:
-            out.writelines(chunks)
-        else:
-            object.__setattr__(rendered, "_csv_sha256", _sha256(chunks, out.write))
+    if isinstance(destination, (str, os.PathLike)):
+        with open(destination, "wb") as out:
+            _write_bytes(out, chunks, rendered)
+    elif rendered is None or rendered._csv_sha256 is not None:
+        destination.writelines(chunks)
+    else:
+        object.__setattr__(rendered, "_csv_sha256", _sha256(chunks, destination.write))
 
 
 def _utf8_text(path: PathLike) -> str:

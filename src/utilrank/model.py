@@ -6,7 +6,9 @@ of alternatives and attributes that every downstream matrix follows, so
 the same input multiset always produces byte-identical reports.
 
 All types are immutable after construction and safe to share across
-concurrent readers.
+concurrent readers, with one exception: the write-once ``_csv_sha256``
+digest memo of :class:`SampleSet` and :class:`PriorProfile`, which
+``write_samples`` and ``write_prior`` set on a set they render.
 """
 
 from __future__ import annotations

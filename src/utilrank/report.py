@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -26,11 +25,7 @@ from .model import (
     WeightVector,
 )
 from .ranking import RankingReport
-from .io_files import SCHEMA_VERSION, _dump_json, _write_bytes, config_to_dict
-
-PathLike = Union[str, Path]
-
-TEXT_PIECE = 1 << 14  # bytes of a JSON report kept as one piece of its text
+from .io_files import SCHEMA_VERSION, Destination, _dump_json, _write_bytes, config_to_dict
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ def report_to_text(report: Report) -> str:
 
     if report.relative_variance is not None and report.entropies is not None:
         base = report.config.entropy_log_base
-        base_label = "e" if base == math.e else fmt(base)
+        base_label = "e" if base == math.e else repr(base).removesuffix(".0")
         header = ["Attribute"]
         header += [f"{alt} p" for alt in alts]
         header += [f"{alt} log(p)" for alt in alts]
@@ -261,36 +256,22 @@ def report_to_text(report: Report) -> str:
     return "\n".join(out)
 
 
-def emit_report(report: Report, format: str = "json", destination: PathLike | None = None) -> str:
-    """Serialize a report, write its bytes to ``destination`` if one is given, and return its text.
+def emit_report(report: Report, format: str = "json",
+                destination: Destination | None = None) -> Optional[str]:
+    """Serialize a report: return its text, or write its bytes to ``destination``.
 
-    JSON bytes go to the file chunk by chunk as they are made, each chunk
-    kept as text on its way, so no chunk is held twice. Emitting the same
-    report twice produces byte-identical output.
+    ``destination`` is a path or an open binary stream (the CLI passes
+    ``sys.stdout.buffer``); JSON bytes go there chunk by chunk as they
+    are made, and no text is kept. Both ways give the same bytes, and
+    emitting the same report twice gives byte-identical output.
     """
-    if format == "text":
-        text = report_to_text(report)
-        if destination is not None:
-            _write_bytes(destination, [text.encode("utf-8")])
-        return text
-    if format != "json":
+    if format == "json":
+        chunks = _dump_json(report_to_dict(report))
+    elif format == "text":
+        chunks = [report_to_text(report).encode("utf-8")]
+    else:
         raise ValueError(f"unknown report format {format!r}; use 'json' or 'text'")
-    chunks = _dump_json(report_to_dict(report))
     if destination is None:
-        return "".join(str(chunk, "ascii") for chunk in chunks)
-    pieces: list[str] = []
-    _write_bytes(destination, _kept_as_text(chunks, pieces.append))
-    return "".join(pieces)
-
-
-def _kept_as_text(chunks: Iterable, keep: Callable[[str], None]) -> Iterator:
-    """The ASCII chunks as they are, each passed to ``keep`` first as text, ``TEXT_PIECE`` bytes a piece.
-
-    Pieces that size fit the memory a chunk's own arrays have just freed;
-    one piece per chunk (up to ``CHUNK_BYTES``) grew the heap by about the
-    report's size instead.
-    """
-    for chunk in chunks:
-        for at in range(0, len(chunk), TEXT_PIECE):
-            keep(str(chunk[at:at + TEXT_PIECE], "ascii"))
-        yield chunk
+        return "".join(str(chunk, "utf-8") for chunk in chunks)
+    _write_bytes(destination, chunks)
+    return None

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -249,6 +250,46 @@ class TestWeights:
         doc = json.loads(out.read_text())
         assert doc["config"]["kld_log_base"] == 10.0   # flag beats config file
         assert doc["config"]["report_weight_rounding"] == 4  # file beats default
+
+
+# Each verb that writes a document, its input files named as in ``workdir``.
+DOCUMENT_VERBS = {
+    "simulate": ["simulate", "--spec", "scenario.json"],
+    "rank-json": ["rank", "--samples", "samples.csv", "--prior", "prior.csv", "--format", "json"],
+    "rank-text": ["rank", "--samples", "samples.csv", "--prior", "prior.csv", "--format", "text"],
+    "weights": ["weights", "--samples", "samples.csv", "--prior", "prior.csv"],
+}
+
+
+def _in(workdir, argv):
+    return [str(workdir / arg) if arg.endswith((".csv", ".json")) else arg for arg in argv]
+
+
+class TestStdout:
+    """Without ``--out``, stdout gets the bytes ``--out`` writes, on every platform."""
+
+    @pytest.mark.parametrize("verb", DOCUMENT_VERBS)
+    def test_stdout_bytes_equal_out_bytes(self, workdir, tmp_path, monkeypatch, verb):
+        argv = _in(workdir, DOCUMENT_VERBS[verb])
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        # Text-mode stdout as Windows opens it: each "\n" written as text becomes "\r\n".
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\r\n")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == out.read_bytes()
+
+    def test_stdout_of_a_fresh_interpreter(self, workdir, tmp_path):
+        argv = _in(workdir, DOCUMENT_VERBS["rank-json"])
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        src = str(Path(utilrank.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "utilrank.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stdout == out.read_bytes()
 
 
 class TestReproducePaper:

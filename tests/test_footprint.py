@@ -29,12 +29,14 @@ RETAINED_BYTES_PER_SAMPLE = 40
 #: bytes per character, and 303.0 from the text's UTF-8 bytes.
 PEAK_BYTES_PER_SAMPLE = 320
 
-#: Peak bytes allocated while emitting the wide JSON report below, per byte
-#: of the report. Measured 2.92 (17,636,885 for 6,034,058; Python 3.11, numpy
-#: 2.4): the returned text in pieces and joined, and 16 bytes per float for
-#: the writer's rows. The writer that handed float lists to the C encoder
-#: peaked at 3.31, every float a Python object in the report's lists.
-EMIT_PEAK_PER_REPORT_BYTE = 3.1
+#: Peak bytes allocated while emitting the wide JSON report below to a file,
+#: per byte of the report. Measured 2.69 (16,211,717 for 6,034,058; Python
+#: 3.11, numpy 2.4), 16 bytes per float of it the writer's rows; an emit to
+#: a file keeps no text. The emit that also returned the report's text, kept
+#: in pieces and joined, peaked at 2.92, and the writer that handed float
+#: lists to the C encoder at 3.31, every float a Python object in the
+#: report's lists.
+EMIT_PEAK_PER_REPORT_BYTE = 2.8
 
 #: Peak bytes allocated while writing the 200,000-sample log below, whatever
 #: its length: rows are rendered and written a chunk at a time. Measured

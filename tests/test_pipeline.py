@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from utilrank.errors import PriorRequired
-from utilrank.model import WeightMethod, validate_prior
+from utilrank.model import EngineConfig, WeightMethod, validate_prior
 from utilrank.pipeline import resolve_methods, run_pipeline
 from utilrank.report import emit_report, report_to_dict
 from utilrank.reproduce import REFERENCE_CONFIG, USE_CASE_SPEC
@@ -182,6 +182,22 @@ class TestReportEmission:
         emit_report(use_case_report, "text", ta)
         emit_report(use_case_report, "text", tb)
         assert ta.read_bytes() == tb.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_file_holds_the_returned_text(self, use_case_report, tmp_path, fmt):
+        path = tmp_path / f"report.{fmt}"
+        assert emit_report(use_case_report, fmt, path) is None
+        assert path.read_bytes() == emit_report(use_case_report, fmt).encode("utf-8")
+
+    @pytest.mark.parametrize("base, label", [
+        (math.e, "e"), (2.0, "2"), (10.0, "10"),
+        (1.00001, "1.00001"),  # not "1": a logarithm's base is never 1
+        (2.718281828, "2.718281828"),  # not "2.7183", which reads as e
+    ])
+    def test_text_names_the_entropy_base_exactly(self, use_case_samples, base, label):
+        config = EngineConfig(entropy_log_base=base)
+        text = emit_report(run_pipeline(use_case_samples, config=config, methods=("icw",)), "text")
+        assert f"Table A2. Normalized variance and its logarithm (base {label})\n" in text
 
     def test_unknown_format_rejected(self, use_case_report):
         with pytest.raises(ValueError):
