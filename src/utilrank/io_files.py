@@ -1,11 +1,14 @@
 """File formats: sample logs, prior tables, scenario specs, engine configs.
 
-Sample logs are flat delimiter-separated rows (one per observation) so
-simulation farms can append cheaply; specs, priors, and configs are small
-structured JSON documents with a schema version field. Numbers serialize
-with the shortest round-trip decimal representation (in CSV and reports
-through :mod:`utilrank.floatfmt`, byte for byte ``repr``), and all writers emit
-LF line endings, so identical content yields identical bytes.
+Sample logs and priors are flat comma-separated tables (one row per
+observation or cell) so simulation farms can append cheaply; specs and
+configs are small JSON documents with a schema version field, and reports
+are JSON written by the same writer. Numbers serialize with the shortest
+round-trip decimal representation, byte for byte ``repr``: table values
+and the floats of a JSON array or float list through
+:mod:`utilrank.floatfmt`, every other float as ``json.dumps`` writes it.
+All writers emit LF line endings, so identical content yields identical
+bytes.
 """
 
 from __future__ import annotations
@@ -405,7 +408,7 @@ def scenario_spec_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def write_scenario_spec(spec: ScenarioSpec, path: PathLike) -> None:
-    _write_bytes(path, [_settings_json(scenario_spec_to_dict(spec))])
+    _write_bytes(path, _dump_json(scenario_spec_to_dict(spec)))
 
 
 def _integer(raw, name: str) -> int:
@@ -483,7 +486,7 @@ def config_to_dict(config: EngineConfig) -> dict:
 
 
 def write_config(config: EngineConfig, path: PathLike) -> None:
-    _write_bytes(path, [_settings_json(config_to_dict(config))])
+    _write_bytes(path, _dump_json(config_to_dict(config)))
 
 
 # Each EngineConfig field and the parser of its raw value, from a document or a flag.
@@ -580,30 +583,22 @@ def _json_object(value, keys, what: str) -> Mapping:
     return value
 
 
-def _settings_json(doc: dict) -> bytes:
-    """A spec or config document, as ``json.dumps(doc, indent=2, sort_keys=True)`` writes it.
-
-    Settings hold few floats, and no arrays: :func:`_dump_json`'s render,
-    about 0.3 ms a call whatever its length, would cost more than they do.
-    """
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def _dump_json(doc) -> Iterator[Union[bytes, np.ndarray]]:
     """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, in chunks.
 
     ``doc`` may hold float64 arrays where ``json.dumps`` takes lists; they
     are written as the nested lists ``tolist()`` gives. The layout is
-    walked in Python: keys, braces, indents, ints, strings, null, booleans
-    and ``NaN``/``Infinity``/``-Infinity`` are laid out as ``json.dumps``
-    writes them, a list that holds no float and no container in one call
-    to it. Every finite float becomes a row of :func:`_byte_rows`: the text
-    since the float before it, then its ``repr`` from
-    :func:`utilrank.floatfmt.render`, so a document's floats are rendered in
-    one chunked pass. An array or list of finite floats takes one step per
-    dimension; one holding anything else is walked item by item. The walk
-    runs before this returns: an object key that is not a string raises
-    TypeError here.
+    walked in Python: keys, braces, indents and every scalar (ints,
+    strings, null, booleans and a float that is not in a float array) are
+    laid out as ``json.dumps`` writes them, a list that holds no float and
+    no container in one call to it. Each float of an array or list of
+    finite floats becomes a row of :func:`_byte_rows`: the text since the
+    float before it, then its ``repr`` from :func:`utilrank.floatfmt.render`,
+    so a report's float arrays are rendered in one chunked pass, and a spec
+    or config, which holds none, never calls the kernel. Such an array
+    takes one step per dimension; one holding anything else is walked item
+    by item. The walk runs before this returns: an object key that is not a
+    string raises TypeError here.
     """
     rows = _JsonRows()
     rows.layout(doc, "\n")
@@ -616,7 +611,7 @@ def _dump_json(doc) -> Iterator[Union[bytes, np.ndarray]]:
 
 
 class _JsonRows:
-    """A JSON document as rows: per finite float, a code for the text before it, and the float."""
+    """A JSON document as rows: per float of a float array, a code for the text before it, and the float."""
 
     def __init__(self):
         self.pending: list[str] = []  # the text since the last float
@@ -663,10 +658,6 @@ class _JsonRows:
                 self.pending.append(("[" if n == 0 else ",") + inner)
                 self.layout(item, inner)
             self.pending.append(newline + "]")
-        elif isinstance(value, float) and math.isfinite(value):
-            self.codes.append([self._code("".join(self.pending))])
-            self.values.append([value])
-            self.pending = []
         else:
             self.pending.append(json.dumps(value))
 

@@ -67,9 +67,9 @@ class ScenarioSpec:
             if key in seen:
                 raise InvalidSpec(f"duplicate pair {key!r}")
             seen.add(key)
-            if p.sample_count < 2:
+            if not 2 <= p.sample_count < 2 ** 63:
                 raise InvalidSpec(
-                    f"pair {key!r} has sample_count {p.sample_count}; need at least 2"
+                    f"pair {key!r} has sample_count {p.sample_count}; need at least 2 and below 2**63"
                 )
             if not math.isfinite(p.target_mean):
                 raise InvalidSpec(f"pair {key!r} has non-finite target mean")

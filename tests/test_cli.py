@@ -1,7 +1,9 @@
 """Command-line surface: verbs, exit codes, determinism."""
 
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -153,12 +155,13 @@ class TestBadInput:
             ([], {"schema_version": 1, "kld_logbase": 2}),
             ([], {"schema_version": True}),
             ([], {"schema_version": 1.0}),
+            ([], [{"schema_version": 1}]),
         ],
         ids=["entropy-base", "round-weights", "methods", "config-epsilon",
              "config-rounding-float", "config-rounding-bool", "config-rounding-string",
              "config-base-overridden", "entropy-base-inf", "config-kld-base-inf",
              "config-epsilon-bool", "config-unknown-key", "config-version-bool",
-             "config-version-float"],
+             "config-version-float", "config-not-object"],
     )
     def test_exits_two_with_one_line(self, workdir, tmp_path, capsys, flags, config):
         argv = ["rank", "--samples", str(workdir / "samples.csv"), *flags]
@@ -169,19 +172,23 @@ class TestBadInput:
         _assert_one_error_line(capsys)
 
     @pytest.mark.parametrize(
-        "log",
+        "log,message",
         [
-            HEADER + "A" * 200_000 + ",x,s1,0.5\n",
-            HEADER.encode() + b"A,x,s1,0.5\nA,x,s2,0.\xff\n",
-            HEADER + "AI1,x,s1,1e308\nAI1,x,s2,1.7e308\nAI2,x,s1,0\nAI2,x,s2,1\n",
+            (HEADER + "A" * 200_000 + ",x,s1,0.5\n", "line 2: field larger than field limit"),
+            (HEADER.encode() + b"A,x,s1,0.5\nA,x,s2,0.\xff\n", "line 3: byte 0xff is not UTF-8"),
+            (HEADER + "AI1,x,s1,1e308\nAI1,x,s2,1.7e308\nAI2,x,s1,0\nAI2,x,s2,1\n",
+             "moments of (AI1, x) overflow"),
+            ("", "line 1: file is empty; expected a header row"),
+            (HEADER + 'A,x,s1,0.5\n"' + "B" * 200_000 + '",x,s2,0.5\n',
+             f"line 3: field larger than field limit ({csv.field_size_limit()})"),
         ],
-        ids=["field-too-long", "not-utf8", "moment-overflow"],
+        ids=["field-too-long", "not-utf8", "moment-overflow", "empty", "quoted-field-too-long"],
     )
-    def test_bad_sample_log(self, tmp_path, capsys, log):
+    def test_bad_sample_log(self, tmp_path, capsys, log, message):
         path = tmp_path / "samples.csv"
         path.write_bytes(log if isinstance(log, bytes) else log.encode())
         assert main(["rank", "--samples", str(path)]) == 2
-        _assert_one_error_line(capsys)
+        assert message in _assert_one_error_line(capsys)
 
     @pytest.mark.parametrize(
         "spec",
@@ -201,11 +208,17 @@ class TestBadInput:
             {**SPEC, "schema_version": True},
             {**SPEC, "schema_version": 1.0},
             {**SPEC, "pairs": ["A"]},
+            {**SPEC, "pairs": [{**PAIR, "count": 10 ** 20}]},
+            [SPEC],
+            {**SPEC, "pairs": [{**PAIR, "alternative": ""}]},
+            {**SPEC, "pairs": [{**PAIR, "mean": math.nan}]},
+            json.dumps({**SPEC, "pairs": [{**PAIR, "mean": 0.5}]}).replace("0.5", "1e999").encode(),
         ],
         ids=["count-float", "seed-float", "seed-bool", "family", "not-utf8", "mean-bool",
              "variance-bool", "alternative-null", "attribute-int", "alternative-list",
              "unknown-key", "unknown-pair-key", "version-bool", "version-float",
-             "pair-not-object"],
+             "pair-not-object", "count-past-int64", "not-object", "alternative-empty",
+             "mean-nan", "mean-overflow"],
     )
     def test_bad_scenario_spec(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"
@@ -214,9 +227,10 @@ class TestBadInput:
         _assert_one_error_line(capsys)
 
 
-def _assert_one_error_line(capsys):
+def _assert_one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 class TestWeights:

@@ -38,6 +38,7 @@ from utilrank.io_files import (
     read_samples,
     read_scenario_spec,
     samples_to_csv,
+    scenario_spec_to_dict,
     write_config,
     write_prior,
     write_samples,
@@ -45,7 +46,7 @@ from utilrank.io_files import (
 )
 from utilrank.model import EngineConfig, IgdNegativePolicy, validate_prior
 from utilrank.reproduce import USE_CASE_SPEC, reproduce_paper
-from utilrank.scenario import generate_samples
+from utilrank.scenario import PairSpec, ScenarioSpec, generate_samples
 
 from conftest import USE_CASE_PRIOR, grid_sample_set, sample_rows, sample_set_from_rows
 
@@ -159,7 +160,7 @@ class TestDigestMemo:
         path = tmp_path / "prior.csv"
         write_prior(written, path)
         assert written._csv_sha256 == streamed == hashlib.sha256(path.read_bytes()).hexdigest()
-        monkeypatch.setattr(io_files, "prior_to_csv", None)
+        monkeypatch.setattr(io_files, "_prior_chunks", None)  # the memo is used, not re-rendered
         assert digest_prior(written) == streamed
 
     def test_reproduce_paper_renders_samples_once(self, tmp_path, monkeypatch):
@@ -219,6 +220,53 @@ class TestWritersEmitLf:
             'Path(p).open()',
         ])
         assert _unpinned_writes(source) == [1, 2, 3, 4, 5]
+
+
+def _indented_dumps(source: str) -> list[int]:
+    """Lines of ``json.dump``/``json.dumps`` calls with ``indent=``: documents written beside ``_dump_json``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps") and getattr(node.func.value, "id", None) == "json"
+            and any(k.arg == "indent" for k in node.keywords)]
+
+
+class TestOneJsonWriter:
+    """Every JSON document is written by ``_dump_json``, byte for byte as ``json.dumps`` would."""
+
+    def test_no_indented_dumps_in_the_package(self):
+        package = Path(io_files.__file__).parent
+        found = {path.name: _indented_dumps(path.read_text(encoding="utf-8"))
+                 for path in sorted(package.glob("*.py"))}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_scanner_finds_indented_dumps(self):
+        source = "\n".join([
+            "json.dumps(doc, indent=2, sort_keys=True)",
+            "json.dump(doc, out, indent=None)",
+            "json.dumps(value)",
+            "json.dumps(items, separators=(',', ': '))",
+        ])
+        assert _indented_dumps(source) == [1, 2]
+
+    def test_spec_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_files.floatfmt, "render", None)  # no float array: no kernel call
+        floats = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, 0.5]
+        spec = ScenarioSpec(tuple(PairSpec("naïve 日本", f"x{k}", mean, variance, 2)
+                                  for k, (mean, variance) in enumerate(zip(floats, floats[1:]))),
+                            2 ** 64 - 1)
+        path = tmp_path / "scenario.json"
+        write_scenario_spec(spec, path)
+        expected = json.dumps(scenario_spec_to_dict(spec), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("base", [math.e, 2.0, 1.00001], ids=["e", "2", "1.00001"])
+    def test_config_bytes(self, tmp_path, monkeypatch, base):
+        monkeypatch.setattr(io_files.floatfmt, "render", None)
+        config = EngineConfig(entropy_log_base=base, prior_smoothing_epsilon=1e-05)
+        path = tmp_path / "config.json"
+        write_config(config, path)
+        expected = json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestPriorFile:
@@ -836,12 +884,3 @@ class TestFloatTextRoundTrip:
         write_prior(written, path)
         read = read_prior(path, sample_set)
         assert read.matrix.view(np.uint64).tolist() == written.matrix.view(np.uint64).tolist()
-
-
-def test_prior_digest_is_the_kept_one(tmp_path, monkeypatch):
-    # digest_prior renders through _prior_chunks: with it gone, only the memo can answer.
-    written = validate_prior(USE_CASE_PRIOR, generate_samples(USE_CASE_SPEC))
-    path = tmp_path / "prior.csv"
-    write_prior(written, path)
-    monkeypatch.setattr(io_files, "_prior_chunks", None)
-    assert digest_prior(written) == hashlib.sha256(path.read_bytes()).hexdigest()

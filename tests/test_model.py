@@ -12,10 +12,17 @@ from utilrank.errors import (
     InvalidIdentifier,
     NegativeEntry,
     NonFiniteUtility,
+    ScoreOutOfRange,
     UtilityRangeWarning,
 )
 from utilrank.io_files import digest_sample_set
-from utilrank.model import EngineConfig, validate_prior, validate_sample_set
+from utilrank.model import (
+    EngineConfig,
+    MomentMatrices,
+    WeightVector,
+    validate_prior,
+    validate_sample_set,
+)
 
 from conftest import (
     USE_CASE_PRIOR,
@@ -222,3 +229,21 @@ class TestEngineConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
+
+
+class TestMomentMatrices:
+    def test_shapes_must_agree(self):
+        with pytest.raises(DimensionMismatch):
+            MomentMatrices(np.zeros((1, 2)), np.zeros((1, 3)), np.full((1, 2), 2), ("a",), ("x", "y"))
+
+    def test_negative_variance(self):
+        variances = np.array([[0.1, -1e-300]])
+        with pytest.raises(ValueError, match="non-negative"):
+            MomentMatrices(np.zeros((1, 2)), variances, np.full((1, 2), 2), ("a",), ("x", "y"))
+
+
+class TestWeightVector:
+    @pytest.mark.parametrize("weights", [(0.5, 0.4), (1.5, -0.5)], ids=["sum-not-one", "negative"])
+    def test_rejects(self, weights):
+        with pytest.raises(ScoreOutOfRange):
+            WeightVector(weights)

@@ -196,6 +196,12 @@ class TestKld:
             )
             assert dv[r] == pytest.approx(expected, rel=1e-12)
 
+    def test_zero_data_skips_zero_prior(self):
+        # 0 * log(0 / 0) is taken as 0: a cell with no data mass needs no prior support.
+        profile = _profile([[0.0], [1.0]])
+        prior = PriorProfile(np.array([[0.0], [1.0]]), profile.alternatives, profile.attributes)
+        assert kld(profile, prior, EngineConfig()) == (0.0,)
+
     def test_dimension_mismatch(self, use_case_profile):
         prior = PriorProfile(np.array([[1.0], [0.0]]), ALTERNATIVES, ("only",))
         with pytest.raises(DimensionMismatch):
@@ -220,6 +226,9 @@ class TestIghw:
     def test_all_zero_divergence(self):
         with pytest.raises(AllZeroDivergence):
             ighw((0.0, 0.0))
+
+    def test_negative_noise_is_clamped(self):
+        assert ighw((0.5, -1e-18)).weights == (1.0, 0.0)
 
     def test_negative_weight_is_range_error(self):
         with pytest.raises(ScoreOutOfRange, match="negative beyond rounding noise"):
