@@ -884,3 +884,12 @@ class TestFloatTextRoundTrip:
         write_prior(written, path)
         read = read_prior(path, sample_set)
         assert read.matrix.view(np.uint64).tolist() == written.matrix.view(np.uint64).tolist()
+
+
+def test_prior_digest_is_the_kept_one(tmp_path, monkeypatch):
+    # digest_prior renders through _prior_chunks: with it gone, only the memo can answer.
+    written = validate_prior(USE_CASE_PRIOR, generate_samples(USE_CASE_SPEC))
+    path = tmp_path / "prior.csv"
+    write_prior(written, path)
+    monkeypatch.setattr(io_files, "_prior_chunks", None)
+    assert digest_prior(written) == hashlib.sha256(path.read_bytes()).hexdigest()
