@@ -19,6 +19,15 @@ class UtilrankError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def show_name(name: str) -> str:
+    """A name as a message shows it: as it is if printable, else as its ``repr``.
+
+    A line break or other control character in a name then cannot split
+    or garble the one-line error the CLI prints.
+    """
+    return name if name.isprintable() else repr(name)
+
+
 # ---------------------------------------------------------------------------
 # Input validation
 # ---------------------------------------------------------------------------
@@ -39,7 +48,8 @@ class DuplicateTriple(UtilrankError):
         self.attribute_id = attribute_id
         self.situation_id = situation_id
         super().__init__(
-            f"duplicate sample for ({alternative_id}, {attribute_id}, {situation_id})"
+            f"duplicate sample for ({show_name(alternative_id)}, {show_name(attribute_id)}, "
+            f"{show_name(situation_id)})"
         )
 
 
@@ -55,7 +65,8 @@ class InsufficientSamples(UtilrankError):
         self.attribute_id = attribute_id
         self.count = count
         super().__init__(
-            f"pair ({alternative_id}, {attribute_id}) has {count} sample(s); need at least 2"
+            f"pair ({show_name(alternative_id)}, {show_name(attribute_id)}) has {count} "
+            "sample(s); need at least 2"
         )
 
 
@@ -70,8 +81,8 @@ class NonFiniteUtility(UtilrankError):
         self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(
-            f"non-finite utility for ({alternative_id}, {attribute_id}, "
-            f"{situation_id}){where}"
+            f"non-finite utility for ({show_name(alternative_id)}, {show_name(attribute_id)}, "
+            f"{show_name(situation_id)}){where}"
         )
 
 
@@ -135,7 +146,7 @@ class ZeroPriorSupport(UtilrankError):
         self.alternative_id = alternative_id
         self.attribute_id = attribute_id
         super().__init__(
-            f"prior is zero at ({alternative_id}, {attribute_id}) where the "
+            f"prior is zero at ({show_name(alternative_id)}, {show_name(attribute_id)}) where the "
             "data-driven probability is positive; set prior_smoothing_epsilon > 0 "
             "or fix the prior"
         )

@@ -19,7 +19,9 @@ import io
 import json
 import math
 import os
+import re
 from array import array
+from contextlib import contextmanager
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import length_hint
@@ -30,11 +32,10 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Se
 import numpy as np
 
 from . import floatfmt
-from .errors import InvalidSpec, NonFiniteUtility, ParseError
+from .errors import InvalidSpec, NonFiniteUtility, ParseError, UtilrankError, show_name
 from .model import (
     DegenerateVariancePolicy,
     EngineConfig,
-    IdColumn,
     IgdNegativePolicy,
     PriorProfile,
     SampleSet,
@@ -46,6 +47,7 @@ from .scenario import MomentMode, PairSpec, ScenarioSpec
 SAMPLES_HEADER = ["alternative", "attribute", "situation", "utility"]
 PRIOR_HEADER = ["attribute", "alternative", "probability"]
 CHUNK_BYTES = 1 << 18  # bytes a chunk of rows may write: bounds the memory held
+READ_BYTES = 1 << 16  # bytes a reader takes from a file at a time: bounds the text held
 GATHER_SEGMENTS = 1 << 10  # row segments gathered at once: the index arrays stay small
 SCHEMA_VERSION = 1
 
@@ -194,85 +196,227 @@ def _write_bytes(destination: Destination, chunks: Iterable,
         object.__setattr__(rendered, "_csv_sha256", _sha256(chunks, destination.write))
 
 
-def _utf8_text(path: PathLike) -> str:
-    """A file's text; a byte that is not UTF-8 is a ParseError naming its line.
+def _texts(path: PathLike) -> Iterator[str]:
+    """A file's text a block at a time, each block ending at a line end or at the file's end.
 
-    Lines end as ``csv`` ends them: at ``\\n``, ``\\r\\n`` or a lone ``\\r``.
+    The file is read ``READ_BYTES`` at a time, and each read is cut after
+    its last ``\\n``, a byte no UTF-8 sequence holds, or if it holds none
+    after its last lone ``\\r``, so that a log with CR line ends is read in
+    blocks too; a line longer than a read is kept as pieces and joined
+    once. A byte that is not UTF-8 is a ParseError naming its line.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        pieces, start = [], 0  # start: where in the file the next text starts
+        while block := file.read(READ_BYTES):
+            cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1  # or a \r not before a \n
+            if not cut:
+                pieces.append(block)
+                continue
+            data = b"".join([*pieces, memoryview(block)[:cut]])
+            pieces = [memoryview(block)[cut:]]
+            yield _decoded(data, file, start)
+            start += len(data)
+        data = b"".join(pieces)
+        if data:
+            yield _decoded(data, file, start)
+
+
+def _decoded(data: bytes, file: BinaryIO, start: int) -> str:
+    """UTF-8 ``data``, read from ``start`` in ``file``, as text; a byte that is not UTF-8 is a ParseError."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        ends = data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
-        line_no = ends - data.count(b"\r\n", 0, exc.start) + 1
-        raise ParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
+        raise ParseError(_line_at(file, start + exc.start),
+                         f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
 
 
-def _table(text: str, header: list[str]) -> tuple[list[str], Sequence[int], int, Optional[ParseError]]:
-    """The fields below the exact ``header``, row after row, as ``csv.reader`` reads them.
+def _line_at(file: BinaryIO, end: int) -> int:
+    """The line of the byte at ``end`` in ``file``, lines ending as ``csv`` ends them: at ``\\n``, ``\\r\\n`` or a lone ``\\r``.
 
-    Returns ``(fields, lines, last, fault)``: column k is
-    ``fields[k::len(header)]``, row i starts on line ``lines[i]`` and the
-    file ends on line ``last`` (physical lines; blank lines are no rows).
-    ``fault`` is the ParseError of the first row of the wrong width or that
-    csv cannot read, or None; ``fields`` holds the rows before it. A log
-    that starts with the header line and holds no quote, no NUL (which csv
-    rejects before Python 3.11) and no ``\\r`` but in a ``\\r\\n`` is split
-    as text, with no container per row. Any other streams through
-    ``csv.reader`` from its UTF-8 bytes, decoded a block at a time, in
-    lines cut at ``\\n``, ``\\r\\n`` or a lone ``\\r`` with their line breaks
-    kept, so a quoted ``\\r`` stays: the cuts of ``io.StringIO(text,
-    newline="")`` without its copy of the text at 4 bytes per character.
+    Counted only for an error, by reading the file again up to ``end``, so
+    that reading a file well counts no lines.
     """
-    width, limit, head = len(header), csv.field_size_limit(), ",".join(header)
-    if (not text.startswith((head + "\n", head + "\r\n")) or '"' in text or "\0" in text
-            or ("\r" in text and text.count("\r") != text.count("\r\n"))):
-        data = io.BytesIO(text.encode("utf-8"))
-        del text
-        reader = csv.reader(io.TextIOWrapper(data, encoding="utf-8", newline=""))
-        fields, lines, fault = [], array("i"), None
+    file.seek(0)
+    line, last = 1, b""
+    while end > 0 and (block := file.read(min(end, READ_BYTES))):
+        end -= len(block)
+        line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+        line -= last == b"\r" and block[:1] == b"\n"  # a \r\n across two reads
+        last = block[-1:]
+    return line
+
+
+def _end_of_line(text: str, at: int) -> int:
+    """The end of the line at ``at``: past its ``\\n``, ``\\r\\n`` or lone ``\\r``, or the text's end."""
+    newline = text.find("\n", at)
+    lone = text.find("\r", at, len(text) if newline < 0 else max(newline - 1, at))
+    if lone >= 0:
+        return lone + 1
+    return len(text) if newline < 0 else newline + 1
+
+
+class _Lines:
+    """The texts of a file from a place in one of them on, line by line, as ``csv.reader`` reads them.
+
+    ``text`` is the block of text being read and ``at`` the place in it;
+    iterating hands out the lines from there, taking the next text when
+    one runs out, so that a quoted record read by ``csv.reader`` may span
+    lines and blocks.
+    """
+
+    def __init__(self, texts: Iterator[str]):
+        self.texts, self.text, self.at = texts, "", 0
+        self.csv_lines = False  # whether the text holds a line that csv.reader must read
+
+    def more(self) -> bool:
+        """Take the next text, once this one is read; False at the file's end."""
+        if self.at < len(self.text):
+            return True
+        text = next(self.texts, None)
+        if text is None:
+            return False
+        self.text, self.at = text, 0
+        self.csv_lines = '"' in text or "\0" in text
+        return True
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        if not self.more():
+            raise StopIteration
+        end = _end_of_line(self.text, self.at)
+        line, self.at = self.text[self.at:end], end
+        return line
+
+
+# A line csv.reader reads: one holding a quote, which may continue its
+# record onto the next line, or a NUL, which csv rejects before Python 3.11.
+# A run of such lines ends at the next line that holds neither.
+_CSV_LINE = re.compile('["\\0]')
+_PLAIN_LINE = re.compile('\n[^"\\0\n]*(?:\n|\\Z)')
+
+
+def _rows(texts: Iterator[str], header: list[str]) -> Iterator[tuple[list[str], Sequence[int], int]]:
+    """The fields below the exact ``header``, row after row as ``csv.reader`` reads them, a block at a time.
+
+    Yields ``(fields, lines, last)`` for each block of ``texts``: column k
+    of the block's rows is ``fields[k::len(header)]``, row i starts on line
+    ``lines[i]`` and the block ends on line ``last`` (physical lines; blank
+    lines are no rows). The first row of the wrong width or that csv cannot
+    read raises its ParseError once the rows before it are yielded. Lines
+    that hold no quote and no NUL are split as text, at ``\\n``, ``\\r\\n``
+    or a lone ``\\r``, with no container per row. A run of lines that hold
+    one goes through ``csv.reader``, read from a copy of the run alone, and
+    so does the rest of a record that starts in it, over as many lines and
+    blocks as it spans.
+    """
+    width, head = len(header), ",".join(header)
+    source = _Lines(texts)
+    if not source.more():
+        raise ParseError(1, "file is empty; expected a header row")
+    if source.text.startswith(head) and source.text[len(head):len(head) + 1] in ("\n", "\r", ""):
+        source.at, line = _end_of_line(source.text, 0), 2
+    else:
+        reader = csv.reader(source)
         try:
-            first = next(reader, None)
-            if first is None:
-                raise ParseError(1, "file is empty; expected a header row")
-            if first != header:
-                raise ParseError(1, f"expected header {head!r}, got {','.join(first)!r}")
-            line = reader.line_num
-            for row in reader:
-                if row:
-                    if len(row) != width:
-                        fault = ParseError(line + 1, f"expected {width} fields, got {len(row)}")
-                        break
-                    fields += row
-                    lines.append(line + 1)
-                line = reader.line_num
+            first = next(reader)
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-            fault = ParseError(reader.line_num, str(exc))
-        return fields, lines, reader.line_num, fault
-    rows = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
-    del text, rows[0]
+            raise ParseError(reader.line_num, str(exc)) from None
+        if first != header:
+            raise ParseError(1, f"expected header {head!r}, got {','.join(first)!r}")
+        line = reader.line_num + 1
+    while True:
+        fields, lines, fault = [], [], None
+        while fault is None and source.at < len(source.text):
+            text, at = source.text, source.at
+            found = _CSV_LINE.search(text, at) if source.csv_lines else None
+            start = len(text) if found is None else max(  # the start of the line holding it
+                at - 1, text.rfind("\n", at, found.start()), text.rfind("\r", at, found.start())) + 1
+            if at < start:
+                run_fields, run_lines, line, fault = _split(text[at:start], width, line)
+                fields += run_fields
+                lines.append(run_lines)
+                source.at = start
+            if found is None or fault is not None:
+                continue
+            plain = _PLAIN_LINE.search(text, start)
+            end = len(text) if plain is None else plain.start() + 1  # the lines from start that hold one
+            buffer = io.StringIO(text[start:end], newline="")
+            reader = csv.reader(chain(buffer, source))  # a record that runs past end reads on from there
+            source.at, run_lines = end, []
+            while fault is None and buffer.tell() < end - start:
+                read = reader.line_num
+                try:
+                    row = next(reader)
+                except csv.Error as exc:
+                    fault = ParseError(line + reader.line_num - read - 1, str(exc))
+                    break
+                if row and len(row) != width:
+                    fault = ParseError(line, f"expected {width} fields, got {len(row)}")
+                elif row:
+                    fields += row
+                    run_lines.append(line)
+                line += reader.line_num - read
+            lines.append(run_lines)
+        yield fields, lines[0] if len(lines) == 1 else list(chain.from_iterable(lines)), line - 1
+        if fault is not None:
+            raise fault
+        if not source.more():
+            return
+
+
+def _split(run: str, width: int, line: int) -> tuple[list[str], Sequence[int], int, Optional[ParseError]]:
+    """The fields of lines that hold no quote and no NUL, as csv.reader reads them.
+
+    ``run`` is whole lines, the first of them line ``line``. Returns
+    ``(fields, lines, next, fault)``: column k is ``fields[k::width]``, row
+    i is on line ``lines[i]`` and ``next`` is the line after ``run``.
+    ``fault`` is the ParseError of the first row of the wrong width or with
+    a field csv finds too long, or None; ``fields`` holds the rows before it.
+    """
+    limit, length = csv.field_size_limit(), len(run)
+    rows = (run.replace("\r\n", "\n").replace("\r", "\n") if "\r" in run else run).split("\n")
+    del run
     if not rows[-1]:
         rows.pop()  # the line end of the last line
-    last = len(rows) + 1
-    long = len(rows)  # the first row with a field that csv finds too long
-    if max(map(len, rows), default=0) > limit:
-        long = next((k for k, row in enumerate(rows) if max(map(len, row.split(","))) > limit), long)
-    counts = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
-    odd = np.flatnonzero(counts != width - 1).tolist()  # blank lines and rows of the wrong width
-    end = min(next((k for k in odd if rows[k]), len(rows)), long)
+    count = long = len(rows)  # long: the first row with a field that csv finds too long
+    if length > limit:  # only a run that long can hold one
+        long = next((k for k, row in enumerate(rows)
+                     if len(row) > limit and max(map(len, row.split(","))) > limit), long)
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, count)
+    odd = np.flatnonzero(commas != width - 1).tolist()  # blank lines and rows of the wrong width
+    end = min(next((k for k in odd if rows[k]), count), long)
     fault = None
-    if end < len(rows):
-        wrong = f"expected {width} fields, got {counts[end] + 1}"
-        fault = ParseError(end + 2, f"field larger than field limit ({limit})" if end == long else wrong)
-    del rows[end:], counts
+    if end < count:
+        wrong = f"expected {width} fields, got {commas[end] + 1}"
+        fault = ParseError(line + end, f"field larger than field limit ({limit})" if end == long else wrong)
+    del rows[end:], commas
     blank = [k for k in odd if k < end]
-    lines = range(2, end + 2)
+    lines = range(line, line + end)
     if blank:
-        lines = np.delete(np.arange(2, end + 2), blank)
+        lines = np.delete(np.arange(line, line + end), blank)
         rows = list(filter(None, rows))
     joined = ",".join(rows)
     del rows
-    return joined.split(",") if joined else [], lines, last, fault
+    return joined.split(",") if joined else [], lines, line + count, fault
+
+
+@contextmanager
+def _table(path: PathLike, header: list[str]) -> Iterator[Iterator[tuple[list[str], Sequence[int], int]]]:
+    """The :func:`_rows` of the file at ``path``, for a reader that checks them.
+
+    When the reader raises on a row, the rest of the file is decoded first,
+    so that a byte that is not UTF-8 anywhere in it is the error, as when
+    the whole file was decoded before any row was read.
+    """
+    texts = _texts(path)
+    try:
+        yield _rows(texts, header)
+    except UtilrankError:
+        for _ in texts:
+            pass
+        raise
 
 
 def _floats(column: list[str]) -> np.ndarray:
@@ -294,29 +438,47 @@ def read_samples(path: PathLike) -> SampleSet:
     """Parse and validate a sample log.
 
     Expects the exact header ``alternative,attribute,situation,utility``.
-    The first row whose utility is not a finite number, then the first row
-    of the wrong form, then the set as a whole is the error; a row's error
-    names its line.
+    The log is read a block of text at a time (see :func:`_rows`): each
+    block's names are coded through one table per column, in order of
+    first appearance, and its utilities parsed, so the memory held follows
+    a block and the columns, not the log's text. A byte that is not UTF-8
+    anywhere in the log, then the first row whose utility is not a finite
+    number or that has the wrong form, then the set as a whole is the
+    error; a row's error names its line.
     """
-    fields, lines, _, fault = _table(_utf8_text(path), SAMPLES_HEADER)
-    utilities = _floats(fields[3::4])
-    end = len(utilities)
-    bad = _first(~np.isfinite(utilities))
-    if bad < end:
-        raise NonFiniteUtility(*fields[4 * bad:4 * bad + 3], line=int(lines[bad]))
-    if end < len(fields) // 4:
-        raise ParseError(int(lines[end]), f"utility {fields[4 * end + 3]!r} is not a number")
-    if fault is not None:
-        raise fault
-    names = [_coded(fields[k::4]) for k in range(3)]
-    del fields
-    return validate_sample_set(*names, utilities)
+    tables = [_Codes(), _Codes(), _Codes()]
+    codes: list[list[np.ndarray]] = [[], [], []]
+    utilities = []
+    with _table(path, SAMPLES_HEADER) as rows:
+        for fields, lines, _ in rows:
+            values = _floats(fields[3::4])
+            end = len(values)
+            bad = _first(~np.isfinite(values))
+            if bad < end:
+                raise NonFiniteUtility(*fields[4 * bad:4 * bad + 3], line=int(lines[bad]))
+            if end < len(fields) // 4:
+                raise ParseError(int(lines[end]), f"utility {fields[4 * end + 3]!r} is not a number")
+            for k, (table, column) in enumerate(zip(tables, codes)):
+                column.append(np.fromiter(map(table.__getitem__, fields[k::4]), np.int32, end))
+            utilities.append(values)
+    del fields, lines, values  # the last block's, not held while the set is validated
+    columns = [(list(table), _joined(column)) for table, column in zip(tables, codes)]
+    return validate_sample_set(*columns, _joined(utilities))
 
 
-def _coded(column: list[str]) -> IdColumn:
-    """A column of names as a table, in order of first appearance, and codes."""
-    index = {name: code for code, name in enumerate(dict.fromkeys(column))}
-    return list(index), np.fromiter(map(index.__getitem__, column), np.int32, len(column))
+class _Codes(dict):
+    """Names and their codes; a name not there yet gets the next code, so codes follow first appearance."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = code = len(self)
+        return code
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks end to end; the list is emptied as they are, so each is held once."""
+    joined = np.concatenate(blocks)
+    blocks.clear()
+    return joined
 
 
 # ---------------------------------------------------------------------------
@@ -345,42 +507,50 @@ def write_prior(prior: PriorProfile, path: PathLike) -> None:
 def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
     """Parse a prior table and validate it against the sample set.
 
-    Every (attribute, alternative) cell must appear exactly once. The first
-    row with an unknown attribute or alternative, a probability that is not
-    a number or a repeated cell (checked in that order), then a row of the
-    wrong form, then a missing cell, named at the last line, is the error.
+    Every (attribute, alternative) cell must appear exactly once. The table
+    is read a block of text at a time (see :func:`_rows`), each block's
+    cells marked in one flag per cell, so the memory held follows a block
+    and the matrix. A byte that is not UTF-8 anywhere in the table, then
+    the first row with an unknown attribute or alternative, a probability
+    that is not a number or a repeated cell (checked in that order) or of
+    the wrong form, then a missing cell, named at the last line, is the
+    error.
     """
-    fields, lines, last, fault = _table(_utf8_text(path), PRIOR_HEADER)
-    cols = _indices(sample_set.attributes, fields[0::3])
-    rows = _indices(sample_set.alternatives, fields[1::3])
-    width = sample_set.num_attributes
-    cells = (rows * width + cols)[:_first((cols < 0) | (rows < 0))]  # up to an unknown name
-    named, firsts = np.unique(cells, return_index=True)  # the cells named, sorted, and their first rows
-    repeated = np.ones(len(cells), dtype=bool)
-    repeated[firsts] = False
-    probabilities = _floats(fields[2::3])
-    at, reason = min([  # each check's first row; a tie goes to the check made first
-        (_first(cols < 0), lambda i: f"unknown attribute {fields[3 * i]!r}"),
-        (_first(rows < 0), lambda i: f"unknown alternative {fields[3 * i + 1]!r}"),
-        (len(probabilities), lambda i: f"probability {fields[3 * i + 2]!r} is not a number"),
-        (_first(repeated), lambda i: f"duplicate cell ({fields[3 * i]}, {fields[3 * i + 1]})"),
-    ], key=lambda check: check[0])
-    if at < len(cols):
-        raise ParseError(int(lines[at]), reason(at))
-    if fault is not None:
-        raise fault
-    missing = _first(named != np.arange(len(named)))  # the first cell not named
-    if missing < sample_set.num_alternatives * width:
+    attributes = {name: k for k, name in enumerate(sample_set.attributes)}
+    alternatives = {name: k for k, name in enumerate(sample_set.alternatives)}
+    width = len(attributes)
+    seen = np.zeros(len(alternatives) * width, dtype=bool)
+    matrix = np.empty(len(seen))
+    with _table(path, PRIOR_HEADER) as rows:
+        for fields, lines, last in rows:
+            cols = _indices(attributes, fields[0::3])
+            alts = _indices(alternatives, fields[1::3])
+            cells = (alts * width + cols)[:_first((cols < 0) | (alts < 0))]  # up to an unknown name
+            repeated = np.ones(len(cells), dtype=bool)  # named in an earlier row, of this block or one before
+            repeated[np.unique(cells, return_index=True)[1]] = False
+            repeated |= seen[cells]
+            probabilities = _floats(fields[2::3])
+            at, reason = min([  # each check's first row; a tie goes to the check made first
+                (_first(cols < 0), lambda i: f"unknown attribute {fields[3 * i]!r}"),
+                (_first(alts < 0), lambda i: f"unknown alternative {fields[3 * i + 1]!r}"),
+                (len(probabilities), lambda i: f"probability {fields[3 * i + 2]!r} is not a number"),
+                (_first(repeated), lambda i: "duplicate cell "
+                                             f"({show_name(fields[3 * i])}, {show_name(fields[3 * i + 1])})"),
+            ], key=lambda check: check[0])
+            if at < len(cols):
+                raise ParseError(int(lines[at]), reason(at))
+            seen[cells] = True
+            matrix[cells] = probabilities
+    missing = _first(~seen)  # the first cell not named
+    if missing < len(seen):
         i, j = divmod(missing, width)
-        raise ParseError(last, f"missing cell ({sample_set.attributes[j]}, {sample_set.alternatives[i]})")
-    matrix = np.empty((sample_set.num_alternatives, width))
-    matrix.flat[cells] = probabilities
-    return validate_prior(matrix, sample_set)
+        raise ParseError(last, f"missing cell ({show_name(sample_set.attributes[j])}, "
+                               f"{show_name(sample_set.alternatives[i])})")
+    return validate_prior(matrix.reshape(len(alternatives), width), sample_set)
 
 
-def _indices(names: tuple[str, ...], column: list[str]) -> np.ndarray:
-    """Each cell's position in ``names``; -1 for a name not there."""
-    index = {name: k for k, name in enumerate(names)}
+def _indices(index: dict[str, int], column: list[str]) -> np.ndarray:
+    """Each cell's code in ``index``; -1 for a name not there."""
     return np.fromiter(map(index.get, column, repeat(-1)), np.intp, len(column))
 
 

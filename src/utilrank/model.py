@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteUtility,
     ScoreOutOfRange,
     UtilityRangeWarning,
+    show_name,
 )
 
 #: Tolerance for per-attribute probability columns summing to one.
@@ -321,10 +322,10 @@ def validate_prior(
         i, r = map(int, np.argwhere(matrix < 0)[0])
         raise NegativeEntry(
             f"negative prior probability {float(matrix[i, r])!r} at "
-            f"({sample_set.alternatives[i]}, {sample_set.attributes[r]})"
+            f"({show_name(sample_set.alternatives[i])}, {show_name(sample_set.attributes[r])})"
         )
-    for attr, column in zip(sample_set.attributes, matrix.T.tolist()):
-        total = math.fsum(column)
+    for attr, column in zip(sample_set.attributes, matrix.T):
+        total = math.fsum(column.tolist())  # a column at a time: no Python float per cell at once
         if not abs(total - 1.0) <= COLUMN_SUM_TOL:
             raise ColumnNotNormalized(attr, total)
     return PriorProfile(matrix, sample_set.alternatives, sample_set.attributes)

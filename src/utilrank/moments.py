@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ScoreOutOfRange
+from .errors import ScoreOutOfRange, show_name
 from .model import MomentMatrices, SampleSet
 
 
@@ -84,6 +84,7 @@ def _pair_moments(sample_set: SampleSet, bounds: list[int]) -> Iterator[tuple[fl
         except OverflowError:  # a sum or square past the largest float
             i, j = divmod(pair, sample_set.num_attributes)
             raise ScoreOutOfRange(
-                f"moments of ({sample_set.alternatives[i]}, {sample_set.attributes[j]}) "
+                f"moments of ({show_name(sample_set.alternatives[i])}, "
+                f"{show_name(sample_set.attributes[j])}) "
                 "overflow the float range"
             ) from None

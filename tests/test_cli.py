@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -16,10 +17,10 @@ import utilrank
 import utilrank.cli as cli
 import utilrank.reproduce as reproduce_module
 from utilrank.cli import main
-from utilrank.errors import UtilityRangeWarning
-from utilrank.io_files import write_prior, write_samples, write_scenario_spec
+from utilrank.errors import UtilityRangeWarning, UtilrankError
+from utilrank.io_files import read_scenario_spec, write_prior, write_samples, write_scenario_spec
 from utilrank.model import validate_prior
-from utilrank.reproduce import USE_CASE_SPEC
+from utilrank.reproduce import USE_CASE_SPEC, reproduce_paper
 from utilrank.scenario import generate_samples
 
 from conftest import USE_CASE_PRIOR
@@ -190,6 +191,13 @@ class TestBadInput:
         assert main(["rank", "--samples", str(path)]) == 2
         assert message in _assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("name", ["a\nb", "a\x0cb", "a\rb"], ids=["lf", "form-feed", "cr"])
+    def test_a_name_that_is_not_printable_stays_on_one_line(self, tmp_path, capsys, name):
+        path = tmp_path / "samples.csv"
+        path.write_bytes((HEADER + f'"{name}",x,s1,0.5\n"{name}",x,s1,0.6\n').encode())
+        assert main(["rank", "--samples", str(path)]) == 2
+        assert _assert_one_error_line(capsys) == f"error: duplicate sample for ({name!r}, x, s1)\n"
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -231,6 +239,74 @@ def _assert_one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
+
+
+# What a fuzzed input gets: bytes that part fields, rows and quotes, bytes
+# that are not UTF-8 text, and numbers that are not finite.
+FUZZ_BYTES = [b",", b'"', b"\r", b"\n", b"\0", b"\xff", b"nan", b"1e999"]
+
+
+def _fuzzed(rng: random.Random, data: bytes) -> bytes:
+    """``data`` with one to three edits: a few bytes deleted, one of FUZZ_BYTES put in, or a span copied."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(data) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            data = data[:at] + data[at + rng.randint(1, 4):]
+        elif edit == 1:
+            data = data[:at] + rng.choice(FUZZ_BYTES) + data[at:]
+        else:
+            start = rng.randrange(len(data) + 1)
+            data = data[:at] + data[start:start + rng.randint(1, 80)] + data[at:]
+    return data
+
+
+class TestFuzzedInputs:
+    """Seeded mutations of the reference inputs: every run ends in an exit code and at most one error line."""
+
+    ROUNDS = 400
+
+    def test_every_failure_is_one_line(self, tmp_path, capsys):
+        base = tmp_path / "base"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UtilityRangeWarning)
+            reproduce_paper(base)
+        names = ["samples.csv", "prior.csv", "config.json", "scenario.json"]
+        inputs = {name: (base / name).read_bytes() for name in names}
+        rng = random.Random(16)
+        codes = []
+        for case in range(self.ROUNDS):
+            mutated = rng.choice(names)
+            for name in names:
+                (tmp_path / name).write_bytes(_fuzzed(rng, inputs[name]) if name == mutated else inputs[name])
+            if mutated == "scenario.json":
+                spec = tmp_path / mutated
+                if _samples_asked(spec) > 100_000:
+                    continue  # numpy would try to allocate them
+                argv = ["simulate", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]
+            else:
+                argv = ["rank", "--samples", str(tmp_path / "samples.csv"),
+                        "--prior", str(tmp_path / "prior.csv"), "--config", str(tmp_path / "config.json"),
+                        "--out", str(tmp_path / "out.json")]
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except Exception as exc:  # name the case, so it can be run again
+                pytest.fail(f"case {case}: {mutated} raised {exc!r}")
+            lines = capsys.readouterr().err.split("\n")
+            errors = [line for line in lines[:-1] if not line.startswith("warning: ")]
+            assert code in (0, 2, 3, 4) and lines[-1] == "", (case, mutated, code, lines)
+            assert len(errors) == (code != 0) and all(map(str.isprintable, lines)), (case, mutated, lines)
+            codes.append(code)
+        assert {0, 2} <= set(codes), codes  # both the run and the error paths are reached
+
+
+def _samples_asked(spec: Path) -> int:
+    """The samples a scenario spec asks for; 0 for one that does not read."""
+    try:
+        return sum(pair.sample_count for pair in read_scenario_spec(spec).pairs)
+    except (UtilrankError, OSError):
+        return 0
 
 
 class TestWeights:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import utilrank
-from utilrank.io_files import digest_sample_set, read_samples, write_samples
+from utilrank.io_files import digest_sample_set, read_prior, read_samples, write_prior, write_samples
 from utilrank.model import validate_prior, validate_sample_set
 from utilrank.pipeline import run_pipeline
 from utilrank.report import emit_report
@@ -23,11 +23,18 @@ RETAINED_BYTES_PER_SAMPLE = 40
 #: Peak bytes per sample allocated while reading the log below, with LF or
 #: CRLF line ends, or with one quoted name. The whole-file csv.reader row loop
 #: peaked at 359.6 on the LF log (Python 3.11, numpy 2.4), and the
-#: split-or-fall-back reader at 332.7 on it and at about 370 on the CRLF one;
-#: the column reader splits both (297.7). The quoted log goes through
-#: csv.reader: 407.8 while it read a copy of the text in io.StringIO, at 4
-#: bytes per character, and 303.0 from the text's UTF-8 bytes.
-PEAK_BYTES_PER_SAMPLE = 320
+#: split-or-fall-back reader at 332.7 on it and at about 370 on the CRLF one.
+#: The column reader, which held the whole text and a string per field,
+#: peaked at 297.7 on the LF log and 303.0 on the quoted one. The block
+#: reader holds a 64 KiB block's text and fields, then the columns: 84.8 on
+#: the LF log and on one with CR line ends, 83.9 on the CRLF one and 89.0 on
+#: the quoted one.
+PEAK_BYTES_PER_SAMPLE = 100
+
+#: Peak bytes per cell allocated while reading the wide prior below. The
+#: column reader peaked at 290.8; the block reader at 34.3, most of it the
+#: matrix, its copy in the PriorProfile, and a block's text and fields.
+PRIOR_PEAK_BYTES_PER_CELL = 39
 
 #: Peak bytes allocated while emitting the wide JSON report below to a file,
 #: per byte of the report. Measured 2.69 (16,211,717 for 6,034,058; Python
@@ -85,11 +92,12 @@ def test_read_sample_set_retains_at_most_40_bytes_per_sample(log_20k):
 
 
 def test_reading_a_log_peaks_below_the_row_reader(log_20k, tmp_path):
-    crlf, quoted = tmp_path / "crlf.csv", tmp_path / "quoted.csv"
+    crlf, cr, quoted = tmp_path / "crlf.csv", tmp_path / "cr.csv", tmp_path / "quoted.csv"
     crlf.write_bytes(log_20k.read_bytes().replace(b"\n", b"\r\n"))
+    cr.write_bytes(log_20k.read_bytes().replace(b"\n", b"\r"))
     quoted.write_bytes(log_20k.read_bytes().replace(b"\nA000,", b'\n"A000",', 1))
     peaks = {path.name: _peak(lambda: read_samples(path)) / 20_000
-             for path in (log_20k, crlf, quoted)}
+             for path in (log_20k, crlf, cr, quoted)}
     assert max(peaks.values()) <= PEAK_BYTES_PER_SAMPLE, peaks
 
 
@@ -140,9 +148,10 @@ def test_a_long_name_costs_its_own_bytes(tmp_path):
         assert long_peak - short_peak <= LONG_NAME_PEAK_PER_BYTE * len(long_name)
 
 
-def test_emitting_a_wide_report_peaks_below_the_list_writer(tmp_path):
+@pytest.fixture(scope="module")
+def wide():
     # 1000 alternatives x 50 attributes, the shape of the rank-wide benchmark:
-    # 50,000 cells, about 200,000 floats in a report of about 6 MB.
+    # 100,000 samples and 50,000 cells.
     alternatives, attributes = 1000, 50
     rng = np.random.default_rng(5)
     cells = np.arange(alternatives * attributes).repeat(2)
@@ -153,7 +162,20 @@ def test_emitting_a_wide_report_peaks_below_the_list_writer(tmp_path):
         rng.random(len(cells)),
     )
     prior = rng.uniform(0.05, 1.0, (alternatives, attributes))
-    report = run_pipeline(sample_set, validate_prior(prior / prior.sum(axis=0), sample_set))
+    return sample_set, validate_prior(prior / prior.sum(axis=0), sample_set)
+
+
+def test_reading_a_prior_peaks_below_the_column_reader(wide, tmp_path):
+    sample_set, prior = wide
+    path = tmp_path / "prior.csv"
+    write_prior(prior, path)
+    peak = _peak(lambda: read_prior(path, sample_set))
+    assert peak / prior.matrix.size <= PRIOR_PEAK_BYTES_PER_CELL
+
+
+def test_emitting_a_wide_report_peaks_below_the_list_writer(wide, tmp_path):
+    # About 200,000 floats in a report of about 6 MB.
+    report = run_pipeline(*wide)
     path = tmp_path / "report.json"
     emit_report(report, "json", path)  # the render tables are built once
     peak = _peak(lambda: emit_report(report, "json", path))

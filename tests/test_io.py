@@ -22,6 +22,7 @@ from utilrank.errors import (
     NonFiniteUtility,
     ParseError,
     UtilrankError,
+    show_name,
 )
 from utilrank.io_files import (
     PRIOR_HEADER,
@@ -375,9 +376,9 @@ PRIOR_FAULTS = {
     "number-before-duplicate": (3, (1, 0, "high"), "line 5: probability 'high' is not a number",
                                 "line 6: probability 'high' is not a number"),
     "duplicate-cell": (3, (1, 0, "0.9"), "line 5: duplicate cell (proportionality, AI1)",
-                       "line 6: duplicate cell (propor\ntionality, AI1)"),
+                       "line 6: duplicate cell ('propor\\ntionality', AI1)"),
     "missing-cell": (3, None, "line 6: missing cell (proportionality, AI2)",
-                     "line 7: missing cell (propor\ntionality, A,\"2\")"),
+                     "line 7: missing cell ('propor\\ntionality', A,\"2\")"),
 }
 
 
@@ -537,67 +538,183 @@ def _oracle_prior(text: str, sample_set):
             raise ParseError(line_no, f"probability {raw_probability!r} is not a number") from None
         key = (alt_index[alternative], attr_index[attribute])
         if seen[key]:
-            raise ParseError(line_no, f"duplicate cell ({attribute}, {alternative})")
+            raise ParseError(line_no, f"duplicate cell ({show_name(attribute)}, {show_name(alternative)})")
         seen[key] = True
         matrix[key] = probability
     missing = np.argwhere(~seen)
     if missing.size:
         i, j = missing[0]
         alt, attr = sample_set.alternatives[i], sample_set.attributes[j]
-        raise ParseError(line_no, f"missing cell ({attr}, {alt})")
+        raise ParseError(line_no, f"missing cell ({show_name(attr)}, {show_name(alt)})")
     return validate_prior(matrix, sample_set)
+
+
+@pytest.fixture
+def csv_rows(monkeypatch):
+    """A list that gets each row a reader reads through csv.reader."""
+    rows = []
+    monkeypatch.setattr(csv, "reader", lambda *args: _CountingReader(ORACLE_READER(*args), rows))
+    return rows
 
 
 class TestReadersMatchRowLoop:
     """Both ways the readers tokenize, split and csv.reader, agree with the row-loop oracle."""
 
-    @pytest.fixture
-    def csv_reads(self, monkeypatch):
-        """A list that gets an entry each time a reader streams a log through csv.reader."""
-        reads = []
-        monkeypatch.setattr(csv, "reader", lambda *args: reads.append(1) or ORACLE_READER(*args))
-        return reads
+    def test_samples(self, tmp_path, csv_rows):
+        self._check_samples(tmp_path, csv_rows, 5000)
 
-    def test_samples(self, tmp_path, csv_reads):
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_samples_at_block_edges(self, tmp_path, csv_rows, monkeypatch, block):
+        # Every quoted line break, \r\n pair, multi-byte character and row
+        # then falls on a block edge somewhere.
+        monkeypatch.setattr(io_files, "READ_BYTES", block)
+        self._check_samples(tmp_path, csv_rows, 600)
+
+    def test_prior(self, tmp_path, csv_rows):
+        self._check_prior(tmp_path, csv_rows, 5000)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_prior_at_block_edges(self, tmp_path, csv_rows, monkeypatch, block):
+        monkeypatch.setattr(io_files, "READ_BYTES", block)
+        self._check_prior(tmp_path, csv_rows, 600)
+
+    @staticmethod
+    def _check_samples(tmp_path, csv_rows, rounds):
         rng = random.Random(11)
         numbers = ["0.5", "1", "-2e3", "0.125", "3", "1e-300"]
         path = tmp_path / "samples.csv"
         split = crlf = 0
-        for _ in range(5000):  # a quarter get a stray \r, which mostly sends them to csv
+        for _ in range(rounds):  # a quarter get a stray \r, which is split as a line end
             alternatives = rng.sample(["A", "B", "a b", "\x85"], rng.choice([1, 2]))
             situations = ["s1", "s2", "s3"][:rng.choice([2, 3])]
             rows = [[alt, attr, sit, rng.choice(numbers)]
                     for alt in alternatives for attr in ("x", "y") for sit in situations]
             text = _line_ends(rng, _mutated_log(rng, ",".join(SAMPLES_HEADER), rows))
             path.write_bytes(text.encode("utf-8"))
-            streamed = len(csv_reads)
+            read = len(csv_rows)
             assert _outcome(read_samples, path) == _outcome(_oracle_samples, text), repr(text)
-            if len(csv_reads) == streamed:
+            if len(csv_rows) == read:
                 split += 1
                 crlf += "\r" in text
-        assert split > 1500 and crlf > 800 and 5000 - split > 2500, (split, crlf)
+        assert split > 0.3 * rounds and crlf > 0.16 * rounds and rounds - split > 0.5 * rounds, (split, crlf)
 
-    def test_prior(self, tmp_path, csv_reads):
+    @staticmethod
+    def _check_prior(tmp_path, csv_rows, rounds):
         rng = random.Random(12)
         sample_set = grid_sample_set(("a", "b\x85"), ("x", "y"), lambda i, j: [0.1, 0.2])
         path = tmp_path / "prior.csv"
         split = crlf = 0
-        for _ in range(5000):  # a quarter get a stray \r, which mostly sends them to csv
+        for _ in range(rounds):  # a quarter get a stray \r, which is split as a line end
             p, q = rng.choice([(0.5, 0.5), (0.25, 0.75), (1.0, 0.0), (0.7, 0.3)])
             rows = [["x", "a", repr(p)], ["x", "b\x85", repr(q)],
                     ["y", "a", repr(q)], ["y", "b\x85", repr(p)]]
             text = _line_ends(rng, _mutated_log(rng, ",".join(PRIOR_HEADER), rows))
             path.write_bytes(text.encode("utf-8"))
-            streamed = len(csv_reads)
+            read = len(csv_rows)
             got, expected = _outcome(read_prior, path, sample_set), _outcome(_oracle_prior, text, sample_set)
             if isinstance(expected, tuple):
                 assert got == expected, repr(text)
             else:
                 assert got.matrix.tobytes() == expected.matrix.tobytes(), repr(text)
-            if len(csv_reads) == streamed:
+            if len(csv_rows) == read:
                 split += 1
                 crlf += "\r" in text
-        assert split > 1500 and crlf > 800 and 5000 - split > 2500, (split, crlf)
+        assert split > 0.3 * rounds and crlf > 0.16 * rounds and rounds - split > 0.5 * rounds, (split, crlf)
+
+
+class _CountingReader:
+    """A csv.reader that puts each row it reads in ``rows``."""
+
+    def __init__(self, reader, rows: list):
+        self.reader, self.rows = reader, rows
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.reader)
+        self.rows.append(row)
+        return row
+
+    @property
+    def line_num(self) -> int:
+        return self.reader.line_num
+
+
+class TestBlockReader:
+    """What reading a block at a time must keep, where a long log, a long line or a late fault shows it."""
+
+    def test_only_the_quoted_record_goes_through_csv(self, tmp_path, csv_rows):
+        spec = ScenarioSpec(tuple(PairSpec(f"A{i:03d}", f"k{j:02d}", 0.5, 0.01, 2)
+                                  for i in range(200) for j in range(20)), seed=1)
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        write_samples(generate_samples(spec), plain)  # 8,000 rows, about 290 KB
+        quoted.write_bytes(plain.read_bytes().replace(b"\nA150,k07,", b'\n"A150",k07,', 1))
+        assert read_samples(quoted) == read_samples(plain)
+        assert [row[:2] for row in csv_rows] == [["A150", "k07"]]
+
+    @pytest.mark.parametrize("table", ["samples", "prior"])
+    def test_a_bad_byte_blocks_after_a_bad_row_still_wins(self, tmp_path, monkeypatch, table):
+        # Row k is on line k + 2: the bad byte is on line 152, some 25 blocks after the bad row.
+        monkeypatch.setattr(io_files, "READ_BYTES", 64)
+        if table == "samples":
+            header, rows, read = SAMPLES_HEADER, [b"A,x,s%03d,0.5" % k for k in range(200)], read_samples
+            rows[2], fault = b"A,x,s002,high", "line 4: utility 'high' is not a number"
+        else:
+            sample_set = grid_sample_set(["A"], ["x"], lambda i, j: [0.1, 0.2])
+            header, rows = PRIOR_HEADER, [b"x,A,high"] + [b""] * 199
+            read, fault = lambda path: read_prior(path, sample_set), "line 2: probability 'high' is not a number"
+        path = tmp_path / "table.csv"
+        for bad_byte, message in ((b"", fault), (b"\xff", "line 152: byte 0xff is not UTF-8 text")):
+            rows[150] += bad_byte
+            path.write_bytes(b"\n".join([",".join(header).encode(), *rows]) + b"\n")
+            with pytest.raises(ParseError) as exc_info:
+                read(path)
+            assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_a_bad_bytes_line_counts_line_ends_across_reads(self, tmp_path, monkeypatch, end):
+        path = tmp_path / "samples.csv"
+        rows = [b"A,x,s%02d,0.5" % k for k in range(40)]
+        path.write_bytes(end.join([",".join(SAMPLES_HEADER).encode(), *rows, b"A,x,s40,0.\xff"]) + end)
+        for block in (1, 2, 3, 7, 1 << 16):
+            monkeypatch.setattr(io_files, "READ_BYTES", block)
+            with pytest.raises(ParseError) as exc_info:
+                read_samples(path)
+            assert str(exc_info.value) == "line 42: byte 0xff is not UTF-8 text", block
+
+    def test_a_log_with_cr_line_ends_reads_in_blocks(self, tmp_path, monkeypatch):
+        sample_set = sample_set_from_rows([(alternative, attribute, f"s{k}", k / 8)
+                                           for alternative in ("A", 'B,"1"') for attribute in ("x", "y\rz")
+                                           for k in range(8)])
+        path = tmp_path / "samples.csv"
+        write_samples(sample_set, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        for block in (1 << 16, 1, 7, 64):
+            monkeypatch.setattr(io_files, "READ_BYTES", block)
+            assert read_samples(path) == sample_set, block
+        assert len(list(io_files._texts(path))) > 5  # cut at a lone \r, not held whole
+
+    def test_a_long_name_reads_back_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_files, "READ_BYTES", 64)
+        path = tmp_path / "samples.csv"
+        for name in ("L" * 20_000, "Q,\n" * 5_000 + "Q"):  # split, then read by csv over 5,001 lines
+            sample_set = sample_set_from_rows([(name, "x", "s1", 0.25), (name, "x", "s2", 0.5),
+                                               ("B", "x", "s1", 0.75), ("B", "x", "s2", 1.0)])
+            write_samples(sample_set, path)
+            assert read_samples(path) == sample_set
+
+    def test_a_duplicate_cell_is_named_on_its_second_line(self, tmp_path, monkeypatch):
+        # Row k is on line k + 2: the first copy is on line 3, some blocks before the second.
+        monkeypatch.setattr(io_files, "READ_BYTES", 64)
+        alternatives = [f"A{i}" for i in range(10)]
+        rows = [f"{attribute},{alternative},0.1" for attribute in "xy" for alternative in alternatives]
+        rows[17] = rows[1]
+        path = tmp_path / "prior.csv"
+        path.write_text("\n".join([",".join(PRIOR_HEADER), *rows]) + "\n")
+        with pytest.raises(ParseError) as exc_info:
+            read_prior(path, grid_sample_set(alternatives, ["x", "y"], lambda i, j: [0.1, 0.2]))
+        assert str(exc_info.value) == "line 19: duplicate cell (x, A1)"
 
 
 class TestScenarioSpecFile:
