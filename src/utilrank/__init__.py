@@ -48,7 +48,7 @@ from .model import (
     validate_prior,
     validate_sample_set,
 )
-from .moments import compute_moments, mean_and_variance
+from .moments import compute_moments
 from .weighting import (
     entropy,
     icw,

@@ -168,11 +168,6 @@ def _csv_chunks(sample_set: SampleSet) -> Iterator[Union[bytes, np.ndarray]]:
     ], sample_set.utilities)
 
 
-def samples_to_csv(sample_set: SampleSet) -> str:
-    """Canonical CSV serialization of a sample set (sorted rows, LF)."""
-    return b"".join(_csv_chunks(sample_set)).decode("utf-8")
-
-
 def write_samples(sample_set: SampleSet, destination: Destination) -> None:
     _write_bytes(destination, _csv_chunks(sample_set), sample_set)
 
@@ -493,11 +488,6 @@ def _prior_chunks(prior: PriorProfile) -> Iterator[Union[bytes, np.ndarray]]:
         (prior.attributes, cells // alternatives),
         (prior.alternatives, cells % alternatives),
     ], prior.matrix.T.ravel())
-
-
-def prior_to_csv(prior: PriorProfile) -> str:
-    """Canonical CSV of a prior (attribute-major rows, LF)."""
-    return b"".join(_prior_chunks(prior)).decode("utf-8")
 
 
 def write_prior(prior: PriorProfile, path: PathLike) -> None:

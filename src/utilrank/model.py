@@ -34,6 +34,7 @@ from .errors import (
     UtilityRangeWarning,
     show_name,
 )
+from .exactsum import segment_sums
 
 #: Tolerance for per-attribute probability columns summing to one.
 COLUMN_SUM_TOL = 1e-9
@@ -324,8 +325,10 @@ def validate_prior(
             f"negative prior probability {float(matrix[i, r])!r} at "
             f"({show_name(sample_set.alternatives[i])}, {show_name(sample_set.attributes[r])})"
         )
-    for attr, column in zip(sample_set.attributes, matrix.T):
-        total = math.fsum(column.tolist())  # a column at a time: no Python float per cell at once
+    totals = segment_sums(matrix.T.ravel(), range(0, matrix.size + 1, expected[0]))
+    for attr, total, column in zip(sample_set.attributes, totals.tolist(), matrix.T):
         if not abs(total - 1.0) <= COLUMN_SUM_TOL:
+            if math.isnan(total) and not np.isnan(column).any():
+                total = math.inf  # entries are >= 0, so a sum past the float range is +inf
             raise ColumnNotNormalized(attr, total)
     return PriorProfile(matrix, sample_set.alternatives, sample_set.attributes)

@@ -91,12 +91,12 @@ def run_pipeline(
                     else:
                         igd_vector, igd_resolution = igd(entropies, config)
                         wv = igdw(igd_vector)
+                if include_rankings:
+                    rankings[method] = rank_alternatives(moments, wv, config.report_weight_rounding)
             except UtilrankError as exc:
                 failures[method] = _describe(exc)
                 continue
             weights[method] = wv
-            if include_rankings:
-                rankings[method] = rank_alternatives(moments, wv, config.report_weight_rounding)
 
     return Report(
         moments=moments,

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch
+import numpy as np
+
+from .errors import DimensionMismatch, ScoreOutOfRange
+from .exactsum import segment_sums
 from .model import MomentMatrices, WeightVector
 
 #: Expectations closer than this, relative to the larger magnitude (or to 1
@@ -60,13 +63,19 @@ def expected_utility(
     moments: MomentMatrices,
     weights: Sequence[float],
 ) -> tuple[float, ...]:
-    """Weighted expected utility of each alternative."""
+    """Weighted expected utility of each alternative; :class:`ScoreOutOfRange` past the float range."""
     w = tuple(weights)
     if len(w) != moments.num_attributes:
         raise DimensionMismatch(
             f"{len(w)} weights for {moments.num_attributes} attributes"
         )
-    return tuple(math.fsum([wr * m for wr, m in zip(w, row)]) for row in moments.means.tolist())
+    with np.errstate(over="ignore"):
+        products = moments.means * np.array(w, dtype=np.float64)
+    expectations = tuple(segment_sums(products.ravel(), range(0, products.size + 1, len(w))).tolist())
+    for alternative, expectation in zip(moments.alternatives, expectations):
+        if not math.isfinite(expectation):
+            raise ScoreOutOfRange(f"expected utility of alternative {alternative!r} overflows")
+    return expectations
 
 
 def rank(

@@ -13,7 +13,7 @@ regardless of the sampling distribution (the weighting math consumes
 only first and second moments). ``stochastic`` mode keeps the raw draws.
 
 The substreams of all pairs are drawn together, one numpy lane per pair
-(:func:`utilrank.prng.lane_units`), and rescaled pair by pair.
+(:func:`utilrank.prng.lane_units`), and rescaled together.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidSpec
+from .exactsum import segment_sums
 from .model import SampleSet, validate_sample_set
-from .moments import mean_and_variance
 from .prng import lane_units, normal_ppf, substream
 
 
@@ -86,32 +86,31 @@ def generate_samples(spec: ScenarioSpec) -> SampleSet:
     """
     ordered = sorted(spec.pairs, key=lambda p: (p.alternative_id, p.attribute_id))
     counts = np.array([pair.sample_count for pair in ordered])
-    starts = (np.cumsum(counts) - counts).tolist()
+    starts = np.cumsum(counts) - counts
+    means = np.array([pair.target_mean for pair in ordered])
+    variances = np.array([pair.target_variance for pair in ordered])
     exact = spec.moment_mode is MomentMode.EXACT
     # Exact-mode pairs with zero target variance keep these copies, undrawn.
-    utilities = np.repeat([pair.target_mean for pair in ordered], counts)
-    pending = [k for k, pair in enumerate(ordered) if not (exact and pair.target_variance == 0.0)]
+    utilities = np.repeat(means, counts)
+    pending = np.flatnonzero(~(exact & (variances == 0.0)))
     attempt = 0
-    with np.errstate(invalid="ignore"):  # 0 * inf gives nan, as with Python floats
-        while pending:
-            seeds = [substream(spec.seed, k, attempt) for k in pending]
-            z = normal_ppf(lane_units(seeds, counts[pending]))
-            redraw, at = [], 0
-            for k in pending:
-                pair = ordered[k]
-                draws = z[at:at + pair.sample_count]
-                at += pair.sample_count
-                if not exact:
-                    values = pair.target_mean + math.sqrt(pair.target_variance) * draws
-                else:
-                    raw_mean, raw_var = mean_and_variance(draws.tolist())
-                    if not raw_var > 0.0:  # a constant raw draw cannot be rescaled
-                        redraw.append(k)
-                        continue
-                    scale = math.sqrt(pair.target_variance / raw_var)
-                    values = pair.target_mean + (draws - raw_mean) * scale
-                utilities[starts[k]:starts[k] + pair.sample_count] = values
-            pending, attempt = redraw, attempt + 1  # a redraw takes the next substream
+    # A scale past the float range gives inf, and 0 * inf nan, as with Python floats.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while pending.size:
+            seeds = [substream(spec.seed, k, attempt) for k in pending.tolist()]
+            lane_counts = counts[pending]
+            z = normal_ppf(lane_units(seeds, lane_counts))
+            bounds = [0, *np.cumsum(lane_counts).tolist()]
+            ratios, drawn = variances[pending], np.ones(len(pending), dtype=bool)
+            if exact:
+                z -= np.repeat(segment_sums(z, bounds) / lane_counts, lane_counts)
+                raw_vars = segment_sums(z * z, bounds) / (lane_counts - 1)
+                ratios, drawn = ratios / raw_vars, raw_vars > 0.0  # a constant raw draw cannot be rescaled
+            z *= np.repeat(np.sqrt(ratios), lane_counts)
+            z += np.repeat(means[pending], lane_counts)
+            filled = np.isin(np.arange(len(ordered)), pending[drawn])  # lanes run in pair order
+            utilities[np.repeat(filled, counts)] = z[np.repeat(drawn, lane_counts)]
+            pending, attempt = pending[~drawn], attempt + 1  # a redraw takes the next substream
     # Code k of both pair columns names pair k; situation code i is draw i.
     pair_codes = np.repeat(np.arange(len(ordered)), counts)
     situation_codes = np.arange(len(utilities)) - np.repeat(starts, counts)

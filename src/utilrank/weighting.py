@@ -13,14 +13,17 @@ IGDW  information-gain difference of each attribute against the summed
       IGD(r) = E(r) - sum_{j != r} (1 - E(j)); this equals
       sum_j E(j) - (R - 1) for every r, so IGDW is exactly 1/R
 
-All reductions use exactly-rounded ``math.fsum``, which makes entropy and
-divergence invariant to the ordering of alternatives.
+Column totals, entropies and divergences are exactly rounded sums, one
+:func:`utilrank.exactsum.segment_sums` call for all columns, so they do
+not depend on the order of alternatives; each ``log`` term is Python's.
+``icw``, ``ighw`` and ``igd`` sum R bounded scores with ``math.fsum``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .errors import (
     ScoreOutOfRange,
     ZeroPriorSupport,
 )
+from .exactsum import segment_sums
 from .model import (
     DegenerateVariancePolicy,
     EngineConfig,
@@ -62,20 +66,17 @@ def relative_variance(
     """
     config = config or EngineConfig()
     m = moments.num_alternatives
-    matrix = np.zeros_like(moments.variances)
+    totals = segment_sums(moments.variances.T.ravel(), range(0, moments.variances.size + 1, m))
     degenerate: list[str] = []
-    for r, (attr, column) in enumerate(zip(moments.attributes, moments.variances.T.tolist())):
-        try:
-            total = math.fsum(column)
-        except OverflowError:
-            raise ScoreOutOfRange(f"variance total of attribute {attr!r} overflows") from None
+    for attr, total in zip(moments.attributes, totals.tolist()):
+        if not math.isfinite(total):
+            raise ScoreOutOfRange(f"variance total of attribute {attr!r} overflows")
         if total == 0.0:
             if config.degenerate_variance_policy is DegenerateVariancePolicy.ERROR:
                 raise DegenerateAttribute(attr)
-            matrix[:, r] = 1.0 / m
             degenerate.append(attr)
-        else:
-            matrix[:, r] = [v / total for v in column]
+    zero = totals == 0.0
+    matrix = np.where(zero, 1.0 / m, moments.variances / np.where(zero, 1.0, totals))
     if degenerate:
         warnings.warn(
             f"degenerate attribute(s) {degenerate} assigned the uniform distribution",
@@ -96,18 +97,15 @@ def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> tuple
     m = len(profile.alternatives)
     ln_base = math.log(log_base)
     bound = math.log(m) / ln_base + 1e-9
-    values = []
-    for attr, column in zip(profile.attributes, profile.matrix.T.tolist()):
-        e = fsum_entropy(column) / ln_base
+    terms, bounds = array("d"), [0]
+    for column in profile.matrix.T:
+        terms.extend([-p * math.log(p) for p in column.tolist() if p > 0.0])
+        bounds.append(len(terms))
+    values = tuple((segment_sums(terms, bounds) / ln_base).tolist())
+    for attr, e in zip(profile.attributes, values):
         if not 0.0 <= e <= bound:
             raise ScoreOutOfRange(f"entropy {e!r} for attribute {attr!r} escapes [0, log M]")
-        values.append(e)
-    return tuple(values)
-
-
-def fsum_entropy(column: list[float]) -> float:
-    """Entropy of one probability column in nats, exactly-rounded sum."""
-    return math.fsum([-p * math.log(p) for p in column if p > 0.0])
+    return values
 
 
 def icw(entropies: tuple[float, ...]) -> WeightVector:
@@ -145,18 +143,16 @@ def kld(
     eps = config.prior_smoothing_epsilon
     q = (prior.matrix + eps) / (1.0 + m * eps) if eps > 0.0 else prior.matrix
     ln_base = math.log(config.kld_log_base)
-    values = []
-    columns = zip(profile.attributes, profile.matrix.T.tolist(), q.T.tolist())
-    for attr, p_column, q_column in columns:
-        terms = []
-        for alt, p_ir, q_ir in zip(profile.alternatives, p_column, q_column):
+    terms, bounds = array("d"), [0]
+    for attr, p_column, q_column in zip(profile.attributes, profile.matrix.T, q.T):
+        for alt, p_ir, q_ir in zip(profile.alternatives, p_column.tolist(), q_column.tolist()):
             if p_ir <= 0.0:
                 continue
             if q_ir <= 0.0:
                 raise ZeroPriorSupport(alt, attr)
             terms.append(p_ir * math.log(p_ir / q_ir))
-        values.append(math.fsum(terms) / ln_base)
-    return tuple(values)
+        bounds.append(len(terms))
+    return tuple((segment_sums(terms, bounds) / ln_base).tolist())
 
 
 def ighw(divergences: tuple[float, ...]) -> WeightVector:

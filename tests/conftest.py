@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from math import fsum, isfinite
+
 import numpy as np
 import pytest
 
+from utilrank.io_files import _csv_chunks, _prior_chunks
 from utilrank.model import MomentMatrices, validate_sample_set
+from utilrank.moments import compute_moments
 
 ALTERNATIVES = ("AI1", "AI2")
 ATTRIBUTES = ("force_protection", "proportionality")
@@ -38,6 +42,41 @@ def naive_mean_variance(values):
     for v in values:
         acc += (v - mean) ** 2
     return mean, acc / (n - 1)
+
+
+def scalar_mean_and_variance(values):
+    """Scalar reference moments: two passes of ``math.fsum``, one pair at a time.
+
+    Squares are IEEE products. A sum or square past the largest float
+    raises OverflowError, unless only the sum passes it: then the mean is
+    taken of the halves. ``compute_moments`` and the generator must give
+    every pair these bits.
+    """
+    n = len(values)
+    try:
+        mean = fsum(values) / n
+    except OverflowError:  # the sum passes the largest float; the mean may not
+        mean = 2 * (fsum(0.5 * v for v in values) / n)
+    variance = fsum([(v - mean) * (v - mean) for v in values]) / (n - 1)
+    if not isfinite(variance):  # a product does not raise on overflow, as pow does
+        raise OverflowError("a squared deviation passes the float range")
+    return mean, variance
+
+
+def pair_moments(values):
+    """``compute_moments``' mean and variance of one pair holding ``values``."""
+    mm = compute_moments(build_sample_set({("A", "x"): values}))
+    return float(mm.means[0, 0]), float(mm.variances[0, 0])
+
+
+def samples_to_csv(sample_set):
+    """The canonical CSV text of a sample set, as ``write_samples`` writes it."""
+    return b"".join(_csv_chunks(sample_set)).decode("utf-8")
+
+
+def prior_to_csv(prior):
+    """The canonical CSV text of a prior, as ``write_prior`` writes it."""
+    return b"".join(_prior_chunks(prior)).decode("utf-8")
 
 
 def sample_set_from_rows(rows):

@@ -131,6 +131,24 @@ class TestRank:
         )
         assert doc["weights"] == {} and doc["rankings"] == {}
 
+    def test_expected_utility_overflow_fails_that_method_only(self, tmp_path):
+        # Every utility is 1e308, so every variance is 0 and each column is
+        # uniform. Rounded to 0 decimals, IGDW's (0.5, 0.5) becomes (1.0, 1.0)
+        # and each expected utility passes the float range; IGHW's (0.0, 1.0)
+        # keeps 1e308.
+        samples, prior = tmp_path / "samples.csv", tmp_path / "prior.csv"
+        config, out = tmp_path / "config.json", tmp_path / "report.json"
+        samples.write_text(HEADER + "".join(f"{alt},{attr},s{s},1e308\n"
+                                            for alt in "AB" for attr in "xy" for s in (1, 2)))
+        prior.write_text("attribute,alternative,probability\nx,A,0.5\nx,B,0.5\ny,A,0.1\ny,B,0.9\n")
+        config.write_text(json.dumps({"schema_version": 1, "degenerate_variance_policy": "uniform"}))
+        assert main(["rank", "--samples", str(samples), "--prior", str(prior), "--config", str(config),
+                     "--round-weights", "0", "--methods", "igdw,ighw", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["failures"] == {"IGDW": "ScoreOutOfRange: expected utility of alternative 'A' overflows"}
+        assert list(doc["weights"]) == list(doc["rankings"]) == ["IGHW"]
+        assert doc["rankings"]["IGHW"]["expectations"] == [1e308, 1e308]
+
     def test_rounding_past_decimal_context_precision(self, workdir, tmp_path):
         out = tmp_path / "report.json"
         assert main(["rank", "--samples", str(workdir / "samples.csv"),
@@ -190,6 +208,14 @@ class TestBadInput:
         path.write_bytes(log if isinstance(log, bytes) else log.encode())
         assert main(["rank", "--samples", str(path)]) == 2
         assert message in _assert_one_error_line(capsys)
+
+    def test_prior_column_total_past_float_range(self, workdir, tmp_path, capsys):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("attribute,alternative,probability\nforce_protection,AI1,1e308\n"
+                         "force_protection,AI2,1e308\nproportionality,AI1,0.1\nproportionality,AI2,0.9\n")
+        assert main(["rank", "--samples", str(workdir / "samples.csv"), "--prior", str(prior)]) == 2
+        assert _assert_one_error_line(capsys) == (
+            "error: column for attribute 'force_protection' sums to inf, not 1\n")
 
     @pytest.mark.parametrize("name", ["a\nb", "a\x0cb", "a\rb"], ids=["lf", "form-feed", "cr"])
     def test_a_name_that_is_not_printable_stays_on_one_line(self, tmp_path, capsys, name):

@@ -16,9 +16,7 @@ import pytest
 from utilrank.cli import main
 from utilrank.errors import DegenerateAttributeWarning, NonFiniteUtility, ParseError
 from utilrank.io_files import (
-    prior_to_csv,
     read_samples,
-    samples_to_csv,
     write_prior,
     write_samples,
     write_scenario_spec,
@@ -27,7 +25,7 @@ from utilrank.model import validate_prior
 from utilrank.reproduce import USE_CASE_PRIOR, USE_CASE_SPEC
 from utilrank.scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
 
-from conftest import grid_sample_set
+from conftest import grid_sample_set, prior_to_csv, samples_to_csv
 
 HEADER = "alternative,attribute,situation,utility\n"
 

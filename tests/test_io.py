@@ -33,12 +33,10 @@ from utilrank.io_files import (
     digest_sample_set,
     parse_config,
     parse_log_base,
-    prior_to_csv,
     read_config,
     read_prior,
     read_samples,
     read_scenario_spec,
-    samples_to_csv,
     scenario_spec_to_dict,
     write_config,
     write_prior,
@@ -49,7 +47,14 @@ from utilrank.model import EngineConfig, IgdNegativePolicy, validate_prior
 from utilrank.reproduce import USE_CASE_SPEC, reproduce_paper
 from utilrank.scenario import PairSpec, ScenarioSpec, generate_samples
 
-from conftest import USE_CASE_PRIOR, grid_sample_set, sample_rows, sample_set_from_rows
+from conftest import (
+    USE_CASE_PRIOR,
+    grid_sample_set,
+    prior_to_csv,
+    sample_rows,
+    sample_set_from_rows,
+    samples_to_csv,
+)
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from utilrank.errors import ScoreOutOfRange
-from utilrank.moments import compute_moments, mean_and_variance
+from utilrank.moments import compute_moments
 from utilrank.reproduce import USE_CASE_SPEC
 from utilrank.scenario import generate_samples
 
-from conftest import build_sample_set, naive_mean_variance
+from conftest import build_sample_set, naive_mean_variance, pair_moments, scalar_mean_and_variance
 
 
 class TestKnownValues:
@@ -33,16 +33,16 @@ class TestKnownValues:
 
     def test_sum_past_float_range(self):
         # 1e308 + 1e308 overflows, but the mean and variance are representable.
-        assert mean_and_variance([1e308, 1e308]) == (1e308, 0.0)
-        assert mean_and_variance([-1e308] * 3) == (-1e308, 0.0)
+        assert pair_moments([1e308, 1e308]) == (1e308, 0.0)
+        assert pair_moments([-1e308] * 3) == (-1e308, 0.0)
 
     def test_squares_are_correctly_rounded(self):
         # glibc's pow(d, 2) rounds one of these two squares the wrong way
-        assert mean_and_variance([0.544743, 0.719915])[1] == 0.015342614792
+        assert pair_moments([0.544743, 0.719915])[1] == 0.015342614792
         rng = np.random.default_rng(5)
         for _ in range(200):
             values = rng.normal(0.5, 0.2, int(rng.integers(2, 30))).tolist()
-            mean, variance = mean_and_variance(values)
+            mean, variance = pair_moments(values)
             exact_squares = [float(Fraction(v - mean) ** 2) for v in values]
             assert variance == math.fsum(exact_squares) / (len(values) - 1)
 
@@ -61,7 +61,7 @@ class TestOracleEquivalence:
         for _ in range(300):
             n = int(rng.integers(2, 51))
             values = list(rng.normal(rng.uniform(-100, 100), rng.uniform(0.01, 50), n))
-            got_mean, got_var = mean_and_variance(values)
+            got_mean, got_var = pair_moments(values)
             ref_mean, ref_var = naive_mean_variance(values)
             assert got_mean == pytest.approx(ref_mean, rel=1e-12)
             assert got_var == pytest.approx(ref_var, rel=1e-12)
@@ -73,8 +73,8 @@ class TestOracleEquivalence:
             values = list(rng.normal(0, 3, n))
             a = float(rng.uniform(-5, 5)) or 1.0
             b = float(rng.uniform(-10, 10))
-            mean, var = mean_and_variance(values)
-            mean_t, var_t = mean_and_variance([a * v + b for v in values])
+            mean, var = pair_moments(values)
+            mean_t, var_t = pair_moments([a * v + b for v in values])
             assert mean_t == pytest.approx(a * mean + b, abs=1e-12 * max(1, abs(a * mean + b)))
             assert var_t == pytest.approx(a * a * var, rel=1e-10)
 
@@ -84,7 +84,7 @@ class TestNumericalStability:
         # huge offset, tiny spread: a one-pass sum-of-squares would go negative
         base = 1e8
         values = [base + d for d in (0.0, 0.001, 0.002, 0.001, 0.0)]
-        mean, var = mean_and_variance(values)
+        mean, var = pair_moments(values)
         assert var >= 0.0
         ref_mean, ref_var = naive_mean_variance(values)
         assert var == pytest.approx(ref_var, rel=1e-9)
@@ -96,7 +96,7 @@ class TestNumericalStability:
             offset = float(rng.uniform(1e6, 1e12))
             n = int(rng.integers(2, 20))
             values = [offset + float(rng.uniform(0, 1e-4)) for _ in range(n)]
-            _, var = mean_and_variance(values)
+            _, var = pair_moments(values)
             assert var >= 0.0
 
     def test_situation_permutation_bit_exact(self):
@@ -114,13 +114,13 @@ class TestNumericalStability:
 
 
 class TestBatchedMatchesPairs:
-    """compute_moments gives every pair the bits mean_and_variance gives it."""
+    """compute_moments gives every pair the bits the scalar reference gives it."""
 
     @staticmethod
     def _check(pair_values):
         sample_set = build_sample_set(pair_values)
         try:
-            expected = [mean_and_variance(v) for v in pair_values.values()]
+            expected = [scalar_mean_and_variance(v) for v in pair_values.values()]
         except OverflowError:
             with pytest.raises(ScoreOutOfRange, match="overflow the float range"):
                 compute_moments(sample_set)

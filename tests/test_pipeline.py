@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,7 +137,15 @@ class TestPartialFailures:
         # An entropy outside [0, log M] fails ICW and IGDW, never IGHW.
         import utilrank.weighting as weighting_module
 
-        monkeypatch.setattr(weighting_module, "fsum_entropy", lambda column: -1.0)
+        real_sums = weighting_module.segment_sums
+
+        def entropy_sums_read_minus_one(values, bounds):
+            sums = real_sums(values, bounds)
+            if sys._getframe(1).f_code is weighting_module.entropy.__code__:
+                sums[:] = -1.0
+            return sums
+
+        monkeypatch.setattr(weighting_module, "segment_sums", entropy_sums_read_minus_one)
         prior = validate_prior(USE_CASE_PRIOR, use_case_samples)
         report = run_pipeline(use_case_samples, prior=prior)
         assert set(report.failures) == {WeightMethod.ICW, WeightMethod.IGDW}

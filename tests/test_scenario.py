@@ -8,11 +8,12 @@ import pytest
 
 import utilrank.scenario as scenario_module
 from utilrank.errors import InvalidSpec, NonFiniteUtility
-from utilrank.io_files import samples_to_csv
-from utilrank.moments import compute_moments, mean_and_variance
+from utilrank.moments import compute_moments
 from utilrank.prng import _jump, _jump_table, _piece_length, lane_units, normal_ppf, substream
 from utilrank.reproduce import USE_CASE_SPEC
 from utilrank.scenario import MomentMode, PairSpec, ScenarioSpec, generate_samples
+
+from conftest import samples_to_csv, scalar_mean_and_variance
 
 # ---------------------------------------------------------------------------
 # Scalar reference generator: one Python-int xoshiro256++ stream at a time
@@ -102,7 +103,7 @@ def scalar_pair_values(seed, index, pair, mode):
         if mode is MomentMode.STOCHASTIC:
             sd = math.sqrt(pair.target_variance)
             return [pair.target_mean + sd * z for z in draws]
-        raw_mean, raw_var = mean_and_variance(draws)
+        raw_mean, raw_var = scalar_mean_and_variance(draws)
         if raw_var > 0.0:
             scale = math.sqrt(pair.target_variance / raw_var)
             return [pair.target_mean + (z - raw_mean) * scale for z in draws]
@@ -170,7 +171,7 @@ class TestExactMode:
         assert mm.variances[0, 0] == pytest.approx(2.0, rel=1e-9)
         stream = ScalarXoshiro256pp(substream(spec.seed, 0, 1))
         draws = [scalar_normal_ppf(stream.next_unit()) for _ in range(10)]
-        raw_mean, raw_var = mean_and_variance(draws)
+        raw_mean, raw_var = scalar_mean_and_variance(draws)
         scale = math.sqrt(2.0 / raw_var)
         assert ss.utilities[:10].tolist() == [1.0 + (z - raw_mean) * scale for z in draws]
         assert ss.utilities[10:].tolist() == scalar_pair_values(
@@ -233,14 +234,14 @@ class TestStochasticMode:
             spec = _spec([PairSpec("A", "x", 15.0, 7.0, n)], seed=seed,
                          mode=MomentMode.STOCHASTIC)
             values = generate_samples(spec).utilities.tolist()
-            mean, _ = mean_and_variance(values)
+            mean, _ = scalar_mean_and_variance(values)
             if abs(mean - 15.0) <= bound:
                 hits += 1
         assert hits >= 99
 
     def test_variance_scales(self):
         spec = _spec([PairSpec("A", "x", 0.0, 9.0, 5000)], seed=3, mode=MomentMode.STOCHASTIC)
-        _, variance = mean_and_variance(generate_samples(spec).utilities.tolist())
+        _, variance = scalar_mean_and_variance(generate_samples(spec).utilities.tolist())
         assert variance == pytest.approx(9.0, rel=0.1)
 
 

@@ -91,6 +91,10 @@ class TestRelativeVariance:
         np.testing.assert_array_equal(profile.matrix[:, 0], [0.5, 0.5])
         assert profile.degenerate_attributes == ("attr0",)
 
+    def test_infinite_total_is_a_range_error(self):
+        with pytest.raises(ScoreOutOfRange, match="variance total of attribute 'attr0' overflows"):
+            relative_variance(_moments([[1.0, 1.0], [math.inf, 2.0]]))
+
 
 class TestEntropy:
     def test_use_case_values(self, use_case_profile):
