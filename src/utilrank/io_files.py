@@ -48,7 +48,7 @@ SAMPLES_HEADER = ["alternative", "attribute", "situation", "utility"]
 PRIOR_HEADER = ["attribute", "alternative", "probability"]
 CHUNK_BYTES = 1 << 18  # bytes a chunk of rows may write: bounds the memory held
 READ_BYTES = 1 << 16  # bytes a reader takes from a file at a time: bounds the text held
-GATHER_SEGMENTS = 1 << 10  # row segments gathered at once: the index arrays stay small
+GATHER_BYTES = 1 << 13  # bytes one gather index covers at most: a longer segment is one slice
 SCHEMA_VERSION = 1
 
 PathLike = Union[str, Path]
@@ -94,9 +94,13 @@ def _byte_rows(columns: list[tuple[bytes, np.ndarray, np.ndarray]], values: np.n
     chunk takes the rows that write at most ``CHUNK_BYTES``, a number
     counted at its widest (and at least one row), so the memory held and
     the work done follow the bytes written, however long a field is. The
-    gather goes ``GATHER_SEGMENTS`` segments at a time: its 8-byte index
-    per byte then fits the heap's reused memory, where a chunk-wide index
-    took fresh pages on every call and made small tables slower.
+    gather takes runs of whole segments that write at most ``GATHER_BYTES``,
+    through an 8-byte index per byte and a ramp no longer than the run: both
+    stay in the heap's reused memory, where a chunk-wide index took fresh
+    pages on every call and made small tables slower. A segment longer than
+    that is copied by one slice, so a long text (a long name, or the text
+    a JSON document holds before a float) costs its own bytes, not eight
+    times them twice over.
     """
     line = floatfmt.WIDTH + len(end)  # a number's text at its widest, and the end
     buffers, lengths, codes = zip(*columns)
@@ -136,14 +140,21 @@ def _byte_rows(columns: list[tuple[bytes, np.ndarray, np.ndarray]], values: np.n
         offsets += segments
         offsets -= ends
         out = np.empty(ends[-1], dtype=np.uint8)
-        for at in range(0, len(segments), GATHER_SEGMENTS):
-            block = slice(at, at + GATHER_SEGMENTS)
+        at = 0
+        while at < len(segments):
             low = ends[at] - segments[at]
-            index = (offsets[block] + low).repeat(segments[block])
-            if len(ramp) < len(index):
-                ramp = np.arange(len(index))
-            index += ramp[:len(index)]
-            source.take(index, out=out[low:low + len(index)])
+            stop = int(ends.searchsorted(low + GATHER_BYTES, "right"))
+            if stop == at:  # a segment longer than the budget: one slice
+                first = offsets[at] + low
+                out[low:ends[at]] = source[first:first + segments[at]]
+                stop += 1
+            else:
+                index = (offsets[at:stop] + low).repeat(segments[at:stop])
+                if len(ramp) < len(index):
+                    ramp = np.arange(len(index))
+                index += ramp[:len(index)]
+                source.take(index, out=out[low:low + len(index)])
+            at = stop
         yield out
         start += count
 
@@ -750,8 +761,8 @@ def _dump_json(doc) -> Iterator[Union[bytes, np.ndarray]]:
     are written as the nested lists ``tolist()`` gives. The layout is
     walked in Python: keys, braces, indents and every scalar (ints,
     strings, null, booleans and a float that is not in a float array) are
-    laid out as ``json.dumps`` writes them, a list that holds no float and
-    no container in one call to it. Each float of an array or list of
+    laid out as ``json.dumps`` writes them, a dict or list that holds no
+    container in one call to it. Each float of an array or list of
     finite floats becomes a row of :func:`_byte_rows`: the text since the
     float before it, then its ``repr`` from :func:`utilrank.floatfmt.render`,
     so a report's float arrays are rendered in one chunked pass, and a spec
@@ -764,7 +775,7 @@ def _dump_json(doc) -> Iterator[Union[bytes, np.ndarray]]:
     rows.layout(doc, "\n")
     rows.pending.append("\n")
     prefixes = _field_table([text.encode("utf-8") for text in rows.prefixes])
-    codes = np.concatenate([np.empty(0, dtype=np.int64), *rows.codes])
+    codes = np.concatenate([np.empty(0, dtype=np.int32), *rows.codes])
     values = np.concatenate([np.empty(0), *rows.values])
     return chain(_byte_rows([(*prefixes, codes)], values, b""),
                  ["".join(rows.pending).encode("utf-8")])
@@ -779,47 +790,59 @@ class _JsonRows:
         self.codes: list = []  # per block of rows, in order: the codes of its texts
         self.values: list = []  # and its floats
         self.layouts: dict[tuple[str, int], tuple[str, list[int], str]] = {}  # see _array_layout
+        self.encoders: dict[str, Callable] = {}  # per newline, json.dumps of a container of scalars
 
     def _code(self, text: str) -> int:
         return self.prefixes.setdefault(text, len(self.prefixes))
 
     def layout(self, value, newline: str) -> None:
         """Lay out ``value``'s indented JSON; ``newline`` is a line break and its indent."""
+        if isinstance(value, np.ndarray):
+            if value.size and np.isfinite(value).all():
+                self._array(value, newline)
+            elif len(value):
+                self._walk(value, newline)
+            else:
+                self.pending.append("[]")
+            return
+        if not isinstance(value, (dict, list, tuple)):
+            self.pending.append(json.dumps(value))
+            return
+        if isinstance(value, dict):
+            for kind in set(map(type, value)):
+                if not issubclass(kind, str):
+                    raise TypeError(f"JSON object keys must be str, not {kind.__name__}")
+            kinds = set(map(type, value.values()))
+        else:
+            kinds = set(map(type, value))
+            if value and all(issubclass(kind, float) for kind in kinds) and all(map(math.isfinite, value)):
+                self._array(value, newline)
+                return
+        if any(issubclass(kind, (dict, list, tuple, np.ndarray)) for kind in kinds):
+            self._walk(value, newline)
+            return
+        # Scalars only: one call, whose item separator is a line break at
+        # this depth, which no JSON string holds raw.
+        inner = newline + "  "
+        if newline not in self.encoders:
+            self.encoders[newline] = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode
+        text = self.encoders[newline](value)
+        self.pending.append(text[0] + inner + text[1:-1] + newline + text[-1] if value else text)
+
+    def _walk(self, value, newline: str) -> None:
+        """Lay out a non-empty dict, list or array item by item."""
         inner = newline + "  "
         if isinstance(value, dict):
-            if not value:
-                self.pending.append("{}")
-                return
             for n, key in enumerate(sorted(value)):
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
                 key_text = encode_basestring_ascii(key)  # as json.dumps(key) writes it
                 self.pending.append(("{" if n == 0 else ",") + inner + key_text + ": ")
                 self.layout(value[key], inner)
             self.pending.append(newline + "}")
-        elif isinstance(value, (list, tuple, np.ndarray)):
-            if not len(value):
-                self.pending.append("[]")
-                return
-            if isinstance(value, np.ndarray):
-                finite = value.size and np.isfinite(value).all()
-            else:
-                kinds = set(map(type, value))
-                if not any(issubclass(kind, (dict, list, tuple, np.ndarray, float)) for kind in kinds):
-                    text = json.dumps(value, separators=("," + inner, ": "))
-                    self.pending.append("[" + inner + text[1:-1] + newline + "]")
-                    return
-                finite = (all(issubclass(kind, float) for kind in kinds)
-                          and all(map(math.isfinite, value)))
-            if finite:
-                self._array(value, newline)
-                return
+        else:
             for n, item in enumerate(value):
                 self.pending.append(("[" if n == 0 else ",") + inner)
                 self.layout(item, inner)
             self.pending.append(newline + "]")
-        else:
-            self.pending.append(json.dumps(value))
 
     def _array(self, floats, newline: str) -> None:
         """Lay out a non-empty list or array of finite floats as its nested lists, a row per float."""
@@ -828,7 +851,7 @@ class _JsonRows:
         if key not in self.layouts:
             self.layouts[key] = self._array_layout(*key)
         opening, starts, closing = self.layouts[key]
-        codes = array("q", starts[:1]) * shape[-1]
+        codes = array("i", starts[:1]) * shape[-1]
         for start, size in zip(starts[1:], reversed(shape[:-1])):
             codes[0] = start
             codes *= size

@@ -274,15 +274,21 @@ def validate_sample_set(
     if non_finite.size:
         raise NonFiniteUtility(*names_at(non_finite[0]))
 
-    order = np.lexsort(codes[::-1])
-    codes = [column[order] for column in codes]
-    utilities = utilities[order]
+    alternatives, attributes, _ = tables
+    pair = codes[0].astype(np.intp) * len(attributes) + codes[1]
+    step = np.diff(pair)
+    if ((step > 0) | ((step == 0) & (codes[2][1:] >= codes[2][:-1]))).all():
+        # Generator output and canonical logs come sorted, and a stable
+        # sort of sorted rows is the identity. The set keeps its own copy.
+        utilities = utilities.copy()
+    else:
+        order = np.lexsort((codes[2], pair))
+        codes = [column[order] for column in codes]
+        pair, utilities = pair[order], utilities[order]
     same = np.logical_and.reduce([column[1:] == column[:-1] for column in codes])
     if same.any():
         raise DuplicateTriple(*names_at(int(np.argmax(same)) + 1))
 
-    alternatives, attributes, _ = tables
-    pair = codes[0].astype(np.intp) * len(attributes) + codes[1]
     counts = np.bincount(pair, minlength=len(alternatives) * len(attributes))
     counts = counts.reshape(len(alternatives), len(attributes))
     short = np.argwhere(counts < 2)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 from math import fsum, isfinite
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,6 +74,20 @@ def pair_moments(values):
 def samples_to_csv(sample_set):
     """The canonical CSV text of a sample set, as ``write_samples`` writes it."""
     return b"".join(_csv_chunks(sample_set)).decode("utf-8")
+
+
+def csv_writer_text(header, rows):
+    """A table as ``csv.writer`` writes it, each row ending in LF, floats as ``repr``.
+
+    The writers' oracle. Rows are written with the ``\\r\\n`` terminator,
+    which makes csv quote a field holding a ``\\r``, and each row's is then
+    replaced by LF.
+    """
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([*row[:-1], repr(row[-1])] for row in rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def prior_to_csv(prior):

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import utilrank
-from utilrank.io_files import digest_sample_set, read_prior, read_samples, write_prior, write_samples
+from utilrank.io_files import _dump_json, digest_sample_set, read_prior, read_samples, write_prior, write_samples
 from utilrank.model import validate_prior, validate_sample_set
 from utilrank.pipeline import run_pipeline
 from utilrank.report import emit_report
@@ -37,13 +38,21 @@ PEAK_BYTES_PER_SAMPLE = 100
 PRIOR_PEAK_BYTES_PER_CELL = 39
 
 #: Peak bytes allocated while emitting the wide JSON report below to a file,
-#: per byte of the report. Measured 2.69 (16,211,717 for 6,034,058; Python
-#: 3.11, numpy 2.4), 16 bytes per float of it the writer's rows; an emit to
-#: a file keeps no text. The emit that also returned the report's text, kept
-#: in pieces and joined, peaked at 2.92, and the writer that handed float
-#: lists to the C encoder at 3.31, every float a Python object in the
-#: report's lists.
-EMIT_PEAK_PER_REPORT_BYTE = 2.8
+#: per byte of the report. Measured 1.06 (6,392,967 for 6,034,058; Python
+#: 3.11, numpy 2.4): the document, the code and value of every float row
+#: (2.5 MB), the text before each, and a chunk's render and gather. The
+#: writer that gathered 1024 segments at a time peaked at 2.69, most of it
+#: the 8-byte gather index and ramp of one segment: the 553 KB of count
+#: text laid out before the first mean. The emit that also
+#: returned the report's text peaked at 2.92, and the writer that handed
+#: float lists to the C encoder at 3.31.
+EMIT_PEAK_PER_REPORT_BYTE = 1.15
+
+#: Peak bytes that a longer text before a float adds to the emit, per byte
+#: of text added: the text, its UTF-8, the writer's table of texts and one
+#: chunk. Measured 3.6 (Python 3.11, numpy 2.4); the 1024-segment gather
+#: added 20.0, its index and ramp 16 of them.
+LONG_TEXT_EMIT_PEAK_PER_BYTE = 5
 
 #: Peak bytes allocated while writing the 200,000-sample log below, whatever
 #: its length: rows are rendered and written a chunk at a time. Measured
@@ -52,12 +61,13 @@ EMIT_PEAK_PER_REPORT_BYTE = 2.8
 WRITE_PEAK_BYTES = 3_500_000
 
 #: Peak bytes that one long name adds to writing or digesting the log below,
-#: per byte of the name: its own bytes held a few times over (its field, its
-#: place in the column's buffer, the 8-byte gather index of its block),
-#: not its length times the column's name count. Measured 10.8 for both
-#: (Python 3.11, numpy 2.4); a table that padded every situation to the
-#: longest held 2,000 x 20,000 bytes and as many mask bytes.
-LONG_NAME_PEAK_PER_BYTE = 16
+#: per byte of the name: its own bytes held a few times over (its field and
+#: its place in the column's buffer, copied as one slice), not its length
+#: times the column's name count. Measured 2.0 for both (Python 3.11, numpy
+#: 2.4); the 1024-segment gather, whose 8-byte index covered the name, 10.8;
+#: a table that padded every situation to the longest held 2,000 x 20,000
+#: bytes and as many mask bytes.
+LONG_NAME_PEAK_PER_BYTE = 3
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +190,20 @@ def test_emitting_a_wide_report_peaks_below_the_list_writer(wide, tmp_path):
     emit_report(report, "json", path)  # the render tables are built once
     peak = _peak(lambda: emit_report(report, "json", path))
     assert peak <= EMIT_PEAK_PER_REPORT_BYTE * path.stat().st_size
+
+
+def test_a_longer_text_before_a_float_costs_its_own_bytes():
+    # A report lays its count matrix out as text before its first mean; ten
+    # times the rows give ten times that text, and the same floats.
+    means = np.random.default_rng(9).random((100, 50))
+
+    def peak(rows):  # the emit's peak, and the document's length
+        doc = {"counts": np.full((rows, 50), 123456).tolist(), "means": means}
+        return _peak(lambda: deque(_dump_json(doc), maxlen=0)), sum(map(len, _dump_json(doc)))
+
+    peak(10)  # the render tables are built once
+    (short_peak, short_size), (long_peak, long_size) = peak(100), peak(1000)
+    assert long_peak - short_peak <= LONG_TEXT_EMIT_PEAK_PER_BYTE * (long_size - short_size)
 
 
 def test_import_loads_only_stdlib_and_numpy():

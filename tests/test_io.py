@@ -49,6 +49,7 @@ from utilrank.scenario import PairSpec, ScenarioSpec, generate_samples
 
 from conftest import (
     USE_CASE_PRIOR,
+    csv_writer_text,
     grid_sample_set,
     prior_to_csv,
     sample_rows,
@@ -831,6 +832,11 @@ EDGE_DOCS = {
     "non-ascii": {"naïve": ["Ωmega", "日本", "\U0001f600"], "é": "ß"},
     "control-chars": {"\x00\t\n\r\x1f\x7f": ["\u2028", "\\", '"', "\x08\x0c"], "": ""},
     "key-order": {"b": 1, "a": 2, "B": 3, "aa": {"z": 1, "y": [2, 1]}, "\u00e9": 4, "_": 5},
+    "scalar-dicts": {  # each innermost dict laid out in one call, at its own depth
+        "pair": {"naïve": -0.0, "tiny": 5e-324, "big": 1e16, "日本": "Ω", "none": None, "yes": True},
+        "deeper": {"a": {"b": {"c": 1.5, "é": "x\n", "nan": math.nan, "int": 2**64}}},
+        "pairs": [{"mean": 0.1, "count": 2}, {}, {"z": [], "y": {"x": -1e-7}}],
+    },
 }
 
 _KEY_CHARS = "abcAB_ é\x00\n\"\\\u2028日\U0001f600"
@@ -930,6 +936,11 @@ class TestJsonWriter:
         with pytest.raises(TypeError, match="keys must be str"):
             _dump_json({"a": {1: "x"}})
 
+    @pytest.mark.parametrize("doc", [{"a": 1, 2: 3}, [{"a": [], None: 1}]], ids=["scalars", "nested"])
+    def test_non_string_key_beside_string_keys_is_refused(self, doc):
+        with pytest.raises(TypeError, match="keys must be str"):
+            _dump_json(doc)
+
     @pytest.mark.parametrize("name", sorted(ARRAY_DOCS))
     def test_array_documents(self, name):
         doc = ARRAY_DOCS[name]
@@ -960,6 +971,34 @@ class TestJsonWriter:
         chunks = list(_dump_json(doc))
         assert len(chunks) > 10  # the float rows of many chunks, each rendered once
         assert b"".join(chunks).decode("utf-8") == _oracle(doc)
+
+
+class TestGatherAtBlockEdges:
+    """Rows are gathered in runs of at most ``GATHER_BYTES``; a longer segment is one slice."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_json_with_a_long_prefix(self, monkeypatch, budget):
+        monkeypatch.setattr(io_files, "GATHER_BYTES", budget)
+        rng = np.random.default_rng(budget)
+        doc = {  # the counts text is the prefix of the first float, as in a report
+            "counts": [[int(k), 2] for k in rng.integers(0, 10**6, size=60)],
+            "means": rng.normal(size=(30, 7)),
+            "names": ["é" * 100, "x"],
+            "weights": rng.random(5).tolist(),
+        }
+        assert _json_text(doc) == _oracle(doc)
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    @pytest.mark.parametrize("long_name", ["Lé" * 10_000, ('L,"' * 6_667)[:20_000]], ids=["plain", "quoted"])
+    def test_csv_with_a_long_name(self, monkeypatch, budget, long_name):
+        monkeypatch.setattr(io_files, "GATHER_BYTES", budget)
+        situations = ["s1", long_name, "s" * budget, "s" * (budget + 1), "t"]
+        rows = [(alternative, "k", situation, 0.5 + k)
+                for alternative in ("A", "B" * 70) for k, situation in enumerate(situations)]
+        sample_set = sample_set_from_rows(rows)
+        expected = csv_writer_text(SAMPLES_HEADER, sample_rows(sample_set))
+        assert samples_to_csv(sample_set) == expected
+        assert digest_sample_set(sample_set) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
 
 
 class TestFloatTextRoundTrip:

@@ -102,6 +102,33 @@ class TestValidateSampleSet:
         rng.shuffle(shuffled)
         assert sample_set_from_rows(samples) == sample_set_from_rows(shuffled)
 
+    def test_sorted_columns_validate_as_a_shuffled_copy(self):
+        # Sorted columns skip the sort; a shuffled copy, and one whose only
+        # disorder is within a pair or across one pair's edge, take it.
+        canonical = sample_set_from_rows(_grid_samples(["A", "B", "C"], ["X", "Y"], 40))
+        names = (canonical.alternatives, canonical.attributes, canonical.situations)
+        codes = (canonical.alternative_codes, canonical.attribute_codes, canonical.situation_codes)
+        shuffle = np.random.default_rng(3).permutation(len(canonical))
+        within = np.arange(len(canonical))
+        within[[5, 6]] = [6, 5]
+        across = np.arange(len(canonical))
+        across[[39, 40]] = [40, 39]
+        for order in (np.arange(len(canonical)), shuffle, within, across):
+            utilities = canonical.utilities[order]  # a writable array of the caller's
+            validated = validate_sample_set(*zip(names, (column[order] for column in codes)), utilities)
+            assert validated == canonical
+            assert utilities.flags.writeable and not np.shares_memory(validated.utilities, utilities)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_sorted_duplicate_names_its_triple(self, shuffled):
+        rows = sorted(_grid_samples(["A", "B"], ["X", "Y"], 4) + [("B", "X", "s0003", 0.9)])
+        if shuffled:
+            np.random.default_rng(5).shuffle(rows)
+        with pytest.raises(DuplicateTriple) as exc_info:
+            sample_set_from_rows(rows)
+        error = exc_info.value
+        assert (error.alternative_id, error.attribute_id, error.situation_id) == ("B", "X", "s0003")
+
     def test_idempotent(self):
         first = sample_set_from_rows(_grid_samples(["A", "B"], ["X"], 4))
         assert sample_rows(first) == sorted(_grid_samples(["A", "B"], ["X"], 4))
