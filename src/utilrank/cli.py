@@ -116,6 +116,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         methods=_parse_methods(args.methods),
         include_rankings=args.include_rankings,
     )
+    del sample_set, prior  # the report holds what it needs: the emit runs without the inputs
     with _destination(args.out) as out:
         emit_report(report, args.format, destination=out)
     return EXIT_OK

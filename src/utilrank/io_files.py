@@ -21,8 +21,9 @@ import math
 import os
 import re
 from array import array
+from collections import deque
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from operator import length_hint
 from pathlib import Path
@@ -81,54 +82,85 @@ def _name_column(names: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
     return _field_table([field.encode("utf-8") + b"," for field in _csv_fields(names)])
 
 
-def _byte_rows(columns: list[tuple[bytes, np.ndarray, np.ndarray]], values: np.ndarray,
+def _byte_rows(columns: list[tuple[bytes, np.ndarray]], blocks: Iterable[Sequence[np.ndarray]],
                end: bytes) -> Iterator[np.ndarray]:
     """Rows of bytes in chunks: per value, each column's field, then ``repr`` of the value and ``end``.
 
-    A column is (fields, lengths, codes): its fields end to end, the length
-    of each, and per row the index of its field. Each column's fields are
-    held once, end to end in ``source``. A chunk's numbers are rendered by
-    :func:`utilrank.floatfmt.render` and compacted through their mask into
-    the tail of ``source``; the chunk is then gathered from ``source``,
-    each row's segments (its fields, then its number) laid end to end. A
-    chunk takes the rows that write at most ``CHUNK_BYTES``, a number
-    counted at its widest (and at least one row), so the memory held and
-    the work done follow the bytes written, however long a field is. The
-    gather takes runs of whole segments that write at most ``GATHER_BYTES``,
-    through an 8-byte index per byte and a ramp no longer than the run: both
-    stay in the heap's reused memory, where a chunk-wide index took fresh
-    pages on every call and made small tables slower. A segment longer than
-    that is copied by one slice, so a long text (a long name, or the text
-    a JSON document holds before a float) costs its own bytes, not eight
-    times them twice over.
+    A column is (fields, lengths): its fields end to end and the length of
+    each. ``blocks`` hands out the rows a block at a time, as arrays
+    ``(codes, ..., values)``: per row the index of its field in each
+    column, and its value. Blocks are taken as the chunks need them, and a
+    chunk takes rows from as many blocks as it holds, so that it renders
+    its numbers in one :func:`utilrank.floatfmt.render` call; the rows
+    left over wait for the next chunk.
+
+    Each column's fields of at most ``GATHER_BYTES`` are held once, end to
+    end in ``source``; a chunk's numbers are rendered and compacted
+    through their mask into its tail, and the chunk is then gathered from
+    ``source``, each row's segments (its fields, then its number) laid end
+    to end. A chunk takes the rows that write at most ``CHUNK_BYTES``, a
+    number counted at its widest (and at least one row), so the memory
+    held and the work done follow the bytes written, however long a field
+    is. The gather takes runs of whole segments that write at most
+    ``GATHER_BYTES``, through an 8-byte index per byte and a ramp no longer
+    than the run: both stay in the heap's reused memory, where a
+    chunk-wide index took fresh pages on every call and made small tables
+    slower. A longer field is copied by one slice from its column's own
+    bytes, so a long text (a long name, or the text a JSON document holds
+    before a float) costs its own bytes, not eight times them twice over,
+    nor a copy in ``source``.
     """
     line = floatfmt.WIDTH + len(end)  # a number's text at its widest, and the end
-    buffers, lengths, codes = zip(*columns)
-    fields_end = sum(map(len, buffers))
-    source = np.empty(fields_end + max(min(CHUNK_BYTES, len(values) * line), line), dtype=np.uint8)
-    firsts, at = [], 0
+    buffers, lengths = zip(*columns)
+    width = len(columns) + 1  # segments per row
+    pieces, firsts, at = [], [], 0  # the runs of fields copied to source; each field's first byte
     for buffer, length in zip(buffers, lengths):
-        source[at:at + len(buffer)] = np.frombuffer(buffer, dtype=np.uint8)
-        firsts.append(np.cumsum(length) - length + at)
+        first = np.cumsum(length) - length  # each field's first byte in its buffer
+        long = np.flatnonzero(length > GATHER_BYTES)  # fields sliced from their buffer, not copied
+        placed, low = first + at, 0
+        if len(long):  # a field moves up in source by the long bytes before it
+            gone = np.zeros(len(length) + 1, dtype=np.intp)
+            gone[long + 1] = length[long]
+            placed -= gone.cumsum()[:-1]
+            placed[long] = first[long]
+            for start, stop in zip(first[long].tolist(), (first[long] + length[long]).tolist()):
+                pieces.append((buffer, low, start))
+                low = stop
+                at -= stop - start
+        pieces.append((buffer, low, len(buffer)))
+        firsts.append(placed)
         at += len(buffer)
+    fields_end = at
     window = CHUNK_BYTES // (line + len(columns))  # the most rows that fit: a field is a byte or more
-    text_rows = np.empty((min(window, len(values)), line), dtype=np.uint8)
+    pending, blocks = deque(), iter(blocks)
+    rows = _next_rows(pending, blocks, window)
+    if not rows:
+        return
+    text_rows = np.empty((len(rows[-1]), line), dtype=np.uint8)
     keep_rows = np.empty(text_rows.shape, dtype=bool)
     text_rows[:, floatfmt.WIDTH:] = np.frombuffer(end, dtype=np.uint8)
     keep_rows[:, floatfmt.WIDTH:] = True
-    start, ramp = 0, np.arange(0)
-    while start < len(values):
-        chunks = [column_codes[start:start + window] for column_codes in codes]
-        widths = [length.take(chunk) for length, chunk in zip(lengths, chunks)]
+    source = np.empty(fields_end + text_rows.size, dtype=np.uint8)
+    at = 0
+    for buffer, low, high in pieces:
+        source[at:at + high - low] = np.frombuffer(buffer, dtype=np.uint8)[low:high]
+        at += high - low
+    tables = [*(np.frombuffer(buffer, dtype=np.uint8) for buffer in buffers), source]  # by segment column
+    ramp = np.arange(0)
+    while rows:
+        *codes, values = rows
+        widths = [length.take(column_codes) for length, column_codes in zip(lengths, codes)]
         count = max(int(np.searchsorted(np.cumsum(sum(widths, line)), CHUNK_BYTES, "right")), 1)
-        segments = np.empty((count, len(columns) + 1), dtype=np.intp)  # each segment's length
-        segment_firsts = np.empty_like(segments)  # and the index of its first byte in source
-        for k, (first, chunk, width) in enumerate(zip(firsts, chunks, widths)):
-            segments[:, k] = width[:count]
-            segment_firsts[:, k] = first.take(chunk[:count])
+        if count < len(values):
+            pending.appendleft([column[count:] for column in rows])
+        segments = np.empty((count, width), dtype=np.intp)  # each segment's length
+        segment_firsts = np.empty_like(segments)  # and its first byte's index in source (a long field's in its column)
+        for k, (first, column_codes, column_widths) in enumerate(zip(firsts, codes, widths)):
+            segments[:, k] = column_widths[:count]
+            segment_firsts[:, k] = first.take(column_codes[:count])
+        del rows, codes, widths  # not held through the render
         text, keep = text_rows[:count], keep_rows[:count]
-        segments[:, -1] = floatfmt.render(values[start:start + count], text[:, :floatfmt.WIDTH],
-                                          keep[:, :floatfmt.WIDTH])
+        segments[:, -1] = floatfmt.render(values[:count], text[:, :floatfmt.WIDTH], keep[:, :floatfmt.WIDTH])
         segments[:, -1] += len(end)
         number_ends = segments[:, -1].cumsum()
         np.compress(keep.ravel(), text.ravel(), out=source[fields_end:fields_end + number_ends[-1]])
@@ -144,9 +176,9 @@ def _byte_rows(columns: list[tuple[bytes, np.ndarray, np.ndarray]], values: np.n
         while at < len(segments):
             low = ends[at] - segments[at]
             stop = int(ends.searchsorted(low + GATHER_BYTES, "right"))
-            if stop == at:  # a segment longer than the budget: one slice
+            if stop == at:  # a segment longer than the budget: one slice, a field's from its column's bytes
                 first = offsets[at] + low
-                out[low:ends[at]] = source[first:first + segments[at]]
+                out[low:ends[at]] = tables[at % width][first:first + segments[at]]
                 stop += 1
             else:
                 index = (offsets[at:stop] + low).repeat(segments[at:stop])
@@ -156,27 +188,52 @@ def _byte_rows(columns: list[tuple[bytes, np.ndarray, np.ndarray]], values: np.n
                 source.take(index, out=out[low:low + len(index)])
             at = stop
         yield out
-        start += count
+        rows = _next_rows(pending, blocks, window)
 
 
-def _csv_table(header: list[str], columns: list[tuple[tuple[str, ...], np.ndarray]],
-               values: np.ndarray) -> Iterator[Union[bytes, np.ndarray]]:
-    """A CSV table as UTF-8 chunks: the header, then per value a row.
+def _next_rows(pending: deque, blocks: Iterator[Sequence[np.ndarray]], count: int) -> list[np.ndarray]:
+    """The next ``count`` rows or fewer, from the ``pending`` blocks and then from ``blocks``; [] at the end.
 
-    Row i holds ``names[codes[i]]`` of each (names, codes) column, then
-    ``repr(values[i])`` and LF.
+    A block is a sequence of arrays (or lists) of one length. Rows of one
+    block come as slices of it, rows of several as one array copy; what is
+    left of a block stays first in ``pending``.
+    """
+    parts = []
+    while count:
+        block = pending.popleft() if pending else next(blocks, None)
+        if block is None:
+            break
+        size = len(block[-1])
+        if size > count:
+            pending.appendleft([column[count:] for column in block])
+            block, size = [column[:count] for column in block], count
+        if size:
+            parts.append(block)
+            count -= size
+    if len(parts) == 1:
+        return list(parts[0])
+    return [np.concatenate(columns) for columns in zip(*parts)]
+
+
+def _csv_table(header: list[str], names: list[tuple[str, ...]],
+               blocks: Iterable[Sequence[np.ndarray]]) -> Iterator[Union[bytes, np.ndarray]]:
+    """A CSV table as UTF-8 chunks: the header, then per row of ``blocks`` a line.
+
+    A block is ``(codes, ..., values)``: row i holds ``names[k][codes[k][i]]``
+    of each column k, then ``repr(values[i])`` and LF.
     """
     yield (",".join(header) + "\n").encode("utf-8")
-    yield from _byte_rows([(*_name_column(names), codes) for names, codes in columns], values, b"\n")
+    yield from _byte_rows(list(map(_name_column, names)), blocks, b"\n")
 
 
 def _csv_chunks(sample_set: SampleSet) -> Iterator[Union[bytes, np.ndarray]]:
     """Canonical CSV bytes in chunks: a ``csv.writer`` row per sample, utility as ``repr``."""
-    return _csv_table(SAMPLES_HEADER, [
-        (sample_set.alternatives, sample_set.alternative_codes),
-        (sample_set.attributes, sample_set.attribute_codes),
-        (sample_set.situations, sample_set.situation_codes),
-    ], sample_set.utilities)
+    return _csv_table(
+        SAMPLES_HEADER,
+        [sample_set.alternatives, sample_set.attributes, sample_set.situations],
+        [(sample_set.alternative_codes, sample_set.attribute_codes, sample_set.situation_codes,
+          sample_set.utilities)],
+    )
 
 
 def write_samples(sample_set: SampleSet, destination: Destination) -> None:
@@ -492,13 +549,14 @@ def _joined(blocks: list[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _prior_chunks(prior: PriorProfile) -> Iterator[Union[bytes, np.ndarray]]:
-    """Canonical CSV bytes of a prior in chunks: one row per cell, attribute-major, probability as ``repr``."""
-    alternatives, attributes = prior.matrix.shape
-    cells = np.arange(alternatives * attributes)
-    return _csv_table(PRIOR_HEADER, [
-        (prior.attributes, cells // alternatives),
-        (prior.alternatives, cells % alternatives),
-    ], prior.matrix.T.ravel())
+    """Canonical CSV bytes of a prior in chunks: one row per cell, attribute-major, probability as ``repr``.
+
+    Each attribute's cells are one block of rows, its column of the matrix.
+    """
+    alternatives = np.arange(len(prior.alternatives))
+    return _csv_table(PRIOR_HEADER, [prior.attributes, prior.alternatives], (
+        (np.full(len(alternatives), j), alternatives, column) for j, column in enumerate(prior.matrix.T)
+    ))
 
 
 def write_prior(prior: PriorProfile, path: PathLike) -> None:
@@ -769,16 +827,29 @@ def _dump_json(doc) -> Iterator[Union[bytes, np.ndarray]]:
     or config, which holds none, never calls the kernel. Such an array
     takes one step per dimension; one holding anything else is walked item
     by item. The walk runs before this returns: an object key that is not a
-    string raises TypeError here.
+    string raises TypeError here. Each array's rows, the codes of its texts
+    and a view of its floats, are made only when the chunks reach it.
     """
     rows = _JsonRows()
     rows.layout(doc, "\n")
     rows.pending.append("\n")
     prefixes = _field_table([text.encode("utf-8") for text in rows.prefixes])
-    codes = np.concatenate([np.empty(0, dtype=np.int32), *rows.codes])
-    values = np.concatenate([np.empty(0), *rows.values])
-    return chain(_byte_rows([(*prefixes, codes)], values, b""),
+    return chain(_byte_rows([prefixes], starmap(_json_block, rows.blocks), b""),
                  ["".join(rows.pending).encode("utf-8")])
+
+
+def _json_block(first: int, starts: list[int], shape: tuple[int, ...], floats) -> tuple[array, Sequence[float]]:
+    """The rows of one float array or list: the code of the text before each float, and the floats.
+
+    The first float takes code ``first``; a later one that starts r of the
+    array's lists takes ``starts[r]``.
+    """
+    codes = array("i", starts[:1]) * shape[-1]
+    for start, size in zip(starts[1:], reversed(shape[:-1])):
+        codes[0] = start
+        codes *= size
+    codes[0] = first
+    return codes, floats.ravel() if isinstance(floats, np.ndarray) else floats
 
 
 class _JsonRows:
@@ -787,8 +858,7 @@ class _JsonRows:
     def __init__(self):
         self.pending: list[str] = []  # the text since the last float
         self.prefixes: dict[str, int] = {}  # each distinct text before a float, and its code
-        self.codes: list = []  # per block of rows, in order: the codes of its texts
-        self.values: list = []  # and its floats
+        self.blocks: list = []  # per float array, in order: the arguments of its _json_block
         self.layouts: dict[tuple[str, int], tuple[str, list[int], str]] = {}  # see _array_layout
         self.encoders: dict[str, Callable] = {}  # per newline, json.dumps of a container of scalars
 
@@ -851,13 +921,7 @@ class _JsonRows:
         if key not in self.layouts:
             self.layouts[key] = self._array_layout(*key)
         opening, starts, closing = self.layouts[key]
-        codes = array("i", starts[:1]) * shape[-1]
-        for start, size in zip(starts[1:], reversed(shape[:-1])):
-            codes[0] = start
-            codes *= size
-        codes[0] = self._code("".join(self.pending) + opening)
-        self.codes.append(codes)
-        self.values.append(floats.ravel() if isinstance(floats, np.ndarray) else floats)
+        self.blocks.append((self._code("".join(self.pending) + opening), starts, shape, floats))
         self.pending = [closing]
 
     def _array_layout(self, newline: str, depth: int) -> tuple[str, list[int], str]:

@@ -32,15 +32,16 @@ def compute_moments(sample_set: SampleSet) -> MomentMatrices:
     :class:`ScoreOutOfRange`, the first such pair in row-major order.
     """
     counts = sample_set.counts.ravel()
-    bounds = [0, *np.cumsum(counts).tolist()]
+    bounds = np.concatenate([[0], np.cumsum(counts)])
     utilities = sample_set.utilities
-    means = segment_sums(utilities.tolist(), bounds) / counts
+    means = segment_sums(utilities, bounds) / counts
     for k in np.flatnonzero(np.isnan(means)).tolist():
         means[k] = 2 * (segment_sums(0.5 * utilities[bounds[k]:bounds[k + 1]], [0, counts[k]])[0] / counts[k])
+    squares = np.repeat(means, counts)
     with np.errstate(over="ignore"):
-        squares = utilities - np.repeat(means, counts)
+        np.subtract(utilities, squares, out=squares)
         squares *= squares
-    variances = segment_sums(squares.tolist(), bounds) / (counts - 1)
+    variances = segment_sums(squares, bounds) / (counts - 1)
     overflow = np.flatnonzero(~np.isfinite(variances))
     if overflow.size:
         i, j = divmod(int(overflow[0]), sample_set.num_attributes)

@@ -58,12 +58,12 @@ def run_pipeline(
     if WeightMethod.IGHW in selected and prior is None:
         raise PriorRequired("IGHW needs a prior profile")
 
-    moments = compute_moments(sample_set)
-    if provenance is None:
+    if provenance is None:  # before the moments, so that the digests run while less is held
         provenance = Provenance(
             samples_sha256=digest_sample_set(sample_set),
             prior_sha256=digest_prior(prior) if prior is not None else None,
         )
+    moments = compute_moments(sample_set)
 
     weights: dict[WeightMethod, object] = {}
     rankings: dict[WeightMethod, object] = {}

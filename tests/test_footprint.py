@@ -1,4 +1,4 @@
-"""Resource footprint: retained bytes per sample and the import floor."""
+"""Resource footprint: retained bytes per sample, stage and op peaks, and the import floor."""
 
 import gc
 import os
@@ -12,10 +12,21 @@ import numpy as np
 import pytest
 
 import utilrank
-from utilrank.io_files import _dump_json, digest_sample_set, read_prior, read_samples, write_prior, write_samples
+from utilrank import cli, floatfmt
+from utilrank.io_files import (
+    _dump_json,
+    digest_prior,
+    digest_sample_set,
+    read_prior,
+    read_samples,
+    write_prior,
+    write_samples,
+)
 from utilrank.model import validate_prior, validate_sample_set
+from utilrank.moments import compute_moments
 from utilrank.pipeline import run_pipeline
-from utilrank.report import emit_report
+from utilrank.report import emit_report, report_to_dict
+from utilrank.reproduce import reproduce_paper
 from utilrank.scenario import PairSpec, ScenarioSpec, generate_samples
 
 #: Bytes a read sample set may keep alive per sample.
@@ -38,21 +49,23 @@ PEAK_BYTES_PER_SAMPLE = 100
 PRIOR_PEAK_BYTES_PER_CELL = 39
 
 #: Peak bytes allocated while emitting the wide JSON report below to a file,
-#: per byte of the report. Measured 1.06 (6,392,967 for 6,034,058; Python
-#: 3.11, numpy 2.4): the document, the code and value of every float row
-#: (2.5 MB), the text before each, and a chunk's render and gather. The
-#: writer that gathered 1024 segments at a time peaked at 2.69, most of it
-#: the 8-byte gather index and ramp of one segment: the 553 KB of count
-#: text laid out before the first mean. The emit that also
-#: returned the report's text peaked at 2.92, and the writer that handed
-#: float lists to the C encoder at 3.31.
-EMIT_PEAK_PER_REPORT_BYTE = 1.15
+#: per byte of the report. Measured 0.68 (Python 3.11, numpy 2.4): the
+#: document, the table of texts before the floats, the codes and floats of
+#: the rows a chunk takes, and that chunk's render and gather. The writer
+#: that concatenated every float row's code and value before the first
+#: chunk peaked at 1.06, the one that gathered 1024 segments at a time at
+#: 2.69, most of it the 8-byte gather index and ramp of one segment (the
+#: 553 KB of count text laid out before the first mean), the emit that also
+#: returned the report's text at 2.92, and the writer that handed float
+#: lists to the C encoder at 3.31.
+EMIT_PEAK_PER_REPORT_BYTE = 0.75
 
 #: Peak bytes that a longer text before a float adds to the emit, per byte
-#: of text added: the text, its UTF-8, the writer's table of texts and one
-#: chunk. Measured 3.6 (Python 3.11, numpy 2.4); the 1024-segment gather
-#: added 20.0, its index and ramp 16 of them.
-LONG_TEXT_EMIT_PEAK_PER_BYTE = 5
+#: of text added: the text as laid out, its UTF-8 in the writer's table of
+#: texts, and the chunk it is written in. Measured 2.64 (Python 3.11, numpy
+#: 2.4); 3.6 when the table was copied once more into the gather's source,
+#: and 20.0 with the 1024-segment gather, its index and ramp 16 of them.
+LONG_TEXT_EMIT_PEAK_PER_BYTE = 3
 
 #: Peak bytes allocated while writing the 200,000-sample log below, whatever
 #: its length: rows are rendered and written a chunk at a time. Measured
@@ -61,13 +74,32 @@ LONG_TEXT_EMIT_PEAK_PER_BYTE = 5
 WRITE_PEAK_BYTES = 3_500_000
 
 #: Peak bytes that one long name adds to writing or digesting the log below,
-#: per byte of the name: its own bytes held a few times over (its field and
-#: its place in the column's buffer, copied as one slice), not its length
-#: times the column's name count. Measured 2.0 for both (Python 3.11, numpy
-#: 2.4); the 1024-segment gather, whose 8-byte index covered the name, 10.8;
-#: a table that padded every situation to the longest held 2,000 x 20,000
-#: bytes and as many mask bytes.
-LONG_NAME_PEAK_PER_BYTE = 3
+#: per byte of the name: its own bytes held a few times over (its CSV field,
+#: its UTF-8 and its place in the column's bytes, from which it is copied
+#: by one slice), not its length times the column's name count. Measured
+#: 1.81 for both (Python 3.11, numpy 2.4); 2.0 when each column's bytes
+#: were copied once more into the gather's source; the 1024-segment gather,
+#: whose 8-byte index covered the name, 10.8; a table that padded every
+#: situation to the longest held 2,000 x 20,000 bytes and as many mask bytes.
+LONG_NAME_PEAK_PER_BYTE = 2
+
+#: Peak bytes per sample that compute_moments allocates on the wide set
+#: below. Measured 32.5 (Python 3.11, numpy 2.4): the run bounds, the means
+#: repeated per sample and squared in place, and each pass's sums. It was
+#: 72.2 while each pass turned the whole set into a list of Python floats.
+MOMENTS_PEAK_BYTES_PER_SAMPLE = 40
+
+#: Peak bytes per cell that digest_prior allocates on the wide prior below.
+#: Measured 53.8 (Python 3.11, numpy 2.4), most of it one chunk's render and
+#: gather; 76.1 when the rows' codes were made for every cell at once in
+#: int64, beside a transposed copy of the matrix.
+DIGEST_PRIOR_PEAK_PER_CELL = 60
+
+#: A whole ``rank`` op's peak over the peak of reading its sample log alone:
+#: every later stage runs under the read's peak. Measured 1.007 on the wide
+#: log below (Python 3.11, numpy 2.4); 1.70 when the inputs stayed alive
+#: through the emit and the moments listed every sample as a Python float.
+OP_PEAK_PER_READ_PEAK = 1.1
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +222,50 @@ def test_emitting_a_wide_report_peaks_below_the_list_writer(wide, tmp_path):
     emit_report(report, "json", path)  # the render tables are built once
     peak = _peak(lambda: emit_report(report, "json", path))
     assert peak <= EMIT_PEAK_PER_REPORT_BYTE * path.stat().st_size
+
+
+def test_computing_moments_peaks_below_a_list_per_sample(wide):
+    sample_set, _ = wide
+    peak = _peak(lambda: compute_moments(sample_set))
+    assert peak / len(sample_set) <= MOMENTS_PEAK_BYTES_PER_SAMPLE
+
+
+def test_digesting_a_prior_peaks_below_a_code_per_cell(wide):
+    sample_set, prior = wide
+    fresh = validate_prior(prior.matrix, sample_set)  # no digest kept by a writer
+    peak = _peak(lambda: digest_prior(fresh))
+    assert peak / prior.matrix.size <= DIGEST_PRIOR_PEAK_PER_CELL
+
+
+def test_a_rank_op_peaks_where_it_reads_the_log(wide, tmp_path):
+    # Every stage after the read (prior, digests, moments, weighting, emit)
+    # runs under the read's peak: the op as a whole costs no more than it.
+    sample_set, prior = wide
+    samples, prior_path = tmp_path / "samples.csv", tmp_path / "prior.csv"
+    write_samples(sample_set, samples)
+    write_prior(prior, prior_path)
+    argv = ["rank", "--samples", str(samples), "--prior", str(prior_path),
+            "--format", "json", "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0  # the render tables are built once
+    read_peak = _peak(lambda: read_samples(samples))
+    op_peak = _peak(lambda: cli.main(argv))
+    assert op_peak <= OP_PEAK_PER_READ_PEAK * read_peak, (op_peak, read_peak)
+
+
+def test_a_report_renders_its_floats_once_per_chunk(wide, tmp_path, monkeypatch):
+    # Rendering costs about 0.3 ms a call whatever its length, so the float
+    # arrays and lists of a report share chunks: one call per array would
+    # double the time of emitting the paper's small report.
+    reference = reproduce_paper(tmp_path / "reference")
+    renders = []
+    render = floatfmt.render
+    monkeypatch.setattr(floatfmt, "render", lambda *args: renders.append(len(args[0])) or render(*args))
+    emit_report(reference, "json", tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_bytes() == (tmp_path / "reference" / "report.json").read_bytes()
+    assert len(renders) == 1
+    renders.clear()
+    chunks = list(_dump_json(report_to_dict(run_pipeline(*wide))))
+    assert 1 < len(renders) <= len(chunks)
 
 
 def test_a_longer_text_before_a_float_costs_its_own_bytes():
