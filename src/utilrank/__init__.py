@@ -17,6 +17,7 @@ from .errors import (
     ColumnNotNormalized,
     DegenerateAttribute,
     DegenerateAttributeWarning,
+    Diagnostic,
     DimensionMismatch,
     DuplicateTriple,
     EmptyInput,

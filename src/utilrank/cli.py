@@ -34,7 +34,7 @@ from .io_files import (
 from .model import EngineConfig
 from .pipeline import run_pipeline
 from .report import emit_report
-from .reproduce import reproduce_paper
+from .reproduce import reproduce_paper, table_verdicts
 from .scenario import generate_samples
 
 EXIT_OK = 0
@@ -134,7 +134,12 @@ def _destination(path: Optional[str]):
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    reproduce_paper(args.out)
+    try:
+        reproduce_paper(args.out)
+    except ReproductionMismatch as exc:
+        sys.stdout.write("".join(line + "\n" for line in table_verdicts(exc.departures)))
+        raise
+    sys.stdout.write("".join(line + "\n" for line in table_verdicts()))
     sys.stdout.write(f"reference use case reproduced in {args.out}\n")
     return EXIT_OK
 

@@ -10,9 +10,13 @@ probability outside (0, 1)) and ``emit_report`` (an unknown format).
 The file readers and the CLI turn bad settings into ``InvalidSpec``.
 The CLI maps exception families to exit codes: input/validation problems
 exit 2, reference-reproduction mismatches exit 3, I/O failures exit 4.
+A report records a method's failure and each warning as a
+:class:`Diagnostic`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class UtilrankError(Exception):
@@ -176,15 +180,20 @@ class NegativeIgd(UtilrankError):
 # ---------------------------------------------------------------------------
 
 class ReproductionMismatch(UtilrankError):
-    """A reproduced value departs from its published reference figure."""
+    """Reproduced values depart from their published reference figures.
 
-    def __init__(self, table: str, cell: str, expected: float, actual: float):
-        self.table = table
-        self.cell = cell
-        self.expected = expected
-        self.actual = actual
+    ``departures`` holds every departing figure as a (table, cell,
+    expected, actual) tuple, in reference order; ``table``, ``cell``,
+    ``expected`` and ``actual`` are the first one's.
+    """
+
+    def __init__(self, departures: tuple[tuple[str, str, float, float], ...]):
+        self.departures = departures
+        self.table, self.cell, self.expected, self.actual = departures[0]
+        more = f" (and {len(departures) - 1} more)" if len(departures) > 1 else ""
         super().__init__(
-            f"table {table}, cell {cell}: expected {expected!r}, got {actual!r}"
+            f"table {self.table}, cell {self.cell}: expected {self.expected!r}, "
+            f"got {self.actual!r}{more}"
         )
 
 
@@ -193,7 +202,15 @@ class ReproductionMismatch(UtilrankError):
 # ---------------------------------------------------------------------------
 
 class UtilrankWarning(UserWarning):
-    """Base class for the warnings this package emits."""
+    """Base class for the warnings this package emits.
+
+    Keyword arguments become the warning's attributes, the ``fields`` of
+    its :class:`Diagnostic`.
+    """
+
+    def __init__(self, message: str, **fields):
+        super().__init__(message)
+        self.__dict__.update(fields)
 
 
 class UtilityRangeWarning(UtilrankWarning):
@@ -202,3 +219,28 @@ class UtilityRangeWarning(UtilrankWarning):
 
 class DegenerateAttributeWarning(UtilrankWarning):
     """A degenerate attribute was assigned the uniform fallback distribution."""
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics as data
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """A failure or warning as a report records it.
+
+    ``type`` is the exception or warning class name, ``message`` its text
+    and ``fields`` its own attributes, such as
+    ``ZeroPriorSupport.alternative_id`` or ``NegativeIgd.values``.
+    """
+
+    type: str
+    message: str
+    fields: dict
+
+    @classmethod
+    def of(cls, raised: Exception) -> "Diagnostic":
+        return cls(type(raised).__name__, str(raised), dict(vars(raised)))
+
+    def __str__(self) -> str:
+        return f"{self.type}: {self.message}"

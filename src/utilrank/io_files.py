@@ -889,6 +889,8 @@ class _JsonRows:
                 self._array(value, newline)
                 return
         if any(issubclass(kind, (dict, list, tuple, np.ndarray)) for kind in kinds):
+            if kinds == {list} and not isinstance(value, dict) and self._int_rows(value, newline):
+                return
             self._walk(value, newline)
             return
         # Scalars only: one call, whose item separator is a line break at
@@ -898,6 +900,20 @@ class _JsonRows:
             self.encoders[newline] = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode
         text = self.encoders[newline](value)
         self.pending.append(text[0] + inner + text[1:-1] + newline + text[-1] if value else text)
+
+    def _int_rows(self, rows, newline: str) -> bool:
+        """Lay out a list of non-empty lists of ints, such as a count matrix, as one text.
+
+        An int's JSON is its ``str``. Returns False, laying out nothing,
+        when ``rows`` is not such a list.
+        """
+        if not all(rows) or set(map(type, chain.from_iterable(rows))) != {int}:
+            return False
+        inner = newline + "  "
+        inner2 = inner + "  "
+        text = (inner + "]," + inner + "[" + inner2).join([("," + inner2).join(map(str, row)) for row in rows])
+        self.pending.append("[" + inner + "[" + inner2 + text + inner + "]" + newline + "]")
+        return True
 
     def _walk(self, value, newline: str) -> None:
         """Lay out a non-empty dict, list or array item by item."""

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ColumnNotNormalized,
+    DegenerateAttributeWarning,
     DimensionMismatch,
     DuplicateTriple,
     EmptyInput,
@@ -100,8 +101,10 @@ class SampleSet:
     sample beside ``utilities``. Samples are sorted by (alternative,
     attribute, situation), so pair (i, j) owns one contiguous slice of
     ``counts[i, j]`` samples, the slices in row-major pair order.
-    ``_csv_sha256`` is the digest of the canonical CSV, kept by the writer
-    that rendered it (see :mod:`utilrank.io_files`); it is no part of the value.
+    ``out_of_range`` counts the utilities outside [0, 1], as validation
+    found them. ``_csv_sha256`` is the digest of the canonical CSV, kept by
+    the writer that rendered it (see :mod:`utilrank.io_files`); it is no
+    part of the value.
     """
 
     alternatives: tuple[str, ...]
@@ -112,6 +115,7 @@ class SampleSet:
     situation_codes: np.ndarray
     utilities: np.ndarray
     counts: np.ndarray
+    out_of_range: int = 0
     _csv_sha256: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -124,6 +128,15 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.utilities)
+
+    def range_warning(self) -> Optional[UtilityRangeWarning]:
+        """The warning that utilities leave [0, 1], or None when none does."""
+        if not self.out_of_range:
+            return None
+        return UtilityRangeWarning(
+            f"{self.out_of_range} of {len(self)} utilities fall outside [0, 1]",
+            out_of_range=self.out_of_range, samples=len(self),
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampleSet):
@@ -197,6 +210,16 @@ class RelativeVarianceProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _frozen_array(self.matrix))
+
+    def degenerate_warning(self) -> Optional[DegenerateAttributeWarning]:
+        """The warning that attributes got the uniform fallback, or None when none did."""
+        if not self.degenerate_attributes:
+            return None
+        attributes = list(self.degenerate_attributes)
+        return DegenerateAttributeWarning(
+            f"degenerate attribute(s) {attributes} assigned the uniform distribution",
+            attributes=attributes,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,16 +320,12 @@ def validate_sample_set(
         raise InsufficientSamples(alternatives[i], attributes[j], int(counts[i, j]))
 
     out_of_range = int(np.count_nonzero((utilities < 0.0) | (utilities > 1.0)))
-    if out_of_range:
-        warnings.warn(
-            f"{out_of_range} of {utilities.size} utilities fall outside [0, 1]",
-            UtilityRangeWarning,
-            stacklevel=2,
-        )
-
     for column in (*codes, utilities, counts):
         column.setflags(write=False)
-    return SampleSet(*tables, *codes, utilities, counts)
+    sample_set = SampleSet(*tables, *codes, utilities, counts, out_of_range)
+    if out_of_range:
+        warnings.warn(sample_set.range_warning(), stacklevel=2)
+    return sample_set
 
 
 def validate_prior(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import InvalidSpec, PriorRequired, UtilrankError
+from .errors import Diagnostic, InvalidSpec, PriorRequired, UtilrankError
 from .io_files import digest_prior, digest_sample_set
 from .model import EngineConfig, PriorProfile, SampleSet, WeightMethod
 from .moments import compute_moments
@@ -51,7 +51,10 @@ def run_pipeline(
     Requesting IGHW without a prior raises :class:`PriorRequired` before
     any computation. Per-method failures (degenerate data, zero prior
     support, negative gain differences, ...) are recorded in
-    ``report.failures`` and the remaining methods still run.
+    ``report.failures`` and the remaining methods still run. The sample
+    set's out-of-range utilities and the degenerate attributes go into
+    ``report.warnings``, as the warnings that validation and
+    :func:`relative_variance` emit say them.
     """
     config = config or EngineConfig()
     selected = resolve_methods(methods, prior is not None)
@@ -67,7 +70,7 @@ def run_pipeline(
 
     weights: dict[WeightMethod, object] = {}
     rankings: dict[WeightMethod, object] = {}
-    failures: dict[WeightMethod, str] = {}
+    failures: dict[WeightMethod, Diagnostic] = {}
     profile = entropies = divergences = igd_vector = igd_resolution = None
 
     if selected:
@@ -75,7 +78,7 @@ def run_pipeline(
             profile = relative_variance(moments, config)
         except UtilrankError as exc:
             for method in selected:
-                failures[method] = _describe(exc)
+                failures[method] = Diagnostic.of(exc)
 
     if profile is not None:
         for method in selected:
@@ -94,7 +97,7 @@ def run_pipeline(
                 if include_rankings:
                     rankings[method] = rank_alternatives(moments, wv, config.report_weight_rounding)
             except UtilrankError as exc:
-                failures[method] = _describe(exc)
+                failures[method] = Diagnostic.of(exc)
                 continue
             weights[method] = wv
 
@@ -108,10 +111,11 @@ def run_pipeline(
         weights=weights,
         rankings=rankings,
         failures=failures,
+        warnings=tuple(
+            Diagnostic.of(warning)
+            for warning in (sample_set.range_warning(), profile and profile.degenerate_warning())
+            if warning is not None
+        ),
         config=config,
         provenance=provenance,
     )
-
-
-def _describe(exc: UtilrankError) -> str:
-    return f"{type(exc).__name__}: {exc}"

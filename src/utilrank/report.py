@@ -1,8 +1,10 @@
 """Result container and report emission (structured JSON, aligned text).
 
-The JSON document carries every intermediate matrix at full precision
-plus a display section with rounded views; the text format prints the
-pipeline stages as six aligned tables (A1 moments through A6 rankings).
+The JSON document carries every intermediate matrix at full precision,
+warnings and per-method failures as data, and a display section with
+rounded views of the per-attribute and per-alternative figures; the text
+format prints the pipeline stages as six aligned tables (A1 moments
+through A6 rankings).
 Canonical outputs contain no timestamps; provenance is a content digest
 plus the tool version, so the same report always emits identical bytes.
 """
@@ -10,13 +12,11 @@ plus the tool version, so the same report always emits identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
+from .errors import Diagnostic
 from .model import (
     EngineConfig,
     MomentMatrices,
@@ -25,7 +25,11 @@ from .model import (
     WeightVector,
 )
 from .ranking import RankingReport
-from .io_files import SCHEMA_VERSION, Destination, _dump_json, _write_bytes, config_to_dict
+from .io_files import Destination, _dump_json, _write_bytes, config_to_dict
+
+#: Version of the report document. Specs and configs keep their own,
+#: ``io_files.SCHEMA_VERSION``.
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,8 @@ class Report:
 
     ``entropies`` (in ``config.entropy_log_base``), ``divergences`` (in
     ``config.kld_log_base``) and ``igd`` are the scores that ICW, IGHW and
-    IGDW normalize into their weights.
+    IGDW normalize into their weights. ``failures`` holds what stopped each
+    failed method, ``warnings`` what the run warned of, in order.
     """
 
     moments: MomentMatrices
@@ -51,7 +56,8 @@ class Report:
     igd_resolution: Optional[str]
     weights: dict[WeightMethod, WeightVector]
     rankings: dict[WeightMethod, RankingReport]
-    failures: dict[WeightMethod, str]
+    failures: dict[WeightMethod, Diagnostic]
+    warnings: tuple[Diagnostic, ...]
     config: EngineConfig
     provenance: Provenance
 
@@ -78,7 +84,7 @@ def _raw_scores(report: Report, method: WeightMethod) -> tuple[float, ...]:
 def report_to_dict(report: Report) -> dict:
     """The JSON document of a report; its matrices stay float64 arrays."""
     doc: dict = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "provenance": {
             "samples_sha256": report.provenance.samples_sha256,
             "prior_sha256": report.provenance.prior_sha256,
@@ -98,7 +104,8 @@ def report_to_dict(report: Report) -> dict:
         "igd": None,
         "weights": {},
         "rankings": {},
-        "failures": {m.value: msg for m, msg in report.failures.items()},
+        "failures": {m.value: asdict(d) for m, d in report.failures.items()},
+        "warnings": [asdict(d) for d in report.warnings],
     }
     if report.relative_variance is not None:
         doc["relative_variance"] = {
@@ -134,13 +141,12 @@ def report_to_dict(report: Report) -> dict:
 
 
 def _display_views(report: Report) -> dict:
-    """Rounded presentation copies; never feed these back into computation."""
+    """Rounded presentation copies of the R- and M-long figures.
+
+    Never feed these back into computation. The relative-variance matrix
+    has no rounded copy: ``relative_variance.matrix`` and table A2 hold it.
+    """
     views: dict = {}
-    if report.relative_variance is not None:
-        matrix = report.relative_variance.matrix
-        views["relative_variance"] = np.fromiter(
-            map(round, matrix.ravel().tolist(), repeat(4)), np.float64, matrix.size
-        ).reshape(matrix.shape)
     for key, scores in (
         ("entropies", report.entropies),
         ("divergences", report.divergences),

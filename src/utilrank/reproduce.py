@@ -12,6 +12,7 @@ produce byte-identical directories.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Union
 
@@ -108,7 +109,7 @@ def verify_report(report: Report) -> None:
     """Verify a reference-profile report against the published figures.
 
     Each figure is checked against the value users read in the report's
-    JSON document. Raises :class:`ReproductionMismatch` on the first
+    JSON document. Raises :class:`ReproductionMismatch` naming every
     departing value.
     """
     doc = report_to_dict(report)
@@ -116,6 +117,7 @@ def verify_report(report: Report) -> None:
         name: k for names in (doc["alternatives"], doc["attributes"])
         for k, name in enumerate(names)
     }
+    departures = []
     for table, field, cell, figure, tolerance in REFERENCE_VALUES:
         actual = doc
         for key in field.split("."):
@@ -125,7 +127,20 @@ def verify_report(report: Report) -> None:
         for name in cell.split("/"):
             actual = actual[index[name]]
         if not abs(actual - figure) <= tolerance:
-            raise ReproductionMismatch(table, f"{field} {cell}", figure, actual)
+            departures.append((table, f"{field} {cell}", figure, actual))
+    if departures:
+        raise ReproductionMismatch(tuple(departures))
+
+
+def table_verdicts(departures=()) -> list[str]:
+    """One line per reference table: PASS, or FAIL with its count of departing figures."""
+    figures = Counter(row[0] for row in REFERENCE_VALUES)
+    failed = Counter(departure[0] for departure in departures)
+    return [
+        f"table {table}: FAIL ({failed[table]} of {count} figures depart)" if failed[table]
+        else f"table {table}: PASS ({count} figures)"
+        for table, count in figures.items()
+    ]
 
 
 def reproduce_paper(output_directory: PathLike) -> Report:

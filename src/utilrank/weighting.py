@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .errors import (
     AllZeroDivergence,
     AllZeroEntropy,
     DegenerateAttribute,
-    DegenerateAttributeWarning,
     DimensionMismatch,
     NegativeIgd,
     ScoreOutOfRange,
@@ -77,15 +75,12 @@ def relative_variance(
             degenerate.append(attr)
     zero = totals == 0.0
     matrix = np.where(zero, 1.0 / m, moments.variances / np.where(zero, 1.0, totals))
-    if degenerate:
-        warnings.warn(
-            f"degenerate attribute(s) {degenerate} assigned the uniform distribution",
-            DegenerateAttributeWarning,
-            stacklevel=2,
-        )
-    return RelativeVarianceProfile(
+    profile = RelativeVarianceProfile(
         matrix, moments.alternatives, moments.attributes, tuple(degenerate)
     )
+    if degenerate:
+        warnings.warn(profile.degenerate_warning(), stacklevel=2)
+    return profile
 
 
 def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> tuple[float, ...]:
@@ -97,11 +92,10 @@ def entropy(profile: RelativeVarianceProfile, log_base: float = math.e) -> tuple
     m = len(profile.alternatives)
     ln_base = math.log(log_base)
     bound = math.log(m) / ln_base + 1e-9
-    terms, bounds = array("d"), [0]
-    for column in profile.matrix.T:
-        terms.extend([-p * math.log(p) for p in column.tolist() if p > 0.0])
-        bounds.append(len(terms))
-    values = tuple((segment_sums(terms, bounds) / ln_base).tolist())
+    columns = profile.matrix.T
+    kept = columns > 0.0
+    p = columns[kept]
+    values = tuple((segment_sums(-p * _logs(p), _run_bounds(kept)) / ln_base).tolist())
     for attr, e in zip(profile.attributes, values):
         if not 0.0 <= e <= bound:
             raise ScoreOutOfRange(f"entropy {e!r} for attribute {attr!r} escapes [0, log M]")
@@ -142,17 +136,16 @@ def kld(
     m = len(profile.alternatives)
     eps = config.prior_smoothing_epsilon
     q = (prior.matrix + eps) / (1.0 + m * eps) if eps > 0.0 else prior.matrix
+    columns, q_columns = profile.matrix.T, q.T
+    kept = ~(columns <= 0.0)  # a NaN cell is kept, and its sum reads NaN
+    unsupported = np.argwhere(kept & (q_columns <= 0.0))  # attribute by attribute
+    if unsupported.size:
+        r, i = unsupported[0]
+        raise ZeroPriorSupport(profile.alternatives[i], profile.attributes[r])
+    p = columns[kept]
+    terms = p * _logs(p / q_columns[kept])
     ln_base = math.log(config.kld_log_base)
-    terms, bounds = array("d"), [0]
-    for attr, p_column, q_column in zip(profile.attributes, profile.matrix.T, q.T):
-        for alt, p_ir, q_ir in zip(profile.alternatives, p_column.tolist(), q_column.tolist()):
-            if p_ir <= 0.0:
-                continue
-            if q_ir <= 0.0:
-                raise ZeroPriorSupport(alt, attr)
-            terms.append(p_ir * math.log(p_ir / q_ir))
-        bounds.append(len(terms))
-    return tuple((segment_sums(terms, bounds) / ln_base).tolist())
+    return tuple((segment_sums(terms, _run_bounds(kept)) / ln_base).tolist())
 
 
 def ighw(divergences: tuple[float, ...]) -> WeightVector:
@@ -206,6 +199,16 @@ def igdw(gains: tuple[float, ...]) -> WeightVector:
     """
     n = len(gains)
     return WeightVector((1.0 / n,) * n)
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    """``math.log`` of each value, as libm gives it; ``np.log`` can differ by an ulp."""
+    return np.fromiter(map(math.log, memoryview(values)), np.float64, values.size)
+
+
+def _run_bounds(kept: np.ndarray) -> np.ndarray:
+    """The bounds of each row's kept cells among ``kept``'s cells, taken in row-major order."""
+    return np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
 
 
 def _clamp_noise(w: float) -> float:

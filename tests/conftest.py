@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from math import fsum, isfinite
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from utilrank.errors import ZeroPriorSupport
+from utilrank.exactsum import segment_sums
 from utilrank.io_files import _csv_chunks, _prior_chunks
-from utilrank.model import MomentMatrices, validate_sample_set
+from utilrank.model import EngineConfig, MomentMatrices, validate_sample_set
 from utilrank.moments import compute_moments
 
 ALTERNATIVES = ("AI1", "AI2")
@@ -143,3 +147,38 @@ def random_profile(rng, m, r):
     """Random column-stochastic matrix (each attribute column sums to 1)."""
     raw = rng.uniform(0.05, 1.0, size=(m, r))
     return raw / raw.sum(axis=0)
+
+
+def scalar_entropy(profile, log_base=math.e):
+    """Reference entropies: one ``-p * math.log(p)`` term per positive cell, column by column.
+
+    ``weighting.entropy`` must give these bits, with its range check left out.
+    """
+    terms, bounds = array("d"), [0]
+    for column in profile.matrix.T:
+        terms.extend([-p * math.log(p) for p in column.tolist() if p > 0.0])
+        bounds.append(len(terms))
+    return tuple((segment_sums(terms, bounds) / math.log(log_base)).tolist())
+
+
+def scalar_kld(profile, prior, config=None):
+    """Reference divergences: one ``p * math.log(p / q)`` term per cell not at or below 0.
+
+    Raises ``ZeroPriorSupport`` at the first such cell, attribute by
+    attribute and alternatives in order, whose smoothed prior is not
+    positive. ``weighting.kld`` must give these bits and that cell.
+    """
+    config = config or EngineConfig()
+    m = len(profile.alternatives)
+    eps = config.prior_smoothing_epsilon
+    q = (prior.matrix + eps) / (1.0 + m * eps) if eps > 0.0 else prior.matrix
+    terms, bounds = array("d"), [0]
+    for attr, p_column, q_column in zip(profile.attributes, profile.matrix.T, q.T):
+        for alt, p_ir, q_ir in zip(profile.alternatives, p_column.tolist(), q_column.tolist()):
+            if p_ir <= 0.0:
+                continue
+            if q_ir <= 0.0:
+                raise ZeroPriorSupport(alt, attr)
+            terms.append(p_ir * math.log(p_ir / q_ir))
+        bounds.append(len(terms))
+    return tuple((segment_sums(terms, bounds) / math.log(config.kld_log_base)).tolist())

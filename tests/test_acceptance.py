@@ -272,3 +272,29 @@ def test_tampered_figure_fails_its_table(reference_report, monkeypatch, table):
     with pytest.raises(ReproductionMismatch) as exc_info:
         verify_report(reference_report)
     assert (exc_info.value.table, exc_info.value.cell) == (table, f"{field} {cell}")
+
+
+def test_every_departing_figure_is_named(reference_report, monkeypatch):
+    rows = reproduce_module.REFERENCE_VALUES
+    tampered = {3: 1.0, 20: 0.5, 35: 3}  # A1, A5 and A6: one figure each
+    monkeypatch.setattr(reproduce_module, "REFERENCE_VALUES", tuple(
+        (*row[:3], row[3] + tampered.get(k, 0), row[4]) for k, row in enumerate(rows)
+    ))
+    with pytest.raises(ReproductionMismatch) as exc_info:
+        verify_report(reference_report)
+    departures = exc_info.value.departures
+    assert [(table, cell) for table, cell, _, _ in departures] == [
+        (rows[k][0], f"{rows[k][1]} {rows[k][2]}") for k in sorted(tampered)
+    ]
+    assert [expected for _, _, expected, _ in departures] == [
+        rows[k][3] + tampered[k] for k in sorted(tampered)
+    ]
+    assert str(exc_info.value).endswith(" (and 2 more)")
+    assert reproduce_module.table_verdicts(departures) == [
+        "table A1: FAIL (1 of 8 figures depart)",
+        "table A2: PASS (4 figures)",
+        "table A3: PASS (4 figures)",
+        "table A4: PASS (4 figures)",
+        "table A5: FAIL (1 of 4 figures depart)",
+        "table A6: FAIL (1 of 12 figures depart)",
+    ]

@@ -126,9 +126,10 @@ class TestRank:
                         "A,y,s1,0\nA,y,s2,1\nB,y,s1,0\nB,y,s2,0.5\n")
         assert main(["rank", "--samples", str(path), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["failures"] == dict.fromkeys(
-            ["ICW", "IGDW"], "ScoreOutOfRange: variance total of attribute 'x' overflows"
-        )
+        assert doc["failures"] == dict.fromkeys(["ICW", "IGDW"], {
+            "type": "ScoreOutOfRange", "message": "variance total of attribute 'x' overflows",
+            "fields": {},
+        })
         assert doc["weights"] == {} and doc["rankings"] == {}
 
     def test_expected_utility_overflow_fails_that_method_only(self, tmp_path):
@@ -145,7 +146,10 @@ class TestRank:
         assert main(["rank", "--samples", str(samples), "--prior", str(prior), "--config", str(config),
                      "--round-weights", "0", "--methods", "igdw,ighw", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["failures"] == {"IGDW": "ScoreOutOfRange: expected utility of alternative 'A' overflows"}
+        assert doc["failures"] == {"IGDW": {
+            "type": "ScoreOutOfRange", "message": "expected utility of alternative 'A' overflows",
+            "fields": {},
+        }}
         assert list(doc["weights"]) == list(doc["rankings"]) == ["IGHW"]
         assert doc["rankings"]["IGHW"]["expectations"] == [1e308, 1e308]
 
@@ -471,3 +475,23 @@ class TestReproducePaper:
         assert err.startswith("reproduction mismatch: table A6, "
                               "cell rankings.ICW.expectations AI1: expected 9.99, got ")
         assert err.count("\n") == 1
+
+    def test_one_verdict_line_per_table(self, tmp_path, monkeypatch, capsys):
+        assert main(["reproduce-paper", "--out", str(tmp_path / "good")]) == 0
+        verdicts = ["table A1: PASS (8 figures)", "table A2: PASS (4 figures)",
+                    "table A3: PASS (4 figures)", "table A4: PASS (4 figures)",
+                    "table A5: PASS (4 figures)", "table A6: PASS (12 figures)"]
+        assert capsys.readouterr().out == "\n".join(
+            [*verdicts, f"reference use case reproduced in {tmp_path / 'good'}", ""])
+
+        rows = reproduce_module.REFERENCE_VALUES
+        monkeypatch.setattr(reproduce_module, "REFERENCE_VALUES", tuple(
+            (*row[:3], row[3] + 1, row[4]) if row[0] in ("A2", "A4") else row for row in rows
+        ))
+        assert main(["reproduce-paper", "--out", str(tmp_path / "bad")]) == 3
+        captured = capsys.readouterr()
+        verdicts[1] = "table A2: FAIL (4 of 4 figures depart)"
+        verdicts[3] = "table A4: FAIL (4 of 4 figures depart)"
+        assert captured.out == "\n".join([*verdicts, ""])
+        assert captured.err.startswith("reproduction mismatch: table A2, ")
+        assert captured.err.endswith(" (and 7 more)\n") and captured.err.count("\n") == 1

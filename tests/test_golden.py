@@ -31,7 +31,7 @@ HEADER = "alternative,attribute,situation,utility\n"
 
 REPRODUCE_PAPER_SHA256 = {
     "samples.csv": "f6d15dedf14c310eecf5bbbd0100600b99248f8d58f9521dd393d49eb0638d66",
-    "report.json": "499c49819520fee59122d1b9a293d41dd60652d8266b5b9a56b945ea7920ef55",
+    "report.json": "6935b4e1d1ff763a609c219b368eb20ed19efd2079bd21c51384be38d4df7bc1",
     "tables.txt": "45d334aa3df7a6f61b484fde734e5a7b84b8786f7abd9bc86ec29522c29ad1ea",
     "scenario.json": "6d34aa859f959cfd9bb2c892bd4b07b3c0d0ba8f21fe49945de5d3212b205c47",
     "prior.csv": "501a6dd99b1a83712ea50b3fcffea5e9d7bc4d11b245f182aeb26ad0c7515697",
@@ -76,15 +76,15 @@ CASES = {
 
 REPORT_SHA256 = {
     ("negative_igd_min_shift", "json"):
-        "0c4abb30970adacba2a3fb79e5860b57a9a10447b51861ee8ba6c3b64e4b99a2",
+        "8679221fc64ed5c4019342547c15281052a94d918b0f7cfed456bffc126f83ad",
     ("negative_igd_min_shift", "text"):
         "357aa4903dfb3cae2cdeef4973e08fc3856fb56dad0b1802154bcb6d6c77976b",
     ("negative_igd_error", "json"):
-        "4ba0efe66652e48abaaa8e0ac95e1daafd415453f61be4fc4e6d1b4b8c20b12d",
+        "8c08d70944b74fda364fc3e0c091b7f08cb7967fcfac9907a5b26e6a6a37f13a",
     ("negative_igd_error", "text"):
         "39b4263f8edfbc613214014b3368d085da80cea6a42e236c2e4f074da7667aa5",
     ("degenerate_uniform", "json"):
-        "19083d749d36f3e8899f04f295ca52bec22fb1bda015f32400c9f23a37155693",
+        "feef27c64cecfc93e26b1678b9e73c78643dee733dca5920c34d6376da8328b2",
     ("degenerate_uniform", "text"):
         "52c2cd030d43b84bcea14caf77b1bc8343bec5e3f50e9a5bba8b35fac66a090a",
 }
@@ -107,7 +107,7 @@ LARGE_SPEC = ScenarioSpec(
 # deviations being correctly rounded IEEE products, in exact-mode rescaling and
 # in variances alike; the C library's pow would move some of their bits.
 LARGE_SAMPLES_SHA256 = "d1da3e078a32b4dbbf4df6ef5bceee1cddd277ea9c5079eebb6fe7f0127d8a38"
-LARGE_REPORT_SHA256 = "2f932062b200c383e62bdb475618e69eb1988ef5136daf4b47076695ec5d367b"
+LARGE_REPORT_SHA256 = "6247592e03308059c446a3aa916d7950a7ad1cb8be45df364e8f12130799b4c8"
 
 def _wide_prior_spec(seed: int, alternatives: int, attributes: int) -> ScenarioSpec:
     """Exact-mode spec, two samples per pair, means and variances from ``seed``."""
@@ -137,12 +137,12 @@ def _wide_prior_matrix(seed: int, alternatives: int, attributes: int) -> list[li
 # the prior, KL-divergence (IGHW) and report paths at scale, all three methods.
 WIDE_PRIOR_SHAPE = (300, 12)
 WIDE_PRIOR_SEED = 17
-WIDE_PRIOR_REPORT_SHA256 = "d55615d09bafa2f08e7706333b0e8eba33565d04be1ca4e6c33d40a4a7854e98"
+WIDE_PRIOR_REPORT_SHA256 = "285a3f1000a3a80950cc85a57c7214b3f89562fbcc9338d7d2e891ec4f7f6d21"
 
 # The `weights` verb (no rankings) on the reference use case's samples and
 # prior: every method's raw scores and tables A2-A5, without table A6.
 WEIGHTS_SHA256 = {
-    "json": "639d7dcb52d011fcd774e7b634dc67fa5626fa6237bc1ba6c153544034746ad2",
+    "json": "2544c0f402b05634bc4c6a6370876e4328bc4ee79f0a67b562a18e221a8544ab",
     "text": "acef38c4962df28c76a413bd8aa70563a454e09634487a0f91da5557c11e927b",
 }
 
@@ -161,7 +161,7 @@ BASES_PRIOR = (
 )
 BASES_FLAGS = ["--entropy-base", "2", "--kld-base", "e", "--round-weights", "3"]
 BASES_SHA256 = {
-    "json": "2028982143bf95fae076f1fb19ce59e4fccbd10c3de511e0417f41c1d9372656",
+    "json": "6ae2f177036fd3d88b24437951ff711447ff94f398045abacb3ec2fcb1c3de8f",
     "text": "3639bd83d30358145c083e2f7bafebf22aebaf5e7dd89f4b5ddcd772d2b23482",
 }
 

@@ -837,6 +837,15 @@ EDGE_DOCS = {
         "deeper": {"a": {"b": {"c": 1.5, "é": "x\n", "nan": math.nan, "int": 2**64}}},
         "pairs": [{"mean": 0.1, "count": 2}, {}, {"z": [], "y": {"x": -1e-7}}],
     },
+    "int-rows": {  # lists of non-empty int lists laid out in one call; the rest walked row by row
+        "counts": {"m": [[300, 300], [2, -7], [2**64, 0]], "one": [[5]], "column": [[1], [2], [3]]},
+        "deep": [[[[1, 2], [3, 4]]]],
+        "tuple": ([1, 2], [3]),
+        "empty-row": [[1, 2], [], [3]],
+        "bools": [[1, True], [0, 1]],
+        "floats": [[1, 2.5], [3, 4]],
+        "strings": [[1, "x"], [2, 3]],
+    },
 }
 
 _KEY_CHARS = "abcAB_ é\x00\n\"\\\u2028日\U0001f600"

@@ -7,8 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from utilrank.errors import PriorRequired
-from utilrank.model import EngineConfig, WeightMethod, validate_prior
+from utilrank.errors import DegenerateAttributeWarning, PriorRequired
+from utilrank.model import (
+    DegenerateVariancePolicy,
+    EngineConfig,
+    IgdNegativePolicy,
+    WeightMethod,
+    validate_prior,
+)
 from utilrank.pipeline import resolve_methods, run_pipeline
 from utilrank.report import emit_report, report_to_dict
 from utilrank.reproduce import REFERENCE_CONFIG, USE_CASE_SPEC
@@ -129,7 +135,7 @@ class TestPartialFailures:
         prior = validate_prior(base.relative_variance.matrix, use_case_samples)
         report = run_pipeline(use_case_samples, prior=prior)
         assert WeightMethod.IGHW in report.failures
-        assert "AllZeroDivergence" in report.failures[WeightMethod.IGHW]
+        assert report.failures[WeightMethod.IGHW].type == "AllZeroDivergence"
         assert WeightMethod.ICW in report.weights
         assert WeightMethod.IGDW in report.weights
 
@@ -150,7 +156,7 @@ class TestPartialFailures:
         report = run_pipeline(use_case_samples, prior=prior)
         assert set(report.failures) == {WeightMethod.ICW, WeightMethod.IGDW}
         for method in report.failures:
-            assert report.failures[method].startswith("ScoreOutOfRange: entropy -1.0 ")
+            assert str(report.failures[method]).startswith("ScoreOutOfRange: entropy -1.0 ")
         assert set(report.weights) == set(report.rankings) == {WeightMethod.IGHW}
 
     def test_degenerate_data_fails_all_methods(self):
@@ -181,6 +187,43 @@ class TestReportEmission:
         doc = report_to_dict(use_case_report)
         assert doc["display"]["weights"]["ICW"] == [0.5353, 0.4647]
         assert doc["display"]["expectations"]["IGHW"] == [4.77, 9.86]
+        # the matrix is in relative_variance.matrix; display keeps R- and M-long views only
+        assert sorted(doc["display"]) == ["divergences", "entropies", "expectations", "igd", "weights"]
+        assert doc["schema_version"] == 2
+
+    def test_warnings_as_data(self, use_case_report):
+        assert report_to_dict(use_case_report)["warnings"] == [{
+            "type": "UtilityRangeWarning",
+            "message": "1200 of 1200 utilities fall outside [0, 1]",
+            "fields": {"out_of_range": 1200, "samples": 1200},
+        }]
+        ss = build_sample_set({("A", "x"): [0.5, 0.5], ("B", "x"): [0.2, 0.2],
+                               ("A", "y"): [0.1, 0.3], ("B", "y"): [0.4, 0.9]})
+        config = EngineConfig(degenerate_variance_policy=DegenerateVariancePolicy.UNIFORM)
+        with pytest.warns(DegenerateAttributeWarning) as caught:
+            report = run_pipeline(ss, config=config, methods=("icw",))
+        assert report_to_dict(report)["warnings"] == [{
+            "type": "DegenerateAttributeWarning",
+            "message": str(caught[0].message),
+            "fields": {"attributes": ["x"]},
+        }]
+
+    def test_failures_as_data(self, use_case_samples):
+        prior = validate_prior([[1.0, 0.1], [0.0, 0.9]], use_case_samples)
+        config = EngineConfig(igd_negative_policy=IgdNegativePolicy.ERROR)
+        four = grid_sample_set(("A", "B"), ("a1", "a2", "a3", "a4"),
+                               lambda i, j: [0.1 * (i + j), 0.1 * (i + j) + 0.01 * (i + 1)])
+        failures = {
+            **report_to_dict(run_pipeline(use_case_samples, prior=prior, methods=("ighw",)))["failures"],
+            **report_to_dict(run_pipeline(four, config=config, methods=("igdw",)))["failures"],
+        }
+        assert failures["IGHW"]["type"] == "ZeroPriorSupport"
+        assert failures["IGHW"]["fields"] == {"alternative_id": "AI2", "attribute_id": "force_protection"}
+        assert failures["IGDW"]["type"] == "NegativeIgd"
+        values = failures["IGDW"]["fields"]["values"]
+        assert len(values) == 4 and all(v < 0 for v in values)
+        assert failures["IGDW"]["message"] == f"negative information-gain difference {values!r}" \
+            "; use the min_shift policy to resolve signs"
 
     def test_emit_twice_identical(self, use_case_report, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -38,7 +38,15 @@ from utilrank.weighting import (
     relative_variance,
 )
 
-from conftest import ALTERNATIVES, ATTRIBUTES, USE_CASE_PRIOR, USE_CASE_VARIANCES
+from conftest import (
+    ALTERNATIVES,
+    ATTRIBUTES,
+    USE_CASE_PRIOR,
+    USE_CASE_VARIANCES,
+    random_profile,
+    scalar_entropy,
+    scalar_kld,
+)
 
 
 def _moments(variances, alternatives=None, attributes=None):
@@ -210,6 +218,70 @@ class TestKld:
         prior = PriorProfile(np.array([[1.0], [0.0]]), ALTERNATIVES, ("only",))
         with pytest.raises(DimensionMismatch):
             kld(use_case_profile, prior, EngineConfig())
+
+
+def _zeroed(rng, matrix, share):
+    """``matrix`` with about ``share`` of its cells set to 0, each column kept a distribution."""
+    matrix = np.where(rng.uniform(size=matrix.shape) < share, 0.0, matrix)
+    matrix[0, matrix.sum(axis=0) == 0.0] = 1.0
+    return matrix / matrix.sum(axis=0)
+
+
+class TestScalarOracles:
+    """The array-built terms give the bits of one Python term per cell."""
+
+    BASES = (math.e, 2.0, 10.0, 1.5)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_entropy_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        m, r = (int(n) for n in rng.integers(1, 40, size=2))
+        profile = _profile(_zeroed(rng, random_profile(rng, m, r), share=0.3 * (seed % 3)))
+        for base in self.BASES:
+            assert entropy(profile, base) == scalar_entropy(profile, base)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kld_bits(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        m, r = (int(n) for n in rng.integers(1, 40, size=2))
+        profile = _profile(_zeroed(rng, random_profile(rng, m, r), share=0.3))
+        # zero prior only where the data is zero too, so every prior is supported
+        prior_matrix = np.where(profile.matrix > 0.0, random_profile(rng, m, r), 0.0)
+        prior_matrix[0, prior_matrix.sum(axis=0) == 0.0] = 1.0
+        prior = PriorProfile(prior_matrix / prior_matrix.sum(axis=0),
+                             profile.alternatives, profile.attributes)
+        for base in self.BASES:
+            for eps in (0.0, 1e-3, 0.25):
+                config = EngineConfig(kld_log_base=base, prior_smoothing_epsilon=eps)
+                assert kld(profile, prior, config) == scalar_kld(profile, prior, config)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_zero_prior_support_names_the_oracles_cell(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        m, r = (int(n) for n in rng.integers(2, 30, size=2))
+        profile = _profile(_zeroed(rng, random_profile(rng, m, r), share=0.3))
+        prior = PriorProfile(_zeroed(rng, random_profile(rng, m, r), share=0.3),
+                             profile.alternatives, profile.attributes)
+        with pytest.raises(ZeroPriorSupport) as want:
+            scalar_kld(profile, prior)
+        with pytest.raises(ZeroPriorSupport) as got:
+            kld(profile, prior)
+        assert (got.value.alternative_id, got.value.attribute_id) == (
+            want.value.alternative_id, want.value.attribute_id)
+        # smoothing gives every cell support
+        config = EngineConfig(prior_smoothing_epsilon=1e-6)
+        assert kld(profile, prior, config) == scalar_kld(profile, prior, config)
+
+    def test_nan_cell(self):
+        profile = _profile([[math.nan, 0.5], [1.0, 0.5]])
+        prior = PriorProfile(np.array([[0.5, 0.5], [0.5, 0.5]]), profile.alternatives,
+                             profile.attributes)
+        got, want = kld(profile, prior), scalar_kld(profile, prior)
+        assert math.isnan(got[0]) and math.isnan(want[0]) and got[1:] == want[1:]
+        with pytest.raises(ZeroPriorSupport) as exc_info:
+            kld(profile, PriorProfile(np.array([[0.0, 0.5], [1.0, 0.5]]),
+                                      profile.alternatives, profile.attributes))
+        assert exc_info.value.alternative_id == "alt0"
 
 
 class TestIghw:
