@@ -7,9 +7,10 @@ Verbs:
   reproduce-paper  regenerate and verify the bundled reference use case
 
 Exit codes: 0 success, 2 validation failure, 3 reproduction mismatch,
-4 I/O failure. Configuration precedence is flags over config file over
-defaults; environment variables are intentionally unsupported so that
-identical invocations always produce identical output.
+4 I/O failure or out of memory. Configuration precedence is flags over
+config file over defaults; environment variables are intentionally
+unsupported so that identical invocations always produce identical
+output.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from .io_files import (
     read_prior,
     read_samples,
     read_scenario_spec,
-    write_samples,
+    write_sample_blocks,
+    write_samples,  # not called here: perfbench/tracing.py traces the name utilrank.cli.write_samples
 )
 from .model import EngineConfig
 from .pipeline import run_pipeline
 from .report import emit_report
 from .reproduce import reproduce_paper, table_verdicts
-from .scenario import generate_samples
+from .scenario import generate_samples, sample_blocks  # generate_samples: kept as write_samples is
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -99,9 +101,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = read_scenario_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    sample_set = generate_samples(spec)
+    names, blocks = sample_blocks(spec)  # a missing cross pair fails here, before any byte is written
     with _destination(args.out) as out:
-        write_samples(sample_set, out)
+        write_sample_blocks(names, blocks, out)
     return EXIT_OK
 
 
@@ -166,6 +168,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too: an input asked for more than there is
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return EXIT_IO
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import re
+import warnings
 from array import array
 from collections import deque
 from contextlib import contextmanager
@@ -40,6 +41,8 @@ from .model import (
     IgdNegativePolicy,
     PriorProfile,
     SampleSet,
+    check_utilities,
+    range_warning,
     validate_prior,
     validate_sample_set,
 )
@@ -60,7 +63,7 @@ Destination = Union[str, Path, BinaryIO]  # a path, or an open binary stream
 # Sample logs
 # ---------------------------------------------------------------------------
 
-def _csv_fields(names: tuple[str, ...]) -> list[str]:
+def _csv_fields(names: Sequence[str]) -> list[str]:
     """Each name as csv.writer renders it inside a row.
 
     The ``\\r\\n`` terminator makes the writer quote a name holding a ``\\r``
@@ -77,7 +80,7 @@ def _field_table(fields: list[bytes]) -> tuple[bytes, np.ndarray]:
     return b"".join(fields), np.fromiter(map(len, fields), np.intp, len(fields))
 
 
-def _name_column(names: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
+def _name_column(names: Sequence[str]) -> tuple[bytes, np.ndarray]:
     """A column's fields end to end in UTF-8, each name's CSV field and a comma, and their lengths."""
     return _field_table([field.encode("utf-8") + b"," for field in _csv_fields(names)])
 
@@ -215,7 +218,7 @@ def _next_rows(pending: deque, blocks: Iterator[Sequence[np.ndarray]], count: in
     return [np.concatenate(columns) for columns in zip(*parts)]
 
 
-def _csv_table(header: list[str], names: list[tuple[str, ...]],
+def _csv_table(header: list[str], names: Sequence[Sequence[str]],
                blocks: Iterable[Sequence[np.ndarray]]) -> Iterator[Union[bytes, np.ndarray]]:
     """A CSV table as UTF-8 chunks: the header, then per row of ``blocks`` a line.
 
@@ -240,23 +243,86 @@ def write_samples(sample_set: SampleSet, destination: Destination) -> None:
     _write_bytes(destination, _csv_chunks(sample_set), sample_set)
 
 
+def write_sample_blocks(names: Sequence[Sequence[str]], blocks: Iterable[Sequence[np.ndarray]],
+                        destination: Destination) -> None:
+    """Write samples that come a block at a time, in canonical order, as :func:`write_samples` writes their set.
+
+    ``names`` are the alternative, attribute and situation tables, and a
+    block is ``(alternative codes, attribute codes, situation codes,
+    utilities)``, as :func:`utilrank.scenario.sample_blocks` hands them
+    out. Each block is checked as it comes: a utility that is not finite
+    raises :class:`NonFiniteUtility`, and a path destination is then left
+    as it was (see :func:`_write_bytes`). The :class:`UtilityRangeWarning`
+    of the whole log is emitted once the last row is written.
+    """
+    tally = [0, 0]  # utilities outside [0, 1], and all of them
+
+    def checked() -> Iterator[Sequence[np.ndarray]]:
+        for block in blocks:
+            tally[0] += check_utilities(names, block[:3], block[3])
+            tally[1] += len(block[3])
+            yield block
+
+    _write_bytes(destination, _csv_table(SAMPLES_HEADER, names, checked()))
+    warning = range_warning(*tally)
+    if warning is not None:
+        warnings.warn(warning, stacklevel=2)
+
+
 def _write_bytes(destination: Destination, chunks: Iterable,
                  rendered: Union[SampleSet, PriorProfile, None] = None) -> None:
     """Write byte chunks as they are, so each ``\\n`` is an LF on every platform.
 
-    ``destination`` is a path, opened in binary mode, or an open binary
-    stream such as ``sys.stdout.buffer``, which is written and left open.
+    ``destination`` is a path or an open binary stream such as
+    ``sys.stdout.buffer``, which is written and left open. A path is
+    written whole or not at all: the chunks go to a new file beside it,
+    made with the mode the umask gives, which replaces the path once the
+    last chunk is written, a symlink included, and is removed if any
+    exception stops the writing. A path that names something other than
+    a regular file, such as ``/dev/null``, is written in place.
     With ``rendered``, the chunks are its canonical CSV: unless it holds
     their sha256 already, it keeps it, for :func:`digest_sample_set` or
     :func:`digest_prior`.
     """
     if isinstance(destination, (str, os.PathLike)):
-        with open(destination, "wb") as out:
-            _write_bytes(out, chunks, rendered)
+        path = os.fspath(destination)
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as out:
+                _write_bytes(out, chunks, rendered)
+            return
+        temporary, out = _new_file(path)
+        try:
+            with out:
+                _write_bytes(out, chunks, rendered)
+            os.replace(temporary, path)
+        except BaseException:
+            os.unlink(temporary)
+            raise
     elif rendered is None or rendered._csv_sha256 is not None:
         destination.writelines(chunks)
     else:
         object.__setattr__(rendered, "_csv_sha256", _sha256(chunks, destination.write))
+
+
+def _new_file(path: str) -> tuple[str, BinaryIO]:
+    """A new file, open for writing, in the directory of ``path``, and its name.
+
+    ``open(..., "xb")`` makes it, so its mode is the umask's and no file
+    that is there already is written; a name taken is passed over. An
+    error that makes the file impossible (no such directory, no
+    permission) names ``path``, the file the caller asked for.
+    """
+    directory, name = os.path.split(path)
+    attempt = 0
+    while True:
+        temporary = os.path.join(directory, f".{name}.{os.getpid()}-{attempt}.tmp")
+        try:
+            return temporary, open(temporary, "xb")
+        except FileExistsError:
+            attempt += 1
+        except OSError as exc:
+            exc.filename = path
+            raise
 
 
 def _texts(path: PathLike) -> Iterator[str]:

@@ -131,12 +131,7 @@ class SampleSet:
 
     def range_warning(self) -> Optional[UtilityRangeWarning]:
         """The warning that utilities leave [0, 1], or None when none does."""
-        if not self.out_of_range:
-            return None
-        return UtilityRangeWarning(
-            f"{self.out_of_range} of {len(self)} utilities fall outside [0, 1]",
-            out_of_range=self.out_of_range, samples=len(self),
-        )
+        return range_warning(self.out_of_range, len(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampleSet):
@@ -290,13 +285,7 @@ def validate_sample_set(
         tables.append(table)
         codes.append(np.array([index.get(name, -1) for name in names], dtype=np.int32)[column])
 
-    def names_at(k: int) -> tuple[str, str, str]:
-        return tuple(table[column[k]] for table, column in zip(tables, codes))
-
-    non_finite = np.flatnonzero(~np.isfinite(utilities))
-    if non_finite.size:
-        raise NonFiniteUtility(*names_at(non_finite[0]))
-
+    out_of_range = check_utilities(tables, codes, utilities)
     alternatives, attributes, _ = tables
     pair = codes[0].astype(np.intp) * len(attributes) + codes[1]
     step = np.diff(pair)
@@ -310,22 +299,49 @@ def validate_sample_set(
         pair, utilities = pair[order], utilities[order]
     same = np.logical_and.reduce([column[1:] == column[:-1] for column in codes])
     if same.any():
-        raise DuplicateTriple(*names_at(int(np.argmax(same)) + 1))
+        k = int(np.argmax(same)) + 1
+        raise DuplicateTriple(*(table[column[k]] for table, column in zip(tables, codes)))
 
     counts = np.bincount(pair, minlength=len(alternatives) * len(attributes))
     counts = counts.reshape(len(alternatives), len(attributes))
-    short = np.argwhere(counts < 2)
-    if short.size:
-        i, j = short[0]
-        raise InsufficientSamples(alternatives[i], attributes[j], int(counts[i, j]))
-
-    out_of_range = int(np.count_nonzero((utilities < 0.0) | (utilities > 1.0)))
+    check_counts(alternatives, attributes, counts)
     for column in (*codes, utilities, counts):
         column.setflags(write=False)
     sample_set = SampleSet(*tables, *codes, utilities, counts, out_of_range)
     if out_of_range:
         warnings.warn(sample_set.range_warning(), stacklevel=2)
     return sample_set
+
+
+def check_utilities(tables: Sequence[Sequence[str]], codes: Sequence[np.ndarray],
+                    utilities: np.ndarray) -> int:
+    """The count of utilities outside [0, 1]; :class:`NonFiniteUtility` naming the first that is not finite.
+
+    Sample i is named ``tables[k][codes[k][i]]`` in each column k.
+    """
+    non_finite = np.flatnonzero(~np.isfinite(utilities))
+    if non_finite.size:
+        k = non_finite[0]
+        raise NonFiniteUtility(*(table[column[k]] for table, column in zip(tables, codes)))
+    return int(np.count_nonzero((utilities < 0.0) | (utilities > 1.0)))
+
+
+def check_counts(alternatives: Sequence[str], attributes: Sequence[str], counts: np.ndarray) -> None:
+    """:class:`InsufficientSamples` for the first cross pair, in row-major order, with fewer than two samples."""
+    short = np.argwhere(counts < 2)
+    if short.size:
+        i, j = short[0]
+        raise InsufficientSamples(alternatives[i], attributes[j], int(counts[i, j]))
+
+
+def range_warning(out_of_range: int, samples: int) -> Optional[UtilityRangeWarning]:
+    """The warning that ``out_of_range`` of ``samples`` utilities leave [0, 1], or None when none does."""
+    if not out_of_range:
+        return None
+    return UtilityRangeWarning(
+        f"{out_of_range} of {samples} utilities fall outside [0, 1]",
+        out_of_range=out_of_range, samples=samples,
+    )
 
 
 def validate_prior(

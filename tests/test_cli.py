@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import utilrank
@@ -24,6 +25,11 @@ from utilrank.reproduce import USE_CASE_SPEC, reproduce_paper
 from utilrank.scenario import generate_samples
 
 from conftest import USE_CASE_PRIOR
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy before 2.0
+    from numpy.core._exceptions import _ArrayMemoryError
 
 HEADER = "alternative,attribute,situation,utility\n"
 PAIR = {"alternative": "A", "attribute": "x", "mean": 0.5, "variance": 0.01, "count": 3}
@@ -312,7 +318,7 @@ class TestFuzzedInputs:
             if mutated == "scenario.json":
                 spec = tmp_path / mutated
                 if _samples_asked(spec) > 100_000:
-                    continue  # numpy would try to allocate them
+                    continue  # a spec that long takes seconds to draw and write, too long for a fuzz case
                 argv = ["simulate", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]
             else:
                 argv = ["rank", "--samples", str(tmp_path / "samples.csv"),
@@ -329,6 +335,25 @@ class TestFuzzedInputs:
             assert len(errors) == (code != 0) and all(map(str.isprintable, lines)), (case, mutated, lines)
             codes.append(code)
         assert {0, 2} <= set(codes), codes  # both the run and the error paths are reached
+
+
+class TestOutOfMemory:
+    """An input that asks for more memory than there is exits 4 with one line, as an I/O failure does."""
+
+    @pytest.mark.parametrize("error", [
+        _ArrayMemoryError((10 ** 11,), np.dtype(np.float64)),
+        MemoryError(),
+    ], ids=["numpy", "plain"])
+    def test_exits_four_with_one_line(self, workdir, tmp_path, capsys, monkeypatch, error):
+        def out_of_memory(spec):
+            raise error
+
+        monkeypatch.setattr(cli, "sample_blocks", out_of_memory)
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--spec", str(workdir / "scenario.json"), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert str(error) in err and not out.exists()
 
 
 def _samples_asked(spec: Path) -> int:
@@ -475,6 +500,22 @@ class TestReproducePaper:
         assert err.startswith("reproduction mismatch: table A6, "
                               "cell rankings.ICW.expectations AI1: expected 9.99, got ")
         assert err.count("\n") == 1
+
+    def test_a_departing_run_leaves_every_file(self, tmp_path, monkeypatch, capsys):
+        rows = reproduce_module.REFERENCE_VALUES
+        monkeypatch.setattr(reproduce_module, "REFERENCE_VALUES", tuple(
+            (*row[:3], 9.99, row[4]) if row[:3] == ("A6", "rankings.ICW.expectations", "AI1") else row
+            for row in rows
+        ))
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        assert main(["reproduce-paper", "--out", str(bad)]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+        monkeypatch.setattr(reproduce_module, "REFERENCE_VALUES", rows)
+        assert main(["reproduce-paper", "--out", str(good)]) == 0
+        names = ["config.json", "prior.csv", "report.json", "samples.csv", "scenario.json", "tables.txt"]
+        assert sorted(p.name for p in bad.iterdir()) == names
+        for name in names:  # the values read are those a passing run writes
+            assert (bad / name).read_bytes() == (good / name).read_bytes()
 
     def test_one_verdict_line_per_table(self, tmp_path, monkeypatch, capsys):
         assert main(["reproduce-paper", "--out", str(tmp_path / "good")]) == 0

@@ -1,8 +1,9 @@
-"""segment_sums against its oracle: ``math.fsum`` of each run on its own."""
+"""segment_sums against its oracle: each run's exact rational sum, rounded once."""
 
 import math
 import random
 from array import array
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,11 +13,11 @@ HUGE = 1.7e308  # two of these pass the largest float
 
 
 def _oracle(values, bounds):
-    """Each run's ``math.fsum``, NaN where it raises OverflowError."""
+    """Each run's exact sum as a Fraction, rounded once; NaN where that sum is past the float range."""
     sums = []
     for start, end in zip(bounds, bounds[1:]):
         try:
-            sums.append(math.fsum(values[start:end]))
+            sums.append(float(sum(map(Fraction, values[start:end]), Fraction(0))))
         except OverflowError:
             sums.append(math.nan)
     return np.array(sums)
@@ -77,3 +78,27 @@ def test_empty_runs_and_no_runs():
     assert segment_sums([1.0, 2.0], [0, 0, 2, 2]).tolist() == [0.0, 3.0, 0.0]
     assert segment_sums(np.array([1.0]), range(0, 2, 1)).tolist() == [1.0]
     assert segment_sums([], [0]).shape == (0,)
+
+
+def test_a_running_sum_past_the_range_is_summed_exactly():
+    # fsum raises "intermediate overflow" on these runs, though each exact sum fits.
+    values = [1e308, 1e308, -1e308, HUGE, HUGE, -HUGE, -HUGE, 0.5, 1e308, 1e308, 2.0 ** -1074, -1e308]
+    bounds = [0, 3, 8, 12]
+    expected = _oracle(values, bounds)
+    assert expected.tolist() == [1e308, 0.5, 1e308]
+    assert segment_sums(values, bounds).tobytes() == expected.tobytes()
+
+
+def test_a_run_past_the_range_with_a_term_that_is_not_finite():
+    # A term that is not finite gives what fsum gives for it, even after a running overflow.
+    got = segment_sums([1e308, 1e308, math.inf, 1e308, 1e308, math.nan, 1.0], [0, 3, 6, 7])
+    assert got[0] == math.inf and math.isnan(got[1]) and got[2] == 1.0
+
+
+def test_an_expected_utility_that_fits_after_a_running_overflow():
+    from utilrank.model import MomentMatrices
+    from utilrank.ranking import expected_utility
+
+    means = np.array([[1e308, 1e308, -1e308]])
+    moments = MomentMatrices(means, np.ones_like(means), np.full(means.shape, 2), ("A",), ("x", "y", "z"))
+    assert expected_utility(moments, (1.0, 1.0, 1.0)) == (1e308,)
