@@ -239,8 +239,9 @@ def _csv_chunks(sample_set: SampleSet) -> Iterator[Union[bytes, np.ndarray]]:
     )
 
 
-def write_samples(sample_set: SampleSet, destination: Destination) -> None:
-    _write_bytes(destination, _csv_chunks(sample_set), sample_set)
+def write_samples(sample_set: SampleSet, destination: Destination) -> str:
+    """Write a set's canonical CSV; the hex sha256 of the bytes written, its :func:`digest_sample_set`."""
+    return _write_hashed(destination, _csv_chunks(sample_set))
 
 
 def write_sample_blocks(names: Sequence[Sequence[str]], blocks: Iterable[Sequence[np.ndarray]],
@@ -269,8 +270,7 @@ def write_sample_blocks(names: Sequence[Sequence[str]], blocks: Iterable[Sequenc
         warnings.warn(warning, stacklevel=2)
 
 
-def _write_bytes(destination: Destination, chunks: Iterable,
-                 rendered: Union[SampleSet, PriorProfile, None] = None) -> None:
+def _write_bytes(destination: Destination, chunks: Iterable) -> None:
     """Write byte chunks as they are, so each ``\\n`` is an LF on every platform.
 
     ``destination`` is a path or an open binary stream such as
@@ -279,29 +279,41 @@ def _write_bytes(destination: Destination, chunks: Iterable,
     made with the mode the umask gives, which replaces the path once the
     last chunk is written, a symlink included, and is removed if any
     exception stops the writing. A path that names something other than
-    a regular file, such as ``/dev/null``, is written in place.
-    With ``rendered``, the chunks are its canonical CSV: unless it holds
-    their sha256 already, it keeps it, for :func:`digest_sample_set` or
-    :func:`digest_prior`.
+    a regular file, such as ``/dev/null``, is written in place. An error
+    that stops the replacement names ``path``, not the new file.
     """
     if isinstance(destination, (str, os.PathLike)):
         path = os.fspath(destination)
         if os.path.exists(path) and not os.path.isfile(path):
             with open(path, "wb") as out:
-                _write_bytes(out, chunks, rendered)
+                out.writelines(chunks)
             return
         temporary, out = _new_file(path)
         try:
             with out:
-                _write_bytes(out, chunks, rendered)
-            os.replace(temporary, path)
+                out.writelines(chunks)
+            try:
+                os.replace(temporary, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
         except BaseException:
             os.unlink(temporary)
             raise
-    elif rendered is None or rendered._csv_sha256 is not None:
-        destination.writelines(chunks)
     else:
-        object.__setattr__(rendered, "_csv_sha256", _sha256(chunks, destination.write))
+        destination.writelines(chunks)
+
+
+def _write_hashed(destination: Destination, chunks: Iterable) -> str:
+    """Write byte chunks as :func:`_write_bytes` does; the hex sha256 of the bytes written."""
+    hasher = hashlib.sha256()
+
+    def hashed() -> Iterator:
+        for chunk in chunks:
+            hasher.update(chunk)
+            yield chunk
+
+    _write_bytes(destination, hashed())
+    return hasher.hexdigest()
 
 
 def _new_file(path: str) -> tuple[str, BinaryIO]:
@@ -625,8 +637,9 @@ def _prior_chunks(prior: PriorProfile) -> Iterator[Union[bytes, np.ndarray]]:
     ))
 
 
-def write_prior(prior: PriorProfile, path: PathLike) -> None:
-    _write_bytes(path, _prior_chunks(prior), prior)
+def write_prior(prior: PriorProfile, path: PathLike) -> str:
+    """Write a prior's canonical CSV; the hex sha256 of the bytes written, its :func:`digest_prior`."""
+    return _write_hashed(path, _prior_chunks(prior))
 
 
 def read_prior(path: PathLike, sample_set: SampleSet) -> PriorProfile:
@@ -826,28 +839,22 @@ def digest_sample_set(sample_set: SampleSet) -> str:
 
     Computed over canonical bytes rather than raw input files so that
     logically-equal inputs (reordered rows, different formatting) carry
-    the same provenance digest. A set :func:`write_samples` wrote keeps
-    the digest of the text it rendered; any other set is rendered here.
+    the same provenance digest. :func:`write_samples` returns the same
+    digest of the text it writes.
     """
-    if sample_set._csv_sha256 is not None:
-        return sample_set._csv_sha256
     return _sha256(_csv_chunks(sample_set))
 
 
 def digest_prior(prior: PriorProfile) -> str:
-    """Digest of a prior's canonical CSV, kept by :func:`write_prior` as for sample sets."""
-    if prior._csv_sha256 is not None:
-        return prior._csv_sha256
+    """Digest of a prior's canonical CSV, as :func:`write_prior` returns it."""
     return _sha256(_prior_chunks(prior))
 
 
-def _sha256(chunks: Iterable, sink: Optional[Callable] = None) -> str:
-    """The sha256 of byte chunks, each passed on to ``sink`` too when one is given."""
+def _sha256(chunks: Iterable) -> str:
+    """The sha256 of byte chunks."""
     hasher = hashlib.sha256()
     for chunk in chunks:
         hasher.update(chunk)
-        if sink is not None:
-            sink(chunk)
     return hasher.hexdigest()
 
 

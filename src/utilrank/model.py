@@ -6,16 +6,14 @@ of alternatives and attributes that every downstream matrix follows, so
 the same input multiset always produces byte-identical reports.
 
 All types are immutable after construction and safe to share across
-concurrent readers, with one exception: the write-once ``_csv_sha256``
-digest memo of :class:`SampleSet` and :class:`PriorProfile`, which
-``write_samples`` and ``write_prior`` set on a set they render.
+concurrent readers.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -102,9 +100,7 @@ class SampleSet:
     attribute, situation), so pair (i, j) owns one contiguous slice of
     ``counts[i, j]`` samples, the slices in row-major pair order.
     ``out_of_range`` counts the utilities outside [0, 1], as validation
-    found them. ``_csv_sha256`` is the digest of the canonical CSV, kept by
-    the writer that rendered it (see :mod:`utilrank.io_files`); it is no
-    part of the value.
+    found them.
     """
 
     alternatives: tuple[str, ...]
@@ -116,7 +112,6 @@ class SampleSet:
     utilities: np.ndarray
     counts: np.ndarray
     out_of_range: int = 0
-    _csv_sha256: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_alternatives(self) -> int:
@@ -219,15 +214,11 @@ class RelativeVarianceProfile:
 
 @dataclass(frozen=True, eq=False)
 class PriorProfile:
-    """Subjective per-attribute probability distributions over alternatives.
-
-    ``_csv_sha256`` is kept as on :class:`SampleSet`.
-    """
+    """Subjective per-attribute probability distributions over alternatives."""
 
     matrix: np.ndarray
     alternatives: tuple[str, ...]
     attributes: tuple[str, ...]
-    _csv_sha256: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _frozen_array(self.matrix))

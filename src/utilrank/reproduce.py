@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ReproductionMismatch
 from .io_files import (
-    digest_prior,
-    digest_sample_set,
+    digest_prior,  # not called here: perfbench/tracing.py traces the name utilrank.reproduce.digest_prior
+    digest_sample_set,  # kept as digest_prior is
     write_config,
     write_prior,
     write_samples,
@@ -159,14 +159,12 @@ def reproduce_paper(output_directory: PathLike) -> Report:
     prior = validate_prior(USE_CASE_PRIOR, sample_set)
 
     write_scenario_spec(USE_CASE_SPEC, out / "scenario.json")
-    write_samples(sample_set, out / "samples.csv")
-    write_prior(prior, out / "prior.csv")
+    provenance = Provenance(  # the writers' digests: each file is rendered once
+        samples_sha256=write_samples(sample_set, out / "samples.csv"),
+        prior_sha256=write_prior(prior, out / "prior.csv"),
+    )
     write_config(REFERENCE_CONFIG, out / "config.json")
 
-    provenance = Provenance(
-        samples_sha256=digest_sample_set(sample_set),
-        prior_sha256=digest_prior(prior),
-    )
     report = run_pipeline(
         sample_set,
         prior=prior,

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -140,45 +141,47 @@ class TestSamplesFile:
         )
 
 
-class TestDigestMemo:
-    """A writer keeps the sha256 of the canonical text it rendered; the digest reuses it."""
+class TestWrittenDigest:
+    """A writer returns the sha256 of the bytes it wrote: the digest of the value it wrote."""
 
-    def test_samples_memo_equals_streamed_digest(self, tmp_path, monkeypatch):
-        written, unwritten = generate_samples(USE_CASE_SPEC), generate_samples(USE_CASE_SPEC)
-        streamed = digest_sample_set(unwritten)
-        assert streamed == hashlib.sha256(samples_to_csv(unwritten).encode("utf-8")).hexdigest()
-        path = tmp_path / "samples.csv"
-        write_samples(written, path)
-        assert written._csv_sha256 == streamed == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert written == unwritten  # the memo is no part of the value
-        monkeypatch.setattr(io_files, "_csv_chunks", None)  # the memo is used, not re-rendered
-        assert digest_sample_set(written) == streamed
+    def test_write_samples_returns_the_digest_of_its_bytes(self, use_case_samples, tmp_path):
+        path, stream = tmp_path / "samples.csv", io.BytesIO()
+        digest = write_samples(use_case_samples, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert write_samples(use_case_samples, stream) == digest
+        assert digest == hashlib.sha256(stream.getvalue()).hexdigest() == digest_sample_set(use_case_samples)
+        assert digest == hashlib.sha256(samples_to_csv(use_case_samples).encode("utf-8")).hexdigest()
 
-    def test_unwritten_set_streams(self):
-        sample_set = generate_samples(USE_CASE_SPEC)
-        first = digest_sample_set(sample_set)
-        assert sample_set._csv_sha256 is None and digest_sample_set(sample_set) == first
+    def test_write_prior_returns_the_digest_of_its_bytes(self, use_case_samples, tmp_path):
+        prior = validate_prior(USE_CASE_PRIOR, use_case_samples)
+        path, stream = tmp_path / "prior.csv", io.BytesIO()
+        digest = write_prior(prior, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert write_prior(prior, stream) == digest
+        assert digest == hashlib.sha256(stream.getvalue()).hexdigest() == digest_prior(prior)
+        assert digest == hashlib.sha256(prior_to_csv(prior).encode("utf-8")).hexdigest()
 
-    def test_prior_memo_equals_streamed_digest(self, tmp_path, monkeypatch):
-        sample_set = generate_samples(USE_CASE_SPEC)
-        written = validate_prior(USE_CASE_PRIOR, sample_set)
-        streamed = digest_prior(validate_prior(USE_CASE_PRIOR, sample_set))
-        assert streamed == hashlib.sha256(prior_to_csv(written).encode("utf-8")).hexdigest()
-        path = tmp_path / "prior.csv"
-        write_prior(written, path)
-        assert written._csv_sha256 == streamed == hashlib.sha256(path.read_bytes()).hexdigest()
-        monkeypatch.setattr(io_files, "_prior_chunks", None)  # the memo is used, not re-rendered
-        assert digest_prior(written) == streamed
+    def test_writing_changes_no_field(self, tmp_path):
+        sample_set, twin_set = generate_samples(USE_CASE_SPEC), generate_samples(USE_CASE_SPEC)
+        prior, twin_prior = (validate_prior(USE_CASE_PRIOR, each) for each in (sample_set, twin_set))
+        write_samples(sample_set, tmp_path / "samples.csv")
+        write_prior(prior, tmp_path / "prior.csv")
+        assert sample_set == twin_set
+        for value, twin in ((sample_set, twin_set), (prior, twin_prior)):
+            for field in dataclasses.fields(value):
+                assert np.array_equal(getattr(value, field.name), getattr(twin, field.name)), field.name
 
-    def test_reproduce_paper_renders_samples_once(self, tmp_path, monkeypatch):
+    def test_reproduce_paper_renders_samples_and_prior_once(self, tmp_path, monkeypatch):
         renders = []
-        real = io_files._csv_chunks
-        monkeypatch.setattr(io_files, "_csv_chunks",
-                            lambda sample_set: renders.append(1) or real(sample_set))
+        for name in ("_csv_chunks", "_prior_chunks"):
+            real = getattr(io_files, name)
+            monkeypatch.setattr(io_files, name,
+                                lambda value, name=name, real=real: renders.append(name) or real(value))
         report = reproduce_paper(tmp_path)
-        assert renders == [1]
-        samples = (tmp_path / "samples.csv").read_bytes()
-        assert report.provenance.samples_sha256 == hashlib.sha256(samples).hexdigest()
+        assert renders == ["_csv_chunks", "_prior_chunks"]
+        for name, digest in (("samples.csv", report.provenance.samples_sha256),
+                             ("prior.csv", report.provenance.prior_sha256)):
+            assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
 
 def _unpinned_writes(source: str) -> list[int]:
@@ -1054,12 +1057,3 @@ class TestFloatTextRoundTrip:
         write_prior(written, path)
         read = read_prior(path, sample_set)
         assert read.matrix.view(np.uint64).tolist() == written.matrix.view(np.uint64).tolist()
-
-
-def test_prior_digest_is_the_kept_one(tmp_path, monkeypatch):
-    # digest_prior renders through _prior_chunks: with it gone, only the memo can answer.
-    written = validate_prior(USE_CASE_PRIOR, generate_samples(USE_CASE_SPEC))
-    path = tmp_path / "prior.csv"
-    write_prior(written, path)
-    monkeypatch.setattr(io_files, "_prior_chunks", None)
-    assert digest_prior(written) == hashlib.sha256(path.read_bytes()).hexdigest()

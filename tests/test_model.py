@@ -1,8 +1,12 @@
 """Validation of sample sets and prior profiles."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import utilrank.model as model
 from utilrank.errors import (
     ColumnNotNormalized,
     DimensionMismatch,
@@ -274,3 +278,39 @@ class TestWeightVector:
     def test_rejects(self, weights):
         with pytest.raises(ScoreOutOfRange):
             WeightVector(weights)
+
+
+def _setattrs_after_construction(source: str) -> list[int]:
+    """Lines of ``object.__setattr__`` calls outside a ``__post_init__``: writes to a frozen value once it is built."""
+    tree = ast.parse(source)
+    building = {id(node) for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef) and function.name == "__post_init__"
+                for node in ast.walk(function)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__" and getattr(node.func.value, "id", None) == "object"
+            and id(node) not in building]
+
+
+class TestFrozenValues:
+    """A frozen value is set only while ``__post_init__`` builds it: no later code writes to it."""
+
+    def test_no_setattr_after_construction_in_the_package(self):
+        package = Path(model.__file__).parent
+        found = {path.name: _setattrs_after_construction(path.read_text(encoding="utf-8"))
+                 for path in sorted(package.glob("*.py"))}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_scanner_finds_setattrs_after_construction(self):
+        source = "\n".join([
+            "class A:",
+            "    def __post_init__(self):",
+            "        object.__setattr__(self, 'x', 1)",
+            "def keep(value):",
+            "    object.__setattr__(value, 'x', 1)",
+            "class B:",
+            "    def __init__(self):",
+            "        object.__setattr__(self, 'y', 2)",
+            "setattr(value, 'x', 1)",
+        ])
+        assert _setattrs_after_construction(source) == [5, 8]

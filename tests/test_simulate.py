@@ -193,3 +193,11 @@ def test_an_out_in_no_directory_names_the_out(tmp_path, capsys):
     out = tmp_path / "missing" / "out.csv"
     assert _simulate(RAGGED_SPEC, tmp_path, "--out", str(out)) == 4
     assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+def test_an_empty_out_names_the_out_not_a_temporary_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the temporary file of "" is made here, and its replacement fails
+    assert _simulate(RAGGED_SPEC, tmp_path, "--out", "") == 4
+    err = capsys.readouterr().err
+    assert err == "i/o error: [Errno 2] No such file or directory: ''\n" and ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == ["spec.json"]
