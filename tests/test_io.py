@@ -184,6 +184,20 @@ class TestWrittenDigest:
             assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
 
+class TestDigestMemo:
+    """The digest a writer returns is what a caller keeps: it equals the digest streamed from an equal value."""
+
+    def test_prior_memo_equals_streamed_digest(self, tmp_path):
+        sample_set = generate_samples(USE_CASE_SPEC)
+        written = validate_prior(USE_CASE_PRIOR, sample_set)
+        streamed = digest_prior(validate_prior(USE_CASE_PRIOR, sample_set))
+        assert streamed == hashlib.sha256(prior_to_csv(written).encode("utf-8")).hexdigest()
+        path = tmp_path / "prior.csv"
+        kept = write_prior(written, path)
+        assert kept == streamed == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest_prior(written) == streamed  # writing leaves nothing on the value that moves its digest
+
+
 def _unpinned_writes(source: str) -> list[int]:
     """Lines of calls that write text without ``newline=``: ``write_text``, or ``open`` in a text write mode.
 
@@ -1057,3 +1071,11 @@ class TestFloatTextRoundTrip:
         write_prior(written, path)
         read = read_prior(path, sample_set)
         assert read.matrix.view(np.uint64).tolist() == written.matrix.view(np.uint64).tolist()
+
+
+def test_prior_digest_is_the_kept_one(tmp_path):
+    # The digest write_prior returns is the one the file keeps: read back, the prior digests the same.
+    sample_set = generate_samples(USE_CASE_SPEC)
+    path = tmp_path / "prior.csv"
+    kept = write_prior(validate_prior(USE_CASE_PRIOR, sample_set), path)
+    assert digest_prior(read_prior(path, sample_set)) == kept == hashlib.sha256(path.read_bytes()).hexdigest()
