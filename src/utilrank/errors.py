@@ -11,7 +11,9 @@ The file readers and the CLI turn bad settings into ``InvalidSpec``.
 The CLI maps exception families to exit codes: input/validation problems
 exit 2, reference-reproduction mismatches exit 3, I/O failures exit 4.
 A report records a method's failure and each warning as a
-:class:`Diagnostic`.
+:class:`Diagnostic`. Errors and warnings are built the same way: a
+message and keyword fields, which become the diagnostic's attributes
+and its ``fields``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from dataclasses import dataclass
 
 
 class UtilrankError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Keyword arguments become the error's attributes, the ``fields`` of
+    its :class:`Diagnostic`.
+    """
+
+    def __init__(self, message: str = "", **fields):
+        super().__init__(message)
+        self.__dict__.update(fields)
 
 
 def show_name(name: str) -> str:
@@ -48,12 +58,10 @@ class DuplicateTriple(UtilrankError):
     """Two samples share the same (alternative, attribute, situation) triple."""
 
     def __init__(self, alternative_id: str, attribute_id: str, situation_id: str):
-        self.alternative_id = alternative_id
-        self.attribute_id = attribute_id
-        self.situation_id = situation_id
         super().__init__(
             f"duplicate sample for ({show_name(alternative_id)}, {show_name(attribute_id)}, "
-            f"{show_name(situation_id)})"
+            f"{show_name(situation_id)})",
+            alternative_id=alternative_id, attribute_id=attribute_id, situation_id=situation_id,
         )
 
 
@@ -65,12 +73,10 @@ class InsufficientSamples(UtilrankError):
     """
 
     def __init__(self, alternative_id: str, attribute_id: str, count: int):
-        self.alternative_id = alternative_id
-        self.attribute_id = attribute_id
-        self.count = count
         super().__init__(
             f"pair ({show_name(alternative_id)}, {show_name(attribute_id)}) has {count} "
-            "sample(s); need at least 2"
+            "sample(s); need at least 2",
+            alternative_id=alternative_id, attribute_id=attribute_id, count=count,
         )
 
 
@@ -79,14 +85,12 @@ class NonFiniteUtility(UtilrankError):
 
     def __init__(self, alternative_id: str, attribute_id: str, situation_id: str,
                  line: int | None = None):
-        self.alternative_id = alternative_id
-        self.attribute_id = attribute_id
-        self.situation_id = situation_id
-        self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(
             f"non-finite utility for ({show_name(alternative_id)}, {show_name(attribute_id)}, "
-            f"{show_name(situation_id)}){where}"
+            f"{show_name(situation_id)}){where}",
+            alternative_id=alternative_id, attribute_id=attribute_id, situation_id=situation_id,
+            line=line,
         )
 
 
@@ -94,9 +98,8 @@ class ColumnNotNormalized(UtilrankError):
     """A per-attribute probability column does not sum to 1."""
 
     def __init__(self, attribute_id: str, total: float):
-        self.attribute_id = attribute_id
-        self.total = total
-        super().__init__(f"column for attribute {attribute_id!r} sums to {total!r}, not 1")
+        super().__init__(f"column for attribute {attribute_id!r} sums to {total!r}, not 1",
+                         attribute_id=attribute_id, total=total)
 
 
 class NegativeEntry(UtilrankError):
@@ -111,9 +114,7 @@ class ParseError(UtilrankError):
     """A data file could not be parsed."""
 
     def __init__(self, line: int, reason: str):
-        self.line = line
-        self.reason = reason
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(f"line {line}: {reason}", line=line, reason=reason)
 
 
 class InvalidSpec(UtilrankError):
@@ -132,10 +133,9 @@ class DegenerateAttribute(UtilrankError):
     """An attribute has zero variance across all alternatives."""
 
     def __init__(self, attribute_id: str):
-        self.attribute_id = attribute_id
         super().__init__(
-            f"attribute {attribute_id!r} has zero total variance; "
-            "no weighting information"
+            f"attribute {attribute_id!r} has zero total variance; no weighting information",
+            attribute_id=attribute_id,
         )
 
 
@@ -147,12 +147,11 @@ class ZeroPriorSupport(UtilrankError):
     """The prior assigns zero probability where the data does not."""
 
     def __init__(self, alternative_id: str, attribute_id: str):
-        self.alternative_id = alternative_id
-        self.attribute_id = attribute_id
         super().__init__(
             f"prior is zero at ({show_name(alternative_id)}, {show_name(attribute_id)}) where the "
             "data-driven probability is positive; set prior_smoothing_epsilon > 0 "
-            "or fix the prior"
+            "or fix the prior",
+            alternative_id=alternative_id, attribute_id=attribute_id,
         )
 
 
@@ -168,10 +167,10 @@ class NegativeIgd(UtilrankError):
     """The information-gain-difference vector is not positive (strict mode)."""
 
     def __init__(self, values: tuple[float, ...]):
-        self.values = values
         super().__init__(
             f"negative information-gain difference {values!r}; use the "
-            "min_shift policy to resolve signs"
+            "min_shift policy to resolve signs",
+            values=values,
         )
 
 
@@ -188,12 +187,11 @@ class ReproductionMismatch(UtilrankError):
     """
 
     def __init__(self, departures: tuple[tuple[str, str, float, float], ...]):
-        self.departures = departures
-        self.table, self.cell, self.expected, self.actual = departures[0]
+        table, cell, expected, actual = departures[0]
         more = f" (and {len(departures) - 1} more)" if len(departures) > 1 else ""
         super().__init__(
-            f"table {self.table}, cell {self.cell}: expected {self.expected!r}, "
-            f"got {self.actual!r}{more}"
+            f"table {table}, cell {cell}: expected {expected!r}, got {actual!r}{more}",
+            departures=departures, table=table, cell=cell, expected=expected, actual=actual,
         )
 
 
@@ -230,7 +228,7 @@ class Diagnostic:
     """A failure or warning as a report records it.
 
     ``type`` is the exception or warning class name, ``message`` its text
-    and ``fields`` its own attributes, such as
+    and ``fields`` the keywords it was built with, such as
     ``ZeroPriorSupport.alternative_id`` or ``NegativeIgd.values``.
     """
 

@@ -121,15 +121,15 @@ def _byte_rows(columns: list[tuple[bytes, np.ndarray]], blocks: Iterable[Sequenc
         first = np.cumsum(length) - length  # each field's first byte in its buffer
         long = np.flatnonzero(length > GATHER_BYTES)  # fields sliced from their buffer, not copied
         placed, low = first + at, 0
-        if len(long):  # a field moves up in source by the long bytes before it
-            gone = np.zeros(len(length) + 1, dtype=np.intp)
-            gone[long + 1] = length[long]
-            placed -= gone.cumsum()[:-1]
-            placed[long] = first[long]
-            for start, stop in zip(first[long].tolist(), (first[long] + length[long]).tolist()):
-                pieces.append((buffer, low, start))
-                low = stop
-                at -= stop - start
+        # a field moves up in source by the long bytes before it
+        gone = np.zeros(len(length) + 1, dtype=np.intp)
+        gone[long + 1] = length[long]
+        placed -= gone.cumsum()[:-1]
+        placed[long] = first[long]
+        for start, stop in zip(first[long].tolist(), (first[long] + length[long]).tolist()):
+            pieces.append((buffer, low, start))
+            low = stop
+            at -= stop - start
         pieces.append((buffer, low, len(buffer)))
         firsts.append(placed)
         at += len(buffer)

@@ -12,6 +12,7 @@ produce byte-identical directories.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from pathlib import Path
 from typing import Union
@@ -152,8 +153,8 @@ def reproduce_paper(output_directory: PathLike) -> Report:
     moments. Raises :class:`ReproductionMismatch` if any value departs
     from its reference figure, once every file is written.
     """
+    os.makedirs(output_directory, exist_ok=True)  # on the path as given: "" is no directory
     out = Path(output_directory)
-    out.mkdir(parents=True, exist_ok=True)
 
     sample_set = generate_samples(USE_CASE_SPEC)
     prior = validate_prior(USE_CASE_PRIOR, sample_set)

@@ -210,8 +210,11 @@ class TestBadInput:
             ("", "line 1: file is empty; expected a header row"),
             (HEADER + 'A,x,s1,0.5\n"' + "B" * 200_000 + '",x,s2,0.5\n',
              f"line 3: field larger than field limit ({csv.field_size_limit()})"),
+            ("alternative,attribute,situation," + "u" * 200_000 + "\nA,x,s1,0.5\n",
+             "error: line 1: field larger than field limit (131072)\n"),
         ],
-        ids=["field-too-long", "not-utf8", "moment-overflow", "empty", "quoted-field-too-long"],
+        ids=["field-too-long", "not-utf8", "moment-overflow", "empty", "quoted-field-too-long",
+             "header-field-too-long"],
     )
     def test_bad_sample_log(self, tmp_path, capsys, log, message):
         path = tmp_path / "samples.csv"
@@ -466,6 +469,12 @@ class TestReproducePaper:
             assert main(["reproduce-paper", "--out", str(tmp_path)]) == 0
         assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "overflow")]
         assert capsys.readouterr().err == "warning: utilities off scale\n"
+
+    def test_an_empty_out_writes_nothing_and_exits_four(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # "" is no directory, not the current one
+        assert main(["reproduce-paper", "--out", ""]) == 4
+        assert capsys.readouterr() == ("", "i/o error: [Errno 2] No such file or directory: ''\n")
+        assert os.listdir(tmp_path) == []
 
     def test_two_runs_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -114,6 +114,17 @@ class TestSamplesFile:
             read_samples(path)
         assert exc_info.value.line == 1
 
+    def test_a_quoted_header_reads_as_the_plain_one(self, tmp_path):
+        rows = "A,x,s1,0.5\nA,x,s2,0.25\nB,x,s1,0.75\nB,x,s2,0.5\n"
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("alternative,attribute,situation,utility\n" + rows)
+        quoted.write_text('"alternative",attribute,situation,utility\n' + rows)
+        assert read_samples(quoted) == read_samples(plain)
+        quoted.write_text('"alternative",attribute,situation,utility\nA,x,s1,0.5\nA,x,s2,high\n')
+        with pytest.raises(ParseError) as exc_info:
+            read_samples(quoted)
+        assert exc_info.value.line == 3
+
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("alternative,attribute,situation,utility\nA,x,0.5\n")

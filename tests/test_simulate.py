@@ -189,6 +189,16 @@ def test_a_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
     assert stat.S_ISFIFO(os.stat(pipe).st_mode) and os.listdir(tmp_path) == ["pipe"]
 
 
+def test_a_taken_temporary_name_is_passed_over(tmp_path):
+    out = tmp_path / "out.csv"
+    taken = tmp_path / f".out.csv.{os.getpid()}-0.tmp"
+    taken.write_bytes(b"someone else's")
+    assert _simulate(RAGGED_SPEC, tmp_path, "--out", str(out)) == 0
+    assert out.read_bytes() == _set_bytes(RAGGED_SPEC, tmp_path / "set.csv")
+    assert taken.read_bytes() == b"someone else's"
+    assert sorted(p.name for p in tmp_path.glob(".*.tmp")) == [taken.name]
+
+
 def test_an_out_in_no_directory_names_the_out(tmp_path, capsys):
     out = tmp_path / "missing" / "out.csv"
     assert _simulate(RAGGED_SPEC, tmp_path, "--out", str(out)) == 4
