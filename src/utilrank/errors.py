@@ -18,6 +18,7 @@ and its ``fields``.
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass
 
 
@@ -31,6 +32,10 @@ class UtilrankError(Exception):
     def __init__(self, message: str = "", **fields):
         super().__init__(message)
         self.__dict__.update(fields)
+
+    def __reduce__(self):
+        """Pickle as the class, the message and the fields, rebuilt without the subclass's ``__init__``."""
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
 
 
 def show_name(name: str) -> str:

@@ -13,6 +13,7 @@ bytes.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -29,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 from operator import length_hint
 from pathlib import Path
 from types import SimpleNamespace
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .scenario import MomentMode, PairSpec, ScenarioSpec
 SAMPLES_HEADER = ["alternative", "attribute", "situation", "utility"]
 PRIOR_HEADER = ["attribute", "alternative", "probability"]
 CHUNK_BYTES = 1 << 18  # bytes a chunk of rows may write: bounds the memory held
-READ_BYTES = 1 << 16  # bytes a reader takes from a file at a time: bounds the text held
+READ_BYTES = 1 << 16  # characters a reader takes from a file at a time, to a line end: bounds the text held
 GATHER_BYTES = 1 << 13  # bytes one gather index covers at most: a longer segment is one slice
 SCHEMA_VERSION = 1
 
@@ -337,98 +338,40 @@ def _new_file(path: str) -> tuple[str, BinaryIO]:
             raise
 
 
-def _texts(path: PathLike) -> Iterator[str]:
-    """A file's text a block at a time, each block ending at a line end or at the file's end.
+def _texts(file: TextIO) -> Iterator[str]:
+    """A text file's blocks from where it is on: ``READ_BYTES`` characters and the rest of the line they end in.
 
-    The file is read ``READ_BYTES`` at a time, and each read is cut after
-    its last ``\\n``, a byte no UTF-8 sequence holds, or if it holds none
-    after its last lone ``\\r``, so that a log with CR line ends is read in
-    blocks too; a line longer than a read is kept as pieces and joined
-    once. A byte that is not UTF-8 is a ParseError naming its line.
+    ``file`` is open with ``newline=""``, so its lines end at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``, as ``csv`` ends them, and each block
+    holds whole lines.
     """
-    with open(path, "rb") as file:
-        pieces, start = [], 0  # start: where in the file the next text starts
-        while block := file.read(READ_BYTES):
-            cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1  # or a \r not before a \n
-            if not cut:
-                pieces.append(block)
-                continue
-            data = b"".join([*pieces, memoryview(block)[:cut]])
-            pieces = [memoryview(block)[cut:]]
-            yield _decoded(data, file, start)
-            start += len(data)
-        data = b"".join(pieces)
-        if data:
-            yield _decoded(data, file, start)
+    while block := file.read(READ_BYTES):
+        yield block + file.readline()
 
 
-def _decoded(data: bytes, file: BinaryIO, start: int) -> str:
-    """UTF-8 ``data``, read from ``start`` in ``file``, as text; a byte that is not UTF-8 is a ParseError."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(_line_at(file, start + exc.start),
-                         f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
+def _bad_byte(file: BinaryIO) -> Optional[ParseError]:
+    """The ParseError of the first byte of ``file`` that is not UTF-8, naming its line; None if there is none.
 
-
-def _line_at(file: BinaryIO, end: int) -> int:
-    """The line of the byte at ``end`` in ``file``, lines ending as ``csv`` ends them: at ``\\n``, ``\\r\\n`` or a lone ``\\r``.
-
-    Counted only for an error, by reading the file again up to ``end``, so
-    that reading a file well counts no lines.
+    Only for an error: the file is read again from its start, a block at a
+    time, up to that byte or to its end, and its lines are counted as
+    ``csv`` ends them, at ``\\n``, ``\\r\\n`` or a lone ``\\r``.
     """
     file.seek(0)
-    line, last = 1, b""
-    while end > 0 and (block := file.read(min(end, READ_BYTES))):
-        end -= len(block)
+    decoder, line, last = codecs.getincrementaldecoder("utf-8")(), 1, b""
+    while True:
+        held = len(decoder.getstate()[0])  # the bytes of a character that the last read cut off
+        block, bad = file.read(READ_BYTES), None
+        try:
+            decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:  # the block up to the bad byte, which may be a held one
+            bad, block = exc.object[exc.start], block[:max(exc.start - held, 0)]
         line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
         line -= last == b"\r" and block[:1] == b"\n"  # a \r\n across two reads
+        if bad is not None:
+            return ParseError(line, f"byte {bad:#04x} is not UTF-8 text")
+        if not block:
+            return None
         last = block[-1:]
-    return line
-
-
-def _end_of_line(text: str, at: int) -> int:
-    """The end of the line at ``at``: past its ``\\n``, ``\\r\\n`` or lone ``\\r``, or the text's end."""
-    newline = text.find("\n", at)
-    lone = text.find("\r", at, len(text) if newline < 0 else max(newline - 1, at))
-    if lone >= 0:
-        return lone + 1
-    return len(text) if newline < 0 else newline + 1
-
-
-class _Lines:
-    """The texts of a file from a place in one of them on, line by line, as ``csv.reader`` reads them.
-
-    ``text`` is the block of text being read and ``at`` the place in it;
-    iterating hands out the lines from there, taking the next text when
-    one runs out, so that a quoted record read by ``csv.reader`` may span
-    lines and blocks.
-    """
-
-    def __init__(self, texts: Iterator[str]):
-        self.texts, self.text, self.at = texts, "", 0
-        self.csv_lines = False  # whether the text holds a line that csv.reader must read
-
-    def more(self) -> bool:
-        """Take the next text, once this one is read; False at the file's end."""
-        if self.at < len(self.text):
-            return True
-        text = next(self.texts, None)
-        if text is None:
-            return False
-        self.text, self.at = text, 0
-        self.csv_lines = '"' in text or "\0" in text
-        return True
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        if not self.more():
-            raise StopIteration
-        end = _end_of_line(self.text, self.at)
-        line, self.at = self.text[self.at:end], end
-        return line
 
 
 # A line csv.reader reads: one holding a quote, which may continue its
@@ -438,55 +381,57 @@ _CSV_LINE = re.compile('["\\0]')
 _PLAIN_LINE = re.compile('\n[^"\\0\n]*(?:\n|\\Z)')
 
 
-def _rows(texts: Iterator[str], header: list[str]) -> Iterator[tuple[list[str], Sequence[int], int]]:
+def _rows(file: TextIO, header: list[str]) -> Iterator[tuple[list[str], Sequence[int], int]]:
     """The fields below the exact ``header``, row after row as ``csv.reader`` reads them, a block at a time.
 
-    Yields ``(fields, lines, last)`` for each block of ``texts``: column k
-    of the block's rows is ``fields[k::len(header)]``, row i starts on line
-    ``lines[i]`` and the block ends on line ``last`` (physical lines; blank
-    lines are no rows). The first row of the wrong width or that csv cannot
-    read raises its ParseError once the rows before it are yielded. Lines
-    that hold no quote and no NUL are split as text, at ``\\n``, ``\\r\\n``
-    or a lone ``\\r``, with no container per row. A run of lines that hold
-    one goes through ``csv.reader``, read from a copy of the run alone, and
-    so does the rest of a record that starts in it, over as many lines and
-    blocks as it spans.
+    ``file`` is a table open with ``newline=""``. Yields ``(fields, lines,
+    last)`` for each block of :func:`_texts`: column k of the block's rows
+    is ``fields[k::len(header)]``, row i starts on line ``lines[i]`` and
+    the block ends on line ``last`` (physical lines; blank lines are no
+    rows). The first row of the wrong width or that csv cannot read raises
+    its ParseError once the rows before it are yielded. Lines that hold no
+    quote and no NUL are split as text, at ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``, with no container per row. A run of lines that hold one goes
+    through ``csv.reader``, read from the block's text, and so does the
+    rest of a record that starts in it, read on from the file over as many
+    lines as it spans.
     """
     width, head = len(header), ",".join(header)
-    source = _Lines(texts)
-    if not source.more():
+    first = file.readline()
+    if not first:
         raise ParseError(1, "file is empty; expected a header row")
-    if source.text.startswith(head) and source.text[len(head):len(head) + 1] in ("\n", "\r", ""):
-        source.at, line = _end_of_line(source.text, 0), 2
+    if first.rstrip("\r\n") == head:
+        line = 2
     else:
-        reader = csv.reader(source)
+        reader = csv.reader(chain([first], file))
         try:
-            first = next(reader)
+            row = next(reader)
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise ParseError(reader.line_num, str(exc)) from None
-        if first != header:
-            raise ParseError(1, f"expected header {head!r}, got {','.join(first)!r}")
+        if row != header:
+            raise ParseError(1, f"expected header {head!r}, got {','.join(row)!r}")
         line = reader.line_num + 1
-    while True:
-        fields, lines, fault = [], [], None
-        while fault is None and source.at < len(source.text):
-            text, at = source.text, source.at
-            found = _CSV_LINE.search(text, at) if source.csv_lines else None
+    texts = _texts(file)
+    for text in chain([next(texts, "")], texts):  # one block at least, for the last line
+        fields, lines, fault, at = [], [], None, 0
+        buffer = io.StringIO(text, newline="") if '"' in text or "\0" in text else None
+        while fault is None and at < len(text):
+            found = _CSV_LINE.search(text, at) if buffer else None
             start = len(text) if found is None else max(  # the start of the line holding it
                 at - 1, text.rfind("\n", at, found.start()), text.rfind("\r", at, found.start())) + 1
             if at < start:
                 run_fields, run_lines, line, fault = _split(text[at:start], width, line)
                 fields += run_fields
                 lines.append(run_lines)
-                source.at = start
+                at = start
             if found is None or fault is not None:
                 continue
             plain = _PLAIN_LINE.search(text, start)
             end = len(text) if plain is None else plain.start() + 1  # the lines from start that hold one
-            buffer = io.StringIO(text[start:end], newline="")
-            reader = csv.reader(chain(buffer, source))  # a record that runs past end reads on from there
-            source.at, run_lines = end, []
-            while fault is None and buffer.tell() < end - start:
+            buffer.seek(start)
+            reader = csv.reader(chain(buffer, file))  # a record that runs past the text reads on from the file
+            run_lines = []
+            while fault is None and buffer.tell() < end:
                 read = reader.line_num
                 try:
                     row = next(reader)
@@ -499,12 +444,11 @@ def _rows(texts: Iterator[str], header: list[str]) -> Iterator[tuple[list[str], 
                     fields += row
                     run_lines.append(line)
                 line += reader.line_num - read
+            at = buffer.tell()
             lines.append(run_lines)
         yield fields, lines[0] if len(lines) == 1 else list(chain.from_iterable(lines)), line - 1
         if fault is not None:
             raise fault
-        if not source.more():
-            return
 
 
 def _split(run: str, width: int, line: int) -> tuple[list[str], Sequence[int], int, Optional[ParseError]]:
@@ -547,17 +491,22 @@ def _split(run: str, width: int, line: int) -> tuple[list[str], Sequence[int], i
 def _table(path: PathLike, header: list[str]) -> Iterator[Iterator[tuple[list[str], Sequence[int], int]]]:
     """The :func:`_rows` of the file at ``path``, for a reader that checks them.
 
-    When the reader raises on a row, the rest of the file is decoded first,
-    so that a byte that is not UTF-8 anywhere in it is the error, as when
-    the whole file was decoded before any row was read.
+    The file is opened once, as UTF-8 text with ``newline=""``. When the
+    reader raises on a row, the rest of the file is decoded first, so that
+    a byte that is not UTF-8 anywhere in it is the error, as when the whole
+    file was decoded before any row was read. Such a byte, wherever it is
+    met, is a ParseError naming its line.
     """
-    texts = _texts(path)
-    try:
-        yield _rows(texts, header)
-    except UtilrankError:
-        for _ in texts:
-            pass
-        raise
+    with open(path, encoding="utf-8", newline="") as file:
+        try:
+            try:
+                yield _rows(file, header)
+            except UtilrankError:
+                while file.read(READ_BYTES):
+                    pass
+                raise
+        except UnicodeDecodeError as exc:
+            raise _bad_byte(file.buffer) or exc from None
 
 
 def _floats(column: list[str]) -> np.ndarray:

@@ -85,7 +85,7 @@ def _steps(state: np.ndarray, live: Sequence[int]) -> np.ndarray:
     return record
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=4)
 def _jump_table(length: int) -> np.ndarray:
     """The xoshiro256++ jump of ``length`` steps as a 32 x 256 x 4 ``uint64`` byte table.
 
@@ -93,8 +93,9 @@ def _jump_table(length: int) -> np.ndarray:
     XOR, over the 32 bytes b of the state (byte k of word w is b = 8w + k),
     of ``table[b, byte b's value]``. Each entry is the XOR of the images of
     the byte's set bits, the images found by stepping the 256 one-bit states.
-    The last table built is kept (read-only): runs of one spec shape ask
-    for the same length again.
+    The last four tables built are kept (read-only), 256 KiB each: the
+    groups of one spec ask for a few lengths over and over, as each
+    group's length follows its longest pair.
     """
     bit = np.arange(256)
     basis = np.zeros((4, 256), dtype=np.uint64)

@@ -212,9 +212,11 @@ class TestBadInput:
              f"line 3: field larger than field limit ({csv.field_size_limit()})"),
             ("alternative,attribute,situation," + "u" * 200_000 + "\nA,x,s1,0.5\n",
              "error: line 1: field larger than field limit (131072)\n"),
+            (b"alternative,attribute,situation,utilit\xff\nA,x,s1,0.5\n",
+             "error: line 1: byte 0xff is not UTF-8 text\n"),
         ],
         ids=["field-too-long", "not-utf8", "moment-overflow", "empty", "quoted-field-too-long",
-             "header-field-too-long"],
+             "header-field-too-long", "header-not-utf8"],
     )
     def test_bad_sample_log(self, tmp_path, capsys, log, message):
         path = tmp_path / "samples.csv"

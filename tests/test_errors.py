@@ -1,6 +1,7 @@
 """Errors and warnings carry their data the same way: keywords to the base constructor."""
 
 import ast
+import pickle
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,14 @@ from utilrank.errors import (
     DegenerateAttribute,
     Diagnostic,
     DuplicateTriple,
+    EmptyInput,
     InsufficientSamples,
     NegativeIgd,
     NonFiniteUtility,
     ParseError,
     ReproductionMismatch,
     UtilrankError,
+    UtilityRangeWarning,
     UtilrankWarning,
     ZeroPriorSupport,
 )
@@ -112,3 +115,27 @@ def test_an_error_reports_the_fields_it_was_built_with(raised, fields, message):
         type(raised).__name__, message, fields)
     assert list(diagnostic.fields) == list(fields)  # in the order the constructor passes them
     assert str(raised) == message and raised.args == (message,)
+
+
+@pytest.mark.parametrize(
+    "raised",
+    [
+        DuplicateTriple("A", "x", "s\n1"),
+        InsufficientSamples("A", "x", 1),
+        NonFiniteUtility("A", "x", "s1", line=7),
+        ColumnNotNormalized("x", 0.5),
+        ParseError(3, "bad utility"),
+        DegenerateAttribute("x"),
+        ZeroPriorSupport("A", "x"),
+        NegativeIgd((0.25, -0.25)),
+        ReproductionMismatch((("A6", "ICW AI1", 9.94, 9.99), ("A7", "IGHW AI2", 0.5, 0.25))),
+        EmptyInput("no samples"),  # a message only
+        UtilityRangeWarning("1 of 4 utilities fall outside [0, 1]"),
+    ],
+    ids=lambda raised: type(raised).__name__,
+)
+def test_an_error_survives_pickling(raised):
+    # A process pool hands a worker's error back pickled.
+    copy = pickle.loads(pickle.dumps(raised))
+    assert type(copy) is type(raised)
+    assert (str(copy), copy.args, Diagnostic.of(copy)) == (str(raised), raised.args, Diagnostic.of(raised))

@@ -717,6 +717,26 @@ class TestBlockReader:
                 read_samples(path)
             assert str(exc_info.value) == "line 42: byte 0xff is not UTF-8 text", block
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("case", ["quoted", "after-a-bad-row", "cut-off"])
+    def test_a_bad_byte_the_file_decodes_late_names_its_line(self, tmp_path, monkeypatch, case, block):
+        # A text file decodes 8 KiB of bytes at a time, so each bad byte
+        # below is met once rows are read: while csv reads a quoted record
+        # on from the file, while the rest is read after a bad row, or as a
+        # character cut off at the file's end.
+        monkeypatch.setattr(io_files, "READ_BYTES", block)
+        plain = b"".join(b"A,x,s%04d,0.5\n" % k for k in range(1000))  # lines 3-1002 below
+        log, message = {
+            "quoted": (b'"' + b"Q\n" * 5000 + b'\xff",x,s1,0.5\n', "line 5002: byte 0xff is not UTF-8 text"),
+            "after-a-bad-row": (b"A,x,s1,high\n" + plain + b"A,x,\xff,0.5\n", "line 1003: byte 0xff is not UTF-8 text"),
+            "cut-off": (b"A,x,s1,0.5\n" + plain + b"A,x,s\xe2\x82", "line 1003: byte 0xe2 is not UTF-8 text"),
+        }[case]
+        path = tmp_path / "samples.csv"
+        path.write_bytes(",".join(SAMPLES_HEADER).encode() + b"\n" + log)
+        with pytest.raises(ParseError) as exc_info:
+            read_samples(path)
+        assert str(exc_info.value) == message
+
     def test_a_log_with_cr_line_ends_reads_in_blocks(self, tmp_path, monkeypatch):
         sample_set = sample_set_from_rows([(alternative, attribute, f"s{k}", k / 8)
                                            for alternative in ("A", 'B,"1"') for attribute in ("x", "y\rz")
@@ -727,7 +747,8 @@ class TestBlockReader:
         for block in (1 << 16, 1, 7, 64):
             monkeypatch.setattr(io_files, "READ_BYTES", block)
             assert read_samples(path) == sample_set, block
-        assert len(list(io_files._texts(path))) > 5  # cut at a lone \r, not held whole
+        with path.open(encoding="utf-8", newline="") as file:
+            assert len(list(io_files._texts(file))) > 5  # cut at a lone \r, not held whole
 
     def test_a_long_name_reads_back_across_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(io_files, "READ_BYTES", 64)

@@ -383,3 +383,18 @@ class TestJumpAhead:
         assert _bits(lane_units(seeds, counts)).tolist() == expected
         assert steps == [17]  # the pieces only: the table is kept
         assert not _jump_table(17).flags.writeable
+
+    def test_each_piece_length_is_built_once_per_spec(self, monkeypatch):
+        import utilrank.prng as prng
+
+        # Groups of 11 pairs (GROUP_SAMPLES is 16,384), whose longest pairs
+        # take pieces of 38, 37, 38 and 37 draws in turn.
+        counts = [1444 if (k // 11) % 2 == 0 else 1369 for k in range(44)]
+        spec = ScenarioSpec(tuple(PairSpec(f"A{k:02d}", "x", 0.5, 0.01, count) for k, count in enumerate(counts)),
+                            seed=3)
+        lengths = []
+        monkeypatch.setattr(prng, "_jump_table", lambda length: lengths.append(length) or _jump_table(length))
+        _jump_table.cache_clear()
+        generate_samples(spec)
+        assert lengths == [38, 37, 38, 37]
+        assert _jump_table.cache_info().misses == 2
