@@ -7,8 +7,9 @@ are JSON written by the same writer. Numbers serialize with the shortest
 round-trip decimal representation, byte for byte ``repr``: table values
 and the floats of a JSON array or float list through
 :mod:`utilrank.floatfmt`, every other float as ``json.dumps`` writes it.
-All writers emit LF line endings, so identical content yields identical
-bytes.
+A table or document of at most ``SMALL_ROWS`` such values takes ``repr``
+itself, with the same bytes (see :func:`_byte_rows`). All writers emit LF
+line endings, so identical content yields identical bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import re
+import sys
 import warnings
 from array import array
 from collections import deque
@@ -29,7 +31,6 @@ from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from operator import length_hint
 from pathlib import Path
-from types import SimpleNamespace
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -53,7 +54,8 @@ SAMPLES_HEADER = ["alternative", "attribute", "situation", "utility"]
 PRIOR_HEADER = ["attribute", "alternative", "probability"]
 CHUNK_BYTES = 1 << 18  # bytes a chunk of rows may write: bounds the memory held
 READ_BYTES = 1 << 16  # characters a reader takes from a file at a time, to a line end: bounds the text held
-GATHER_BYTES = 1 << 13  # bytes one gather index covers at most: a longer segment is one slice
+GATHER_BYTES = 1 << 13  # bytes one gather index covers at most: a longer segment is a piece of its own
+SMALL_ROWS = 256  # numbers a one-chunk table may hold and be written by repr: below the measured crossover
 SCHEMA_VERSION = 1
 
 PathLike = Union[str, Path]
@@ -64,59 +66,80 @@ Destination = Union[str, Path, BinaryIO]  # a path, or an open binary stream
 # Sample logs
 # ---------------------------------------------------------------------------
 
+# A name that csv.writer quotes inside a row: one that holds a comma, a quote,
+# or a character of the "\r\n" line terminator that the writers' oracle uses.
+_QUOTED = re.compile('[,"\r\n]')
+
+
 def _csv_fields(names: Sequence[str]) -> list[str]:
-    """Each name as csv.writer renders it inside a row.
+    """Each name as csv.writer (``QUOTE_MINIMAL``) renders it inside a row.
 
-    The ``\\r\\n`` terminator makes the writer quote a name holding a ``\\r``
-    as well as one holding a ``\\n``; callers end each row with ``\\n``.
+    A name that needs quotes is quoted, its quotes doubled; any other is
+    its own field, a NUL included, as csv.writer writes it from Python
+    3.11 on. Callers end each row with ``\\n``. csv.writer itself would
+    build each record four bytes a character, six times a long name.
     """
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    writer.writerows([name, ""] for name in names)  # a lone empty field would be quoted
-    return [line[:-3] for line in lines]
+    return ['"{}"'.format(name.replace('"', '""')) if _QUOTED.search(name) else name for name in names]
 
 
-def _field_table(fields: list[bytes]) -> tuple[bytes, np.ndarray]:
-    """Fields end to end, and their lengths."""
-    return b"".join(fields), np.fromiter(map(len, fields), np.intp, len(fields))
+def _name_column(names: Sequence[str]) -> list[bytes]:
+    """A column's fields in UTF-8: each name's CSV field and a comma."""
+    return [field.encode("utf-8") + b"," for field in _csv_fields(names)]
 
 
-def _name_column(names: Sequence[str]) -> tuple[bytes, np.ndarray]:
-    """A column's fields end to end in UTF-8, each name's CSV field and a comma, and their lengths."""
-    return _field_table([field.encode("utf-8") + b"," for field in _csv_fields(names)])
-
-
-def _byte_rows(columns: list[tuple[bytes, np.ndarray]], blocks: Iterable[Sequence[np.ndarray]],
-               end: bytes) -> Iterator[np.ndarray]:
+def _byte_rows(columns: list[list[bytes]], blocks: Iterable[Sequence[np.ndarray]],
+               end: bytes) -> Iterator[Union[bytes, np.ndarray]]:
     """Rows of bytes in chunks: per value, each column's field, then ``repr`` of the value and ``end``.
 
-    A column is (fields, lengths): its fields end to end and the length of
-    each. ``blocks`` hands out the rows a block at a time, as arrays
-    ``(codes, ..., values)``: per row the index of its field in each
-    column, and its value. Blocks are taken as the chunks need them, and a
-    chunk takes rows from as many blocks as it holds, so that it renders
-    its numbers in one :func:`utilrank.floatfmt.render` call; the rows
-    left over wait for the next chunk.
+    A column is the list of its fields. ``blocks`` hands out the rows a
+    block at a time, as arrays ``(codes, ..., values)``: per row the index
+    of its field in each column, and its value. Blocks are taken as the
+    chunks need them, and a chunk takes rows from as many blocks as it
+    holds, so that it renders its numbers in one
+    :func:`utilrank.floatfmt.render` call; the rows left over wait for the
+    next chunk.
 
-    Each column's fields of at most ``GATHER_BYTES`` are held once, end to
-    end in ``source``; a chunk's numbers are rendered and compacted
-    through their mask into its tail, and the chunk is then gathered from
-    ``source``, each row's segments (its fields, then its number) laid end
-    to end. A chunk takes the rows that write at most ``CHUNK_BYTES``, a
-    number counted at its widest (and at least one row), so the memory
-    held and the work done follow the bytes written, however long a field
-    is. The gather takes runs of whole segments that write at most
-    ``GATHER_BYTES``, through an 8-byte index per byte and a ramp no longer
-    than the run: both stay in the heap's reused memory, where a
-    chunk-wide index took fresh pages on every call and made small tables
-    slower. A longer field is copied by one slice from its column's own
-    bytes, so a long text (a long name, or the text a JSON document holds
-    before a float) costs its own bytes, not eight times them twice over,
-    nor a copy in ``source``.
+    A table that the first pull of rows holds whole, with at most
+    ``SMALL_ROWS`` values and ``CHUNK_BYTES`` to write, is one chunk that
+    :func:`_repr_chunk` writes with ``repr``, cheaper there than a render
+    (about 0.25 ms whatever its length). Where ``sys.float_repr_style`` is
+    ``"short"``, ``repr`` is the correctly rounded shortest text, the
+    kernel's oracle, so both give the same bytes; elsewhere the kernel
+    writes every table.
+
+    Otherwise each column's fields are joined end to end, and those of at
+    most ``GATHER_BYTES`` are held once more, end to end in ``source``; a
+    chunk's numbers are rendered and compacted through their mask into its
+    tail, and the chunk is then gathered from ``source``, each row's
+    segments (its fields, then its number) laid end to end. A chunk takes
+    the rows that write at most ``CHUNK_BYTES``, a number counted at its
+    widest (and at least one row), so the memory held and the work done
+    follow the bytes written, however long a field is. The gather takes
+    runs of whole segments that write at most ``GATHER_BYTES``, through an
+    8-byte index per byte and a ramp no longer than the run: both stay in
+    the heap's reused memory, where a chunk-wide index took fresh pages on
+    every call and made small tables slower. A longer field is handed out
+    as a piece of its own, a view of its column's bytes, so a long text (a
+    long name, or the text a JSON document holds before a float) costs its
+    own bytes once: no gather index, no copy in ``source``, and no copy in
+    the chunk.
     """
     line = floatfmt.WIDTH + len(end)  # a number's text at its widest, and the end
-    buffers, lengths = zip(*columns)
-    width = len(columns) + 1  # segments per row
+    window = CHUNK_BYTES // (line + len(columns))  # the most rows that fit: a field is a byte or more
+    pending, blocks = deque(), iter(blocks)
+    rows = _next_rows(pending, blocks, window)
+    if not rows:
+        return
+    count = len(rows[-1])
+    if count <= SMALL_ROWS and count < window and sys.float_repr_style == "short":
+        chunk = _repr_chunk(columns, rows, end, CHUNK_BYTES - count * line)
+        if chunk is not None:
+            yield chunk
+            return
+    buffers = list(map(b"".join, columns))  # each column's fields end to end
+    lengths = [np.fromiter(map(len, fields), np.intp, len(fields)) for fields in columns]
+    del columns  # the fields are held in their column's bytes alone
+    width = len(buffers) + 1  # segments per row
     pieces, firsts, at = [], [], 0  # the runs of fields copied to source; each field's first byte
     for buffer, length in zip(buffers, lengths):
         first = np.cumsum(length) - length  # each field's first byte in its buffer
@@ -135,12 +158,7 @@ def _byte_rows(columns: list[tuple[bytes, np.ndarray]], blocks: Iterable[Sequenc
         firsts.append(placed)
         at += len(buffer)
     fields_end = at
-    window = CHUNK_BYTES // (line + len(columns))  # the most rows that fit: a field is a byte or more
-    pending, blocks = deque(), iter(blocks)
-    rows = _next_rows(pending, blocks, window)
-    if not rows:
-        return
-    text_rows = np.empty((len(rows[-1]), line), dtype=np.uint8)
+    text_rows = np.empty((count, line), dtype=np.uint8)
     keep_rows = np.empty(text_rows.shape, dtype=bool)
     text_rows[:, floatfmt.WIDTH:] = np.frombuffer(end, dtype=np.uint8)
     keep_rows[:, floatfmt.WIDTH:] = True
@@ -175,24 +193,48 @@ def _byte_rows(columns: list[tuple[bytes, np.ndarray]], blocks: Iterable[Sequenc
         ends = segments.cumsum()
         offsets += segments
         offsets -= ends
-        out = np.empty(ends[-1], dtype=np.uint8)
-        at = 0
-        while at < len(segments):
-            low = ends[at] - segments[at]
-            stop = int(ends.searchsorted(low + GATHER_BYTES, "right"))
-            if stop == at:  # a segment longer than the budget: one slice, a field's from its column's bytes
-                first = offsets[at] + low
-                out[low:ends[at]] = tables[at % width][first:first + segments[at]]
-                stop += 1
-            else:
-                index = (offsets[at:stop] + low).repeat(segments[at:stop])
-                if len(ramp) < len(index):
-                    ramp = np.arange(len(index))
-                index += ramp[:len(index)]
-                source.take(index, out=out[low:low + len(index)])
-            at = stop
-        yield out
+        # The segments between two longer than the budget are gathered into
+        # one piece; such a segment is a piece of its own, sliced from its
+        # table: a field's is a view of its column's bytes, a number's a copy,
+        # as source is written again for the next chunk.
+        start = 0
+        for stop in [*np.flatnonzero(segments > GATHER_BYTES).tolist(), len(segments)]:
+            if start < stop:
+                base = ends[start] - segments[start]
+                out = np.empty(ends[stop - 1] - base, dtype=np.uint8)
+                at = start
+                while at < stop:
+                    low = ends[at] - segments[at]
+                    run = min(int(ends.searchsorted(low + GATHER_BYTES, "right")), stop)
+                    index = (offsets[at:run] + low).repeat(segments[at:run])
+                    if len(ramp) < len(index):
+                        ramp = np.arange(len(index))
+                    index += ramp[:len(index)]
+                    source.take(index, out=out[low - base:low - base + len(index)])
+                    at = run
+                yield out
+            if stop < len(segments):
+                first = offsets[stop] + ends[stop] - segments[stop]
+                piece = tables[stop % width][first:first + segments[stop]]
+                yield piece.copy() if stop % width == width - 1 else piece
+            start = stop + 1
         rows = _next_rows(pending, blocks, window)
+
+
+def _repr_chunk(columns: list[list[bytes]], rows: list[np.ndarray], end: bytes, budget: int) -> Optional[bytes]:
+    """The rows of :func:`_byte_rows` as one chunk, each value's text from ``repr``.
+
+    Each row is its fields, then ``repr(value)`` and ``end``. The values
+    are read in float64, as the kernel reads them, and go through
+    ``tolist()``: numpy's ``repr`` of a ``float64`` is ``np.float64(...)``.
+    None if the fields pass ``budget`` bytes.
+    """
+    *codes, values = rows
+    fields = [list(map(column.__getitem__, column_codes.tolist())) for column, column_codes in zip(columns, codes)]
+    if sum(map(len, chain.from_iterable(fields))) > budget:
+        return None
+    numbers = [repr(value).encode() for value in np.asarray(values, dtype=np.float64).tolist()]
+    return b"".join(chain.from_iterable(zip(*fields, numbers, repeat(end))))
 
 
 def _next_rows(pending: deque, blocks: Iterator[Sequence[np.ndarray]], count: int) -> list[np.ndarray]:
@@ -844,9 +886,10 @@ def _dump_json(doc) -> Iterator[Union[bytes, np.ndarray]]:
     laid out as ``json.dumps`` writes them, a dict or list that holds no
     container in one call to it. Each float of an array or list of
     finite floats becomes a row of :func:`_byte_rows`: the text since the
-    float before it, then its ``repr`` from :func:`utilrank.floatfmt.render`,
-    so a report's float arrays are rendered in one chunked pass, and a spec
-    or config, which holds none, never calls the kernel. Such an array
+    float before it, then its ``repr``, from :func:`utilrank.floatfmt.render`
+    in one chunked pass over a report's float arrays, or from ``repr`` itself
+    in a document of at most ``SMALL_ROWS`` of them. A spec or config holds
+    none and never calls the kernel. Such an array
     takes one step per dimension; one holding anything else is walked item
     by item. The walk runs before this returns: an object key that is not a
     string raises TypeError here. Each array's rows, the codes of its texts
@@ -855,7 +898,7 @@ def _dump_json(doc) -> Iterator[Union[bytes, np.ndarray]]:
     rows = _JsonRows()
     rows.layout(doc, "\n")
     rows.pending.append("\n")
-    prefixes = _field_table([text.encode("utf-8") for text in rows.prefixes])
+    prefixes = [text.encode("utf-8") for text in rows.prefixes]
     return chain(_byte_rows([prefixes], starmap(_json_block, rows.blocks), b""),
                  ["".join(rows.pending).encode("utf-8")])
 

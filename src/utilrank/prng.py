@@ -110,17 +110,19 @@ def _jump_table(length: int) -> np.ndarray:
 
 
 _BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
-_BYTE_ROWS = np.arange(32)
+_BYTE_BASES = np.arange(0, 32 * 256, 256, dtype=np.uint64)  # byte b's first row in the flat table
 
 
 def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """``states`` (lanes x 4) advanced by the jump of :func:`_jump_table`.
 
-    Bytes are taken with shifts, so the result does not depend on byte order.
+    Bytes are taken with shifts, so the result does not depend on byte
+    order. Their rows come through a flat (32 * 256, 4) view of the table
+    in one ``take``, which is faster than indexing it by byte and value.
     """
-    octets = (states[:, :, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
-    rows = table[_BYTE_ROWS, octets.reshape(-1, 32)]
-    return np.bitwise_xor.reduce(rows, axis=1)
+    octets = ((states[:, :, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)).reshape(-1, 32)
+    octets += _BYTE_BASES
+    return np.bitwise_xor.reduce(table.reshape(-1, 4).take(octets, axis=0), axis=1)
 
 
 def _piece_length(counts: np.ndarray) -> int:

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import utilrank
-from utilrank import cli, floatfmt
+from utilrank import cli, floatfmt, io_files
 from utilrank.io_files import (
+    SAMPLES_HEADER,
     _dump_json,
     digest_prior,
     digest_sample_set,
@@ -29,6 +30,8 @@ from utilrank.pipeline import run_pipeline
 from utilrank.report import emit_report, report_to_dict
 from utilrank.reproduce import reproduce_paper
 from utilrank.scenario import PairSpec, ScenarioSpec, generate_samples
+
+from conftest import csv_writer_text, sample_rows
 
 #: Bytes a read sample set may keep alive per sample.
 RETAINED_BYTES_PER_SAMPLE = 40
@@ -62,10 +65,12 @@ PRIOR_PEAK_BYTES_PER_CELL = 39
 EMIT_PEAK_PER_REPORT_BYTE = 0.75
 
 #: Peak bytes that a longer text before a float adds to the emit, per byte
-#: of text added: the text as laid out, its UTF-8 in the writer's table of
-#: texts, and the chunk it is written in. Measured 2.64 (Python 3.11, numpy
-#: 2.4); 3.6 when the table was copied once more into the gather's source,
-#: and 20.0 with the 1024-segment gather, its index and ramp 16 of them.
+#: of text added: the text as laid out and its UTF-8 in the writer's table
+#: of texts. Measured 1.52 (Python 3.11, numpy
+#: 2.4) now that a text longer than a gather is handed out as a view, not
+#: copied into its chunk; 2.63 with that copy, 3.6 when the table was
+#: copied once more into the gather's source, and 20.0 with the
+#: 1024-segment gather, its index and ramp 16 of them.
 LONG_TEXT_EMIT_PEAK_PER_BYTE = 3
 
 #: Peak bytes allocated while writing the 200,000-sample log below, whatever
@@ -76,9 +81,12 @@ WRITE_PEAK_BYTES = 3_500_000
 
 #: Peak bytes that one long name adds to writing or digesting the log below,
 #: per byte of the name: its own bytes held a few times over (its CSV field,
-#: its UTF-8 and its place in the column's bytes, from which it is copied
-#: by one slice), not its length times the column's name count. Measured
-#: 1.81 for both (Python 3.11, numpy 2.4); 2.0 when each column's bytes
+#: its UTF-8 and its place in the column's bytes, of which the chunk holds
+#: a view), not its length times the column's name count. Measured
+#: 1.00 for both on the 2,000-row log, and 1.99 on the eight-row table of
+#: ``test_a_small_table_past_a_chunk_takes_the_kernel`` (Python 3.11, numpy
+#: 2.4), where csv.writer's quoting had cost 5.9; 1.81 when the chunk held
+#: a copy of the name; 2.0 when each column's bytes
 #: were copied once more into the gather's source; the 1024-segment gather,
 #: whose 8-byte index covered the name, 10.8; a table that padded every
 #: situation to the longest held 2,000 x 20,000 bytes and as many mask bytes.
@@ -210,6 +218,37 @@ def test_a_long_name_costs_its_own_bytes(tmp_path):
         assert long_peak - short_peak <= LONG_NAME_PEAK_PER_BYTE * len(long_name)
 
 
+def test_a_small_table_past_a_chunk_takes_the_kernel(tmp_path, monkeypatch):
+    # Eight rows are few enough for ``repr``, but a 300,000-character name
+    # writes more than CHUNK_BYTES: the kernel writes the table, in chunks
+    # bounded as for a long table, and the name costs its own bytes over
+    # the same table with a short name, which ``repr`` writes.
+    def log(name):  # eight situations of one pair, the second called ``name``
+        situations = ["s0", name, *(f"s{i}" for i in range(2, 8))]
+        return validate_sample_set((["A"], [0] * 8), (["k"], [0] * 8),
+                                   (situations, range(8)), np.linspace(0.0, 1.0, 8))
+
+    long_name = "L" * 300_000
+    assert len(long_name) > io_files.CHUNK_BYTES
+    write_samples(log(long_name), tmp_path / "warm.csv")  # the render tables are built once
+    peaks = {}
+    for name in ("s1", long_name):
+        sample_set = log(name)
+        peaks[name] = (_peak(lambda: write_samples(sample_set, tmp_path / "samples.csv")),
+                       _peak(lambda: digest_sample_set(sample_set)))
+    for short_peak, long_peak in zip(peaks["s1"], peaks[long_name]):
+        assert long_peak - short_peak <= LONG_NAME_PEAK_PER_BYTE * len(long_name)
+    renders = []
+    render = floatfmt.render
+    monkeypatch.setattr(floatfmt, "render", lambda *args: renders.append(len(args[0])) or render(*args))
+    sample_set = log(long_name)
+    write_samples(sample_set, tmp_path / "samples.csv")
+    assert sum(renders) == 8  # every value by the kernel, the long name's row in a chunk of its own
+    assert len(renders) > 1
+    assert (tmp_path / "samples.csv").read_text(encoding="utf-8") == \
+        csv_writer_text(SAMPLES_HEADER, sample_rows(sample_set))
+
+
 @pytest.fixture(scope="module")
 def wide():
     # 1000 alternatives x 50 attributes, the shape of the rank-wide benchmark:
@@ -274,14 +313,15 @@ def test_a_rank_op_peaks_where_it_reads_the_log(wide, tmp_path):
 def test_a_report_renders_its_floats_once_per_chunk(wide, tmp_path, monkeypatch):
     # Rendering costs about 0.3 ms a call whatever its length, so the float
     # arrays and lists of a report share chunks: one call per array would
-    # double the time of emitting the paper's small report.
+    # double the time of emitting a wide report. The paper's small report
+    # (68 floats) takes ``repr`` and renders nothing.
     reference = reproduce_paper(tmp_path / "reference")
     renders = []
     render = floatfmt.render
     monkeypatch.setattr(floatfmt, "render", lambda *args: renders.append(len(args[0])) or render(*args))
     emit_report(reference, "json", tmp_path / "report.json")
     assert (tmp_path / "report.json").read_bytes() == (tmp_path / "reference" / "report.json").read_bytes()
-    assert len(renders) == 1
+    assert renders == []
     doc = report_to_dict(run_pipeline(*wide))  # its digests render too: only the emit is counted
     renders.clear()
     chunks = list(_dump_json(doc))

@@ -9,7 +9,9 @@ import json
 import math
 import random
 import struct
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1037,6 +1039,8 @@ class TestGatherAtBlockEdges:
     @pytest.mark.parametrize("budget", [1, 7, 64])
     def test_json_with_a_long_prefix(self, monkeypatch, budget):
         monkeypatch.setattr(io_files, "GATHER_BYTES", budget)
+        monkeypatch.setattr(io_files, "SMALL_ROWS", 0)  # a document this small is written with repr
+        monkeypatch.setattr(io_files, "CHUNK_BYTES", 4096)  # and several chunks, each held as the next is made
         rng = np.random.default_rng(budget)
         doc = {  # the counts text is the prefix of the first float, as in a report
             "counts": [[int(k), 2] for k in rng.integers(0, 10**6, size=60)],
@@ -1050,6 +1054,7 @@ class TestGatherAtBlockEdges:
     @pytest.mark.parametrize("long_name", ["Lé" * 10_000, ('L,"' * 6_667)[:20_000]], ids=["plain", "quoted"])
     def test_csv_with_a_long_name(self, monkeypatch, budget, long_name):
         monkeypatch.setattr(io_files, "GATHER_BYTES", budget)
+        monkeypatch.setattr(io_files, "SMALL_ROWS", 0)  # a table this small is written with repr
         situations = ["s1", long_name, "s" * budget, "s" * (budget + 1), "t"]
         rows = [(alternative, "k", situation, 0.5 + k)
                 for alternative in ("A", "B" * 70) for k, situation in enumerate(situations)]
@@ -1111,3 +1116,95 @@ def test_prior_digest_is_the_kept_one(tmp_path):
     path = tmp_path / "prior.csv"
     kept = write_prior(validate_prior(USE_CASE_PRIOR, sample_set), path)
     assert digest_prior(read_prior(path, sample_set)) == kept == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _edge_floats(count: int) -> np.ndarray:
+    """``count`` floats, first the kernel's edge cases, then 17-digit values of every scale and both signs.
+
+    The edges: subnormals, both zeros, both ends of the positional range,
+    the ends of the float range and the integers about 2**53.
+    """
+    edges = [5e-324, -5e-324, 1e-323, 4.94e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0,
+             1e-4, np.nextafter(1e-4, 0.0), -1e-4, 1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, math.inf),
+             -1e16, float(2 ** 53 - 1), float(2 ** 53), float(2 ** 53 + 2), -float(2 ** 53 + 2),
+             0.1 + 0.2, 1 / 3, math.pi, 1e23, 5e22, 0.5]
+    rng = np.random.default_rng(count)
+    rest = rng.random(count) * 10.0 ** rng.integers(-30, 30, size=count)
+    rest[1::2] *= -1.0
+    return np.concatenate([edges, rest])[:count]
+
+
+# Names that csv quotes or that are not ASCII.
+_ODD_NAMES = ["a,b", 'q"x', "cr\rx", "lf\nx", "nul\0x", "naïve 日本", 'both,"\r\n', "plain"]
+
+
+class TestSmallTables:
+    """A table or document of at most ``SMALL_ROWS`` floats is written with ``repr``, as the kernel writes it."""
+
+    @staticmethod
+    def _renders(monkeypatch) -> list:
+        renders = []
+        render = io_files.floatfmt.render
+        monkeypatch.setattr(io_files.floatfmt, "render", lambda *args: renders.append(len(args[0])) or render(*args))
+        return renders
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_csv_table_at_the_crossover(self, monkeypatch, offset):
+        count = io_files.SMALL_ROWS + offset
+        values = _edge_floats(count)
+        names = [_ODD_NAMES, ["k", "é,\"k"]]
+        codes = [np.arange(count) % len(_ODD_NAMES), np.arange(count) % 2]
+        half = count // 2  # two blocks, which one chunk takes together
+
+        def table() -> bytes:
+            blocks = [(*(c[:half] for c in codes), values[:half]), (*(c[half:] for c in codes), values[half:])]
+            return b"".join(io_files._csv_table(PRIOR_HEADER, names, blocks))
+
+        renders = self._renders(monkeypatch)
+        small = table()
+        assert renders == ([] if offset <= 0 else [count])
+        monkeypatch.setattr(io_files, "SMALL_ROWS", 0)
+        assert table() == small
+        rows = [(names[0][i], names[1][j], value) for i, j, value in zip(*codes, values.tolist())]
+        assert small.decode("utf-8") == csv_writer_text(PRIOR_HEADER, rows)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_json_document_at_the_crossover(self, monkeypatch, offset):
+        count = io_files.SMALL_ROWS + offset
+        values = _edge_floats(count)
+        doc = {  # arrays and a list of floats, and keys that JSON escapes
+            "matrix": values[:120].reshape(40, 3),
+            "list": values[120:140].tolist(),
+            **{name: values[140 + k::len(_ODD_NAMES)] for k, name in enumerate(_ODD_NAMES)},
+            "count": count,
+        }
+        renders = self._renders(monkeypatch)
+        small = _json_text(doc)
+        assert renders == ([] if offset <= 0 else [count])
+        monkeypatch.setattr(io_files, "SMALL_ROWS", 0)
+        assert _json_text(doc) == small
+        assert small == json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
+
+    def test_legacy_float_repr_takes_the_kernel(self, monkeypatch):
+        # Where repr is not the shortest text, only the kernel writes it.
+        monkeypatch.setattr(sys, "float_repr_style", "legacy")
+        renders = self._renders(monkeypatch)
+        doc = {"v": _edge_floats(8), "w": [0.1, 2.5]}
+        assert _json_text(doc) == _oracle(doc)
+        rows = [("A", "k", name, value) for name, value in zip(_ODD_NAMES, [0.1, 1e-7, 3.0])]
+        sample_set = sample_set_from_rows(rows)
+        assert samples_to_csv(sample_set) == csv_writer_text(SAMPLES_HEADER, sample_rows(sample_set))
+        assert renders == [10, 3]
+
+
+def test_names_are_quoted_as_csv_writer_quotes_them():
+    # The writers quote names in Python; csv.writer, with the "\r\n"
+    # terminator the oracle uses, is what they must match.
+    rng = random.Random(11)
+    pool = ',"\r\n\0 \t\x0b\x1c\x85 éx日'
+    names = ["", *pool, *("".join(rng.choice(pool) for _ in range(rng.randrange(1, 8))) for _ in range(2000))]
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerows([name, ""] for name in names)  # a lone empty field would be quoted
+    assert io_files._csv_fields(names) == [line[:-3] for line in lines]
