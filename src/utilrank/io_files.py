@@ -416,13 +416,6 @@ def _bad_byte(file: BinaryIO) -> Optional[ParseError]:
         last = block[-1:]
 
 
-# A line csv.reader reads: one holding a quote, which may continue its
-# record onto the next line, or a NUL, which csv rejects before Python 3.11.
-# A run of such lines ends at the next line that holds neither.
-_CSV_LINE = re.compile('["\\0]')
-_PLAIN_LINE = re.compile('\n[^"\\0\n]*(?:\n|\\Z)')
-
-
 def _rows(file: TextIO, header: list[str]) -> Iterator[tuple[list[str], Sequence[int], int]]:
     """The fields below the exact ``header``, row after row as ``csv.reader`` reads them, a block at a time.
 
@@ -431,12 +424,9 @@ def _rows(file: TextIO, header: list[str]) -> Iterator[tuple[list[str], Sequence
     is ``fields[k::len(header)]``, row i starts on line ``lines[i]`` and
     the block ends on line ``last`` (physical lines; blank lines are no
     rows). The first row of the wrong width or that csv cannot read raises
-    its ParseError once the rows before it are yielded. Lines that hold no
-    quote and no NUL are split as text, at ``\\n``, ``\\r\\n`` or a lone
-    ``\\r``, with no container per row. A run of lines that hold one goes
-    through ``csv.reader``, read from the block's text, and so does the
-    rest of a record that starts in it, read on from the file over as many
-    lines as it spans.
+    its ParseError once the rows before it are yielded. A block that holds
+    no quote and no NUL is split as text, with no container per row (see
+    :func:`_split`); any other goes whole through :func:`_csv_block`.
     """
     width, head = len(header), ",".join(header)
     first = file.readline()
@@ -455,42 +445,36 @@ def _rows(file: TextIO, header: list[str]) -> Iterator[tuple[list[str], Sequence
         line = reader.line_num + 1
     texts = _texts(file)
     for text in chain([next(texts, "")], texts):  # one block at least, for the last line
-        fields, lines, fault, at = [], [], None, 0
-        buffer = io.StringIO(text, newline="") if '"' in text or "\0" in text else None
-        while fault is None and at < len(text):
-            found = _CSV_LINE.search(text, at) if buffer else None
-            start = len(text) if found is None else max(  # the start of the line holding it
-                at - 1, text.rfind("\n", at, found.start()), text.rfind("\r", at, found.start())) + 1
-            if at < start:
-                run_fields, run_lines, line, fault = _split(text[at:start], width, line)
-                fields += run_fields
-                lines.append(run_lines)
-                at = start
-            if found is None or fault is not None:
-                continue
-            plain = _PLAIN_LINE.search(text, start)
-            end = len(text) if plain is None else plain.start() + 1  # the lines from start that hold one
-            buffer.seek(start)
-            reader = csv.reader(chain(buffer, file))  # a record that runs past the text reads on from the file
-            run_lines = []
-            while fault is None and buffer.tell() < end:
-                read = reader.line_num
-                try:
-                    row = next(reader)
-                except csv.Error as exc:
-                    fault = ParseError(line + reader.line_num - read - 1, str(exc))
-                    break
-                if row and len(row) != width:
-                    fault = ParseError(line, f"expected {width} fields, got {len(row)}")
-                elif row:
-                    fields += row
-                    run_lines.append(line)
-                line += reader.line_num - read
-            at = buffer.tell()
-            lines.append(run_lines)
-        yield fields, lines[0] if len(lines) == 1 else list(chain.from_iterable(lines)), line - 1
+        fields, lines, line, fault = (_csv_block(text, file, width, line) if '"' in text or "\0" in text
+                                      else _split(text, width, line))
+        yield fields, lines, line - 1
         if fault is not None:
             raise fault
+
+
+def _csv_block(text: str, file: TextIO, width: int,
+               line: int) -> tuple[list[str], Sequence[int], int, Optional[ParseError]]:
+    """The fields of a block's lines as ``csv.reader`` reads them, returned as :func:`_split` returns them.
+
+    ``next`` is the line after the block's last record, which may run past
+    ``text``: it is then read on from ``file``, over as many lines as it spans.
+    """
+    buffer = io.StringIO(text, newline="")
+    reader = csv.reader(chain(buffer, file))
+    fields, lines = [], []
+    while buffer.tell() < len(text):
+        read = reader.line_num
+        try:
+            row = next(reader)
+        except csv.Error as exc:
+            return fields, lines, line, ParseError(line + reader.line_num - read - 1, str(exc))
+        if row and len(row) != width:
+            return fields, lines, line, ParseError(line, f"expected {width} fields, got {len(row)}")
+        if row:
+            fields += row
+            lines.append(line)
+        line += reader.line_num - read
+    return fields, lines, line, None
 
 
 def _split(run: str, width: int, line: int) -> tuple[list[str], Sequence[int], int, Optional[ParseError]]:
@@ -725,8 +709,8 @@ def _string(raw, name: str) -> str:
 
 
 def _real(raw, name: str) -> float:
-    """A JSON number: true or false is rejected, not read as 1.0 or 0.0."""
-    if isinstance(raw, bool):
+    """A JSON int or float: true, "15" or null is rejected, not read as 1.0, 15.0 or a float() error."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise TypeError(f"{name} must be a number, got {raw!r}")
     return float(raw)
 

@@ -181,6 +181,7 @@ class TestBadInput:
             (["--entropy-base", "inf"], None),
             ([], {"schema_version": 1, "kld_log_base": "inf"}),
             ([], {"schema_version": 1, "prior_smoothing_epsilon": False}),
+            ([], {"schema_version": 1, "prior_smoothing_epsilon": "0.1"}),
             ([], {"schema_version": 1, "kld_logbase": 2}),
             ([], {"schema_version": True}),
             ([], {"schema_version": 1.0}),
@@ -189,8 +190,8 @@ class TestBadInput:
         ids=["entropy-base", "round-weights", "methods", "config-epsilon",
              "config-rounding-float", "config-rounding-bool", "config-rounding-string",
              "config-base-overridden", "entropy-base-inf", "config-kld-base-inf",
-             "config-epsilon-bool", "config-unknown-key", "config-version-bool",
-             "config-version-float", "config-not-object"],
+             "config-epsilon-bool", "config-epsilon-string", "config-unknown-key",
+             "config-version-bool", "config-version-float", "config-not-object"],
     )
     def test_exits_two_with_one_line(self, workdir, tmp_path, capsys, flags, config):
         argv = ["rank", "--samples", str(workdir / "samples.csv"), *flags]

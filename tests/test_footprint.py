@@ -44,7 +44,10 @@ RETAINED_BYTES_PER_SAMPLE = 40
 #: peaked at 297.7 on the LF log and 303.0 on the quoted one. The block
 #: reader holds a 64 KiB block's text and fields, then the columns: 84.8 on
 #: the LF log and on one with CR line ends, 83.9 on the CRLF one and 89.0 on
-#: the quoted one.
+#: the quoted one, whose runs of quoted lines went through csv.reader (99.7
+#: when measured again on Python 3.11.7, numpy 2.4.6). With a block that
+#: holds a quote read whole through csv.reader, the reader peaks at 82.7 on
+#: the LF, CR and quoted logs and 80.2 on the CRLF one (same versions).
 PEAK_BYTES_PER_SAMPLE = 100
 
 #: Peak bytes per cell allocated while reading the wide prior below. The

@@ -680,14 +680,40 @@ class _CountingReader:
 class TestBlockReader:
     """What reading a block at a time must keep, where a long log, a long line or a late fault shows it."""
 
-    def test_only_the_quoted_record_goes_through_csv(self, tmp_path, csv_rows):
+    @staticmethod
+    def _plain_log(tmp_path):
+        """A log of 8,000 rows, about 290 KB, that holds no quote."""
         spec = ScenarioSpec(tuple(PairSpec(f"A{i:03d}", f"k{j:02d}", 0.5, 0.01, 2)
                                   for i in range(200) for j in range(20)), seed=1)
-        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
-        write_samples(generate_samples(spec), plain)  # 8,000 rows, about 290 KB
+        path = tmp_path / "plain.csv"
+        write_samples(generate_samples(spec), path)
+        return path
+
+    def test_only_the_quoted_records_block_goes_through_csv(self, tmp_path, csv_rows):
+        plain, quoted = self._plain_log(tmp_path), tmp_path / "quoted.csv"
         quoted.write_bytes(plain.read_bytes().replace(b"\nA150,k07,", b'\n"A150",k07,', 1))
         assert read_samples(quoted) == read_samples(plain)
-        assert [row[:2] for row in csv_rows] == [["A150", "k07"]]
+        with quoted.open(encoding="utf-8", newline="") as file:
+            file.readline()
+            blocks = [text for text in io_files._texts(file) if '"' in text]
+        assert len(blocks) == 1 and len(blocks[0]) <= io_files.READ_BYTES + 64  # and the rest of a line
+        assert csv_rows == list(ORACLE_READER(io.StringIO(blocks[0].replace('"', ""))))
+        assert ["A150", "k07"] in [row[:2] for row in csv_rows]
+
+    @pytest.mark.parametrize("block", [1 << 16, 4096])
+    def test_one_csv_reader_per_quoted_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(io_files, "READ_BYTES", block)
+        plain, quoted = self._plain_log(tmp_path), tmp_path / "quoted.csv"
+        header, *rows = plain.read_text().splitlines()
+        rows[::10] = [",".join(f'"{field}"' for field in row.split(",")) for row in rows[::10]]
+        quoted.write_text("\n".join([header, *rows]) + "\n")
+        with quoted.open(encoding="utf-8", newline="") as file:
+            file.readline()
+            blocks = sum('"' in text for text in io_files._texts(file))
+        readers = []
+        monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or ORACLE_READER(*args))
+        assert read_samples(quoted) == read_samples(plain)
+        assert len(readers) == blocks > (1 if block == 1 << 16 else 60)
 
     @pytest.mark.parametrize("table", ["samples", "prior"])
     def test_a_bad_byte_blocks_after_a_bad_row_still_wins(self, tmp_path, monkeypatch, table):
@@ -855,9 +881,13 @@ SPEC_DOC = {"schema_version": 1, "seed": 1, "pairs": [PAIR_DOC]}
          "malformed scenario spec: attribute must be a string, got 3"),
         (read_scenario_spec, {**SPEC_DOC, "pairs": [{**PAIR_DOC, "alternative": None}]},
          "malformed scenario spec: alternative must be a string, got None"),
+        (read_scenario_spec, {**SPEC_DOC, "pairs": [{**PAIR_DOC, "mean": "15"}]},
+         "malformed scenario spec: mean must be a number, got '15'"),
+        (read_scenario_spec, {**SPEC_DOC, "pairs": [{**PAIR_DOC, "variance": None}]},
+         "malformed scenario spec: variance must be a number, got None"),
     ],
     ids=["config-key", "config-version-bool", "config-version-float", "spec-key", "pair-key",
-         "attribute-int", "alternative-null"],
+         "attribute-int", "alternative-null", "mean-string", "variance-null"],
 )
 def test_json_doc_rejection_names_key_or_value(tmp_path, read, doc, message):
     path = tmp_path / "doc.json"
